@@ -65,7 +65,8 @@ class RunConfig:
 
 
 def parse_config(text: str, strict: bool = True) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     errors: list[str] = []
     try:
         cp.read_string(text)
@@ -95,7 +96,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 
     def as_float(raw):
         v = float(raw)
-        if math.isnan(v):
+        if not math.isfinite(v):
             raise ValueError(raw)
         return v
 
@@ -142,6 +143,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         errors.append("rho0 must be positive")
     if eta0 < 0:
         errors.append("eta0 must be nonnegative")
+    seed = get("initial", "seed", int, 0)
 
     t_end = get("time", "t_end", as_float, 0.1)
     if t_end < 0:
@@ -162,7 +164,7 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     else:
         try:
             threshold = float(thr_raw)
-            if threshold <= 0:
+            if not threshold > 0:
                 errors.append("sup_rho_threshold must be positive, 'inf' or 'auto'")
         except ValueError:
             errors.append(f"invalid sup_rho_threshold '{thr_raw}'")
@@ -185,7 +187,12 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 
     lemma_corrected = get("lemma", "corrected", as_bool, True)
     lemma_samples = get("lemma", "samples", int, 1 << 20)
+    if lemma_samples < 1:
+        errors.append("samples in [lemma] must be >= 1")
     lemma_seed = get("lemma", "seed", int, 20240817)
+    for sec, value in (("initial", seed), ("lemma", lemma_seed)):
+        if value < 0:
+            errors.append(f"seed in [{sec}] must be nonnegative")
 
     levels_raw = get("verify", "levels", str, "32,64,128")
     try:
@@ -193,14 +200,20 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
     except ValueError:
         errors.append(f"invalid verify levels '{levels_raw}'")
         verify_levels = (32, 64, 128)
+    if (len(verify_levels) < 3 or verify_levels[0] < 8
+            or any(b != 2 * a for a, b in zip(verify_levels, verify_levels[1:]))):
+        errors.append(f"levels in [verify] must be 3 or more grid sizes from 8 up, "
+                      f"each twice the previous, got '{levels_raw}'")
     verify_t_end = get("verify", "t_end", as_float, 0.05)
     verify_ratio = get("verify", "dt_over_dx2", as_float, 0.5)
+    if not verify_ratio > 0:
+        errors.append("dt_over_dx2 in [verify] must be positive")
 
     if errors:
         raise ConfigError(errors)
     return RunConfig(grid=grid, params=params, preset=preset, rho0=rho0,
                      eta0=eta0, delta0=delta0,
-                     seed=get("initial", "seed", int, 0),
+                     seed=seed,
                      t_end=t_end, cfl=cfl, dt=dt, snapshot_stride=stride,
                      sup_rho_threshold=threshold, alpha=alpha,
                      out_dir=out_dir, formats=formats,

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import ModelParams, polymer_pressure_q
+from .constitutive import ModelParams
 from .fields import (advective_div_array, face_velocities, grad_array,
-                     integrate_array, laplacian_array)
+                     integrate_array, upper_convected_source)
 from .state import State, Trajectory
 
 
@@ -74,13 +74,12 @@ def trace_identity_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
     n = len(traj)
     half_tr = np.empty(n)
     rhs = np.empty(n)
-    vkind = "odd" if not grid.periodic else "generic"
     for j, s in enumerate(traj.states):
         tr = s.t11 + s.t22
         half_tr[j] = integrate_array(0.5 * tr, grid)
-        ux, uy = s.mx / s.rho, s.my / s.rho
-        gxx, gxy = grad_array(ux, grid, vkind)
-        gyx, gyy = grad_array(uy, grid, vkind)
+        ux, uy = s.velocity()
+        gxx, gxy = grad_array(ux, grid, "odd")
+        gyx, gyy = grad_array(uy, grid, "odd")
         t_gradu = s.t11 * gxx + s.t12 * (gxy + gyx) + s.t22 * gyy
         rhs[j] = (integrate_array(prm.k / (2.0 * prm.lam) * s.eta + t_gradu, grid)
                   - integrate_array(tr, grid) / (4.0 * prm.lam))
@@ -94,35 +93,29 @@ def stress_l2_balance_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray
     n = len(traj)
     half_t2 = np.empty(n)
     rhs = np.empty(n)
-    tkind = "even" if not grid.periodic else "generic"
-    vkind = "odd" if not grid.periodic else "generic"
     for j, s in enumerate(traj.states):
         t11, t12, t22 = s.t11, s.t12, s.t22
         frob = t11 ** 2 + 2.0 * t12 ** 2 + t22 ** 2
         half_t2[j] = integrate_array(0.5 * frob, grid)
 
-        g11x, g11y = grad_array(t11, grid, tkind)
-        g12x, g12y = grad_array(t12, grid, tkind)
-        g22x, g22y = grad_array(t22, grid, tkind)
+        g11x, g11y = grad_array(t11, grid, "even")
+        g12x, g12y = grad_array(t12, grid, "even")
+        g22x, g22y = grad_array(t22, grid, "even")
         grad_t_sq = (g11x ** 2 + g11y ** 2 + 2.0 * (g12x ** 2 + g12y ** 2)
                      + g22x ** 2 + g22y ** 2)
 
-        ux, uy = s.mx / s.rho, s.my / s.rho
+        ux, uy = s.velocity()
         uf, vf = face_velocities(ux, uy, grid)
         adv = 0.0
         for a, w in ((t11, 1.0), (t12, 2.0), (t22, 1.0)):
             adv += w * integrate_array(
                 advective_div_array(a, uf, vf, grid, "even") * a, grid)
 
-        gxx, gxy = grad_array(ux, grid, vkind)
-        gyx, gyy = grad_array(uy, grid, vkind)
-        a11 = gxx * t11 + gxy * t12
-        a12 = gxx * t12 + gxy * t22
-        a21 = gyx * t11 + gyy * t12
-        a22 = gyx * t12 + gyy * t22
-        # (A + A^T) : T with A = grad u . T, expanded on the stored planes
-        deform = integrate_array(
-            2.0 * a11 * t11 + 2.0 * (a12 + a21) * t12 + 2.0 * a22 * t22, grid)
+        gxx, gxy = grad_array(ux, grid, "odd")
+        gyx, gyy = grad_array(uy, grid, "odd")
+        uc11, uc12, uc22 = upper_convected_source(gxx, gxy, gyx, gyy, t11, t12, t22)
+        # (grad u T + T grad u^T) : T on the stored planes
+        deform = integrate_array(uc11 * t11 + 2.0 * uc12 * t12 + uc22 * t22, grid)
 
         src = prm.k / (2.0 * prm.lam) * integrate_array(s.eta * (t11 + t22), grid)
         rhs[j] = (-adv + deform + src - prm.eps * integrate_array(grad_t_sq, grid)
@@ -146,18 +139,22 @@ class BlowupReport:
     _last_linf_sq: float = field(default=0.0, repr=False)
 
 
-def linf_tau(state: State) -> float:
-    """sup over cells of the spectral norm of the symmetric 2x2 stress."""
+def _tau_eigs(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper eigenvalue of the symmetric 2x2 stress per cell."""
     mid = 0.5 * (state.t11 + state.t22)
     rad = np.sqrt(0.25 * (state.t11 - state.t22) ** 2 + state.t12 ** 2)
-    return float(np.max(np.maximum(np.abs(mid + rad), np.abs(mid - rad))))
+    return mid - rad, mid + rad
+
+
+def linf_tau(state: State) -> float:
+    """sup over cells of the spectral norm of the symmetric 2x2 stress."""
+    lo, hi = _tau_eigs(state)
+    return float(np.max(np.maximum(np.abs(hi), np.abs(lo))))
 
 
 def min_eig_tau(state: State) -> tuple[float, tuple[int, int]]:
     """Minimum eigenvalue of T over cells and the cell attaining it."""
-    mid = 0.5 * (state.t11 + state.t22)
-    rad = np.sqrt(0.25 * (state.t11 - state.t22) ** 2 + state.t12 ** 2)
-    eig = mid - rad
+    eig = _tau_eigs(state)[0]
     idx = np.unravel_index(np.argmin(eig), eig.shape)
     return float(eig[idx]), (int(idx[0]), int(idx[1]))
 

@@ -17,8 +17,9 @@ import numpy as np
 from . import kernels
 from .constitutive import ModelParams, polymer_pressure_q, pressure
 from .fields import (advective_div_array, face_velocities, grad_array,
-                     integrate_array, laplacian_array, pad1)
-from .grid import Grid
+                     integrate_array, laplacian_array, pad1,
+                     upper_convected_source)
+from .grid import Grid, extend
 from .state import Accumulators, NumericalError, State, Trajectory
 
 
@@ -58,14 +59,8 @@ ForceFn = Callable[[float], tuple[np.ndarray, np.ndarray]]
 SourceFn = Callable[[float], tuple[np.ndarray, ...]]
 
 
-def _modes(grid: Grid) -> dict:
-    if grid.periodic:
-        return {k: "periodic" for k in ("rho", "u", "eta", "tau", "gen")}
-    return {"rho": "even", "u": "odd", "eta": "even", "tau": "even", "gen": "extrap"}
-
-
 def _pad(a: np.ndarray, mode: str) -> np.ndarray:
-    from .grid import extend
+    # no caller in the package; perfbench/tracer.py wraps this name
     return extend(a, mode, mode, width=1)
 
 
@@ -74,7 +69,6 @@ def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
                 sources: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """Semi-discrete RHS of the full system at the state's own time."""
     grid = state.grid
-    m = _modes(grid)
     dx, dy = grid.dx, grid.dy
 
     rho, mx, my, eta = state.rho, state.mx, state.my, state.eta
@@ -85,18 +79,19 @@ def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
     # continuity and polymer density
     drho = -advective_div_array(rho, uf, vf, grid, "even")
     deta = (-advective_div_array(eta, uf, vf, grid, "even")
-            + prm.eps * laplacian_array(eta, grid, m["eta"]))
+            + prm.eps * laplacian_array(eta, grid, "even"))
 
     # momentum: advection + pressure/polymer-pressure gradients + viscosity
     # + elastic stress divergence
     ptot = pressure(rho, prm) + polymer_pressure_q(np.maximum(eta, 0.0), prm)
-    pp = _pad(ptot, m["rho"])
-    pux, puy = _pad(ux, m["u"]), _pad(uy, m["u"])
+    pp = pad1(ptot, grid, "even")
+    pux, puy = pad1(ux, grid, "odd"), pad1(uy, grid, "odd")
     gxx, gxy = kernels.ddx(pux, dx), kernels.ddy(pux, dy)
     gyx, gyy = kernels.ddx(puy, dx), kernels.ddy(puy, dy)
     divu = gxx + gyy
-    pdiv = _pad(divu, m["gen"])
-    p11, p12, p22 = (_pad(t11, m["tau"]), _pad(t12, m["tau"]), _pad(t22, m["tau"]))
+    pdiv = pad1(divu, grid, "generic")
+    p11, p12, p22 = (pad1(t11, grid, "even"), pad1(t12, grid, "even"),
+                     pad1(t22, grid, "even"))
 
     dmx = (-advective_div_array(mx, uf, vf, grid, "odd")
            - kernels.ddx(pp, dx)
@@ -115,19 +110,16 @@ def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
 
     # extra stress: conservative advection, upper-convected deformation,
     # diffusion, relaxation toward k eta I
-    a11 = gxx * t11 + gxy * t12
-    a12 = gxx * t12 + gxy * t22
-    a21 = gyx * t11 + gyy * t12
-    a22 = gyx * t12 + gyy * t22
+    uc11, uc12, uc22 = upper_convected_source(gxx, gxy, gyx, gyy, t11, t12, t22)
     relax = 1.0 / (2.0 * prm.lam)
     dt11 = (-advective_div_array(t11, uf, vf, grid, "even")
-            + 2.0 * a11 + prm.eps * kernels.laplacian(p11, dx, dy)
+            + uc11 + prm.eps * kernels.laplacian(p11, dx, dy)
             + relax * (prm.k * eta - t11))
     dt12 = (-advective_div_array(t12, uf, vf, grid, "even")
-            + (a12 + a21) + prm.eps * kernels.laplacian(p12, dx, dy)
+            + uc12 + prm.eps * kernels.laplacian(p12, dx, dy)
             - relax * t12)
     dt22 = (-advective_div_array(t22, uf, vf, grid, "even")
-            + 2.0 * a22 + prm.eps * kernels.laplacian(p22, dx, dy)
+            + uc22 + prm.eps * kernels.laplacian(p22, dx, dy)
             + relax * (prm.k * eta - t22))
 
     out = (drho, dmx, dmy, deta, dt11, dt12, dt22)
@@ -205,17 +197,16 @@ def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
                   force: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
     """Instantaneous integrands of the energy-balance accumulators."""
     grid = state.grid
-    m = _modes(grid)
     ux, uy = state.velocity(opts.rho_floor or 0.0)
-    gxx, gxy = grad_array(ux, grid, m["u"] if grid.periodic else "odd")
-    gyx, gyy = grad_array(uy, grid, m["u"] if grid.periodic else "odd")
+    gxx, gxy = grad_array(ux, grid, "odd")
+    gyx, gyy = grad_array(uy, grid, "odd")
     grad_u_sq = gxx ** 2 + gxy ** 2 + gyx ** 2 + gyy ** 2
     div_sq = (gxx + gyy) ** 2
     visc = integrate_array(prm.mu * grad_u_sq + prm.nu * div_sq, grid)
 
     eta = np.maximum(state.eta, 0.0)
-    sqx, sqy = grad_array(np.sqrt(eta), grid, "even" if not grid.periodic else "periodic")
-    ex, ey = grad_array(eta, grid, "even" if not grid.periodic else "periodic")
+    sqx, sqy = grad_array(np.sqrt(eta), grid, "even")
+    ex, ey = grad_array(eta, grid, "even")
     poly = 2.0 * prm.eps * integrate_array(
         2.0 * prm.kL * (sqx ** 2 + sqy ** 2) + prm.zfrak * (ex ** 2 + ey ** 2), grid)
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import (DomainError, ModelParams, bregman_G, bregman_H,
+from .constitutive import (ModelParams, bregman_G, bregman_H,
                            polymer_potential_G_prime, polymer_pressure_q,
                            polymer_pressure_q_prime, potential_H_prime,
                            pressure, pressure_prime)
+from .diagnostics import _ddt
 from .fields import (advective_div_array, face_velocities, grad_array,
-                     integrate_array, laplacian_array)
+                     integrate_array, laplacian_array, upper_convected_source)
 from .grid import Grid, require_same_grid
 from .state import State, Trajectory
 
@@ -32,8 +33,10 @@ def _frob_ip(a11, a12, a22, b11, b12, b22):
     return a11 * b11 + 2.0 * a12 * b12 + a22 * b22
 
 
-def _vel(state: State) -> tuple[np.ndarray, np.ndarray]:
-    return state.mx / state.rho, state.my / state.rho
+def _require_shared_times(traj: Trajectory, ref: RefTrajectory) -> None:
+    if len(traj) != len(ref) or not np.allclose(traj.times, ref.traj.times,
+                                                rtol=0, atol=1e-12):
+        raise ReferenceError("trajectories must share snapshot times")
 
 
 def _check_positive_ref(ref: State) -> None:
@@ -52,7 +55,7 @@ def rel_entropy_E1(state: State, ref: State, prm: ModelParams) -> float:
     require_same_grid(state, ref)
     _check_positive_ref(ref)
     ux, uy = state.velocity(0.0) if np.all(state.rho > 0) else state.velocity(1e-300)
-    tux, tuy = _vel(ref)
+    tux, tuy = ref.velocity()
     kin = 0.5 * state.rho * ((ux - tux) ** 2 + (uy - tuy) ** 2)
     return integrate_array(kin + bregman_H(state.rho, ref.rho, prm), state.grid)
 
@@ -116,10 +119,15 @@ class RefTrajectory:
         n = len(states)
 
         def quantities(s: State):
-            tux, tuy = _vel(s)
+            tux, tuy = s.velocity()
             return (tux, tuy, potential_H_prime(s.rho, prm),
                     polymer_potential_G_prime(s.eta, prm))
 
+        if n == 2:
+            q0, q1 = quantities(states[0]), quantities(states[1])
+            dt = times[1] - times[0]
+            d = tuple((b - a) / dt for a, b in zip(q0, q1))
+            return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
         if 0 < i < n - 1:
             # centered over a possibly nonuniform stencil
             t0, t1, t2 = times[i - 1], times[i], times[i + 1]
@@ -129,23 +137,13 @@ class RefTrajectory:
             c1 = (h2 - h1) / (h1 * h2)
             c2 = h1 / (h2 * (h1 + h2))
         elif i == 0:
-            t0, t1, t2 = times[0], times[1], times[2] if n > 2 else times[1]
-            if n == 2:
-                q0, q1 = quantities(states[0]), quantities(states[1])
-                dt = times[1] - times[0]
-                d = tuple((b - a) / dt for a, b in zip(q0, q1))
-                return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
+            t0, t1, t2 = times[0], times[1], times[2]
             q0, q1, q2 = (quantities(states[j]) for j in (0, 1, 2))
             h1, h2 = t1 - t0, t2 - t1
             c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
             c1 = (h1 + h2) / (h1 * h2)
             c2 = -h1 / (h2 * (h1 + h2))
         else:
-            if n == 2:
-                q0, q1 = quantities(states[0]), quantities(states[1])
-                dt = times[1] - times[0]
-                d = tuple((b - a) / dt for a, b in zip(q0, q1))
-                return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
             t0, t1, t2 = times[n - 3], times[n - 2], times[n - 1]
             q0, q1, q2 = (quantities(states[j]) for j in (n - 3, n - 2, n - 1))
             h1, h2 = t1 - t0, t2 - t1
@@ -172,15 +170,14 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
-    ux, uy = _vel(state)
-    tux, tuy = _vel(ref)
+    ux, uy = state.velocity()
+    tux, tuy = ref.velocity()
     dux, duy = tux - ux, tuy - uy  # u~ - u
 
-    vkind = "odd" if not grid.periodic else "generic"
-    gtxx, gtxy = grad_array(tux, grid, vkind)
-    gtyx, gtyy = grad_array(tuy, grid, vkind)
-    gxx, gxy = grad_array(ux, grid, vkind)
-    gyx, gyy = grad_array(uy, grid, vkind)
+    gtxx, gtxy = grad_array(tux, grid, "odd")
+    gtyx, gtyy = grad_array(tuy, grid, "odd")
+    gxx, gxy = grad_array(ux, grid, "odd")
+    gyx, gyy = grad_array(uy, grid, "odd")
     div_tu = gtxx + gtyy
     div_du = (gtxx - gxx) + (gtyy - gyy)
 
@@ -212,13 +209,13 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
     # R3/R4: cross terms of the eta dissipation
     sq_eta = np.sqrt(np.maximum(eta, 0.0))
     sq_teta = np.sqrt(teta)
-    gsx, gsy = grad_array(sq_eta, grid, "even" if not grid.periodic else "generic")
-    gtsx, gtsy = grad_array(sq_teta, grid, "even" if not grid.periodic else "generic")
+    gsx, gsy = grad_array(sq_eta, grid, "even")
+    gtsx, gtsy = grad_array(sq_teta, grid, "even")
     cross = (gtsx * (gsx - gtsx) + gtsy * (gsy - gtsy)
              + (gsx * gtsx + gsy * gtsy) * (1.0 - sq_eta / sq_teta))
     r3 = -4.0 * prm.eps * prm.kL * integrate_array(cross, grid)
-    gex, gey = grad_array(eta, grid, "even" if not grid.periodic else "generic")
-    gtex, gtey = grad_array(teta, grid, "even" if not grid.periodic else "generic")
+    gex, gey = grad_array(eta, grid, "even")
+    gtex, gtey = grad_array(teta, grid, "even")
     r4 = -2.0 * prm.eps * prm.zfrak * integrate_array(
         gtex * (gex - gtex) + gtey * (gey - gtey), grid)
 
@@ -247,15 +244,14 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
-    ux, uy = _vel(state)
-    tux, tuy = _vel(ref)
+    ux, uy = state.velocity()
+    tux, tuy = ref.velocity()
     dux, duy = tux - ux, tuy - uy  # u~ - u
 
-    vkind = "odd" if not grid.periodic else "generic"
-    gtxx, gtxy = grad_array(tux, grid, vkind)
-    gtyx, gtyy = grad_array(tuy, grid, vkind)
-    gxx, gxy = grad_array(ux, grid, vkind)
-    gyx, gyy = grad_array(uy, grid, vkind)
+    gtxx, gtxy = grad_array(tux, grid, "odd")
+    gtyx, gtyy = grad_array(tuy, grid, "odd")
+    gxx, gxy = grad_array(ux, grid, "odd")
+    gyx, gyy = grad_array(uy, grid, "odd")
     div_tu = gtxx + gtyy
 
     # 1) rho (u - u~) . grad(u~) . (u~ - u)
@@ -264,8 +260,8 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
         grid)
 
     # 2) (mu Lap u~ + nu grad div u~) (rho - rho~)/rho~ . (u~ - u)
-    lap_tux = laplacian_array(tux, grid, vkind if not grid.periodic else "generic")
-    lap_tuy = laplacian_array(tuy, grid, vkind if not grid.periodic else "generic")
+    lap_tux = laplacian_array(tux, grid, "odd")
+    lap_tuy = laplacian_array(tuy, grid, "odd")
     gd_x, gd_y = grad_array(div_tu, grid, "generic")
     fac = (rho - trho) / trho
     t2 = integrate_array(fac * ((prm.mu * lap_tux + prm.nu * gd_x) * dux
@@ -288,10 +284,9 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
     t5 = integrate_array(((trho - rho) / trho) * (gq_x * dux + gq_y * duy), grid)
 
     # 6) (rho - rho~)/rho~ div T~ . (u~ - u)
-    tkind = "even" if not grid.periodic else "generic"
-    d11x, _ = grad_array(ref.t11, grid, tkind)
-    d12x, d12y = grad_array(ref.t12, grid, tkind)
-    _, d22y = grad_array(ref.t22, grid, tkind)
+    d11x, _ = grad_array(ref.t11, grid, "even")
+    d12x, d12y = grad_array(ref.t12, grid, "even")
+    _, d22y = grad_array(ref.t22, grid, "even")
     divT_x = d11x + d12y
     divT_y = d12x + d22y
     t6 = integrate_array(((rho - trho) / trho) * (divT_x * dux + divT_y * duy), grid)
@@ -300,10 +295,9 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
     #    grad(sqrt(eta~)-sqrt(eta)) - (Lap eta~ / eta~)(sqrt(eta)-sqrt(eta~))^2 ]
     sq_eta = np.sqrt(np.maximum(eta, 0.0))
     sq_teta = np.sqrt(teta)
-    ekind = "even" if not grid.periodic else "generic"
-    gsx, gsy = grad_array(sq_eta, grid, ekind)
-    gtsx, gtsy = grad_array(sq_teta, grid, ekind)
-    lap_teta = laplacian_array(teta, grid, ekind)
+    gsx, gsy = grad_array(sq_eta, grid, "even")
+    gtsx, gtsy = grad_array(sq_teta, grid, "even")
+    lap_teta = laplacian_array(teta, grid, "even")
     diff_s = sq_teta - sq_eta
     t7 = prm.eps * prm.kL * integrate_array(
         4.0 / sq_teta * diff_s * (gtsx * (gtsx - gsx) + gtsy * (gtsy - gsy))
@@ -330,17 +324,15 @@ def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
     mu |grad(u-u~)|^2 + nu |div(u-u~)|^2
     + 2 eps (2 kL |grad(sqrt eta - sqrt eta~)|^2 + z |grad(eta-eta~)|^2)."""
     grid = state.grid
-    ux, uy = _vel(state)
-    tux, tuy = _vel(ref)
-    vkind = "odd" if not grid.periodic else "generic"
-    gxx, gxy = grad_array(ux - tux, grid, vkind)
-    gyx, gyy = grad_array(uy - tuy, grid, vkind)
+    ux, uy = state.velocity()
+    tux, tuy = ref.velocity()
+    gxx, gxy = grad_array(ux - tux, grid, "odd")
+    gyx, gyy = grad_array(uy - tuy, grid, "odd")
     visc = prm.mu * (gxx ** 2 + gxy ** 2 + gyx ** 2 + gyy ** 2) \
         + prm.nu * (gxx + gyy) ** 2
-    ekind = "even" if not grid.periodic else "generic"
     dsx, dsy = grad_array(np.sqrt(np.maximum(state.eta, 0.0)) - np.sqrt(ref.eta),
-                          grid, ekind)
-    dex, dey = grad_array(state.eta - ref.eta, grid, ekind)
+                          grid, "even")
+    dex, dey = grad_array(state.eta - ref.eta, grid, "even")
     poly = 2.0 * prm.eps * (2.0 * prm.kL * (dsx ** 2 + dsy ** 2)
                             + prm.zfrak * (dex ** 2 + dey ** 2))
     return integrate_array(visc + poly, grid)
@@ -355,9 +347,7 @@ def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
     Exactly zero at j = 0; the continuous theorem asserts <= 0, discretely
     the signed value is reported. Both trajectories must share snapshot
     times and grid."""
-    if len(traj) != len(ref) or not np.allclose(traj.times, ref.traj.times,
-                                                rtol=0, atol=1e-12):
-        raise ReferenceError("trajectories must share snapshot times")
+    _require_shared_times(traj, ref)
     n = len(traj)
     e12 = np.empty(n)
     diss = np.empty(n)
@@ -390,30 +380,26 @@ def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
         + (k/2 lambda) int (eta - eta~) tr D.
 
     Time derivative by centered differences (one-sided at the ends)."""
-    if len(traj) != len(ref) or not np.allclose(traj.times, ref.traj.times,
-                                                rtol=0, atol=1e-12):
-        raise ReferenceError("trajectories must share snapshot times")
+    _require_shared_times(traj, ref)
     n = len(traj)
     grid = traj.grid
     half_d2 = np.empty(n)
     rhs = np.empty(n)
-    tkind = "even" if not grid.periodic else "generic"
-    vkind = "odd" if not grid.periodic else "generic"
     for j in range(n):
         s, r = traj.states[j], ref.state(j)
         d11, d12, d22 = s.t11 - r.t11, s.t12 - r.t12, s.t22 - r.t22
         half_d2[j] = integrate_array(0.5 * _frob_ip(d11, d12, d22, d11, d12, d22), grid)
 
-        g11x, g11y = grad_array(d11, grid, tkind)
-        g12x, g12y = grad_array(d12, grid, tkind)
-        g22x, g22y = grad_array(d22, grid, tkind)
+        g11x, g11y = grad_array(d11, grid, "even")
+        g12x, g12y = grad_array(d12, grid, "even")
+        g22x, g22y = grad_array(d22, grid, "even")
         grad_d_sq = g11x**2 + g11y**2 + 2.0 * (g12x**2 + g12y**2) + g22x**2 + g22y**2
         decay = (prm.eps * integrate_array(grad_d_sq, grid)
                  + integrate_array(_frob_ip(d11, d12, d22, d11, d12, d22), grid)
                  / (2.0 * prm.lam))
 
-        ux, uy = _vel(s)
-        tux, tuy = _vel(r)
+        ux, uy = s.velocity()
+        tux, tuy = r.velocity()
         uf, vf = face_velocities(ux, uy, grid)
         tf, sf = face_velocities(tux, tuy, grid)
         adv = 0.0
@@ -422,18 +408,12 @@ def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
                   - advective_div_array(b, tf, sf, grid, "even"))
             adv += w * integrate_array(da * (a - b), grid)
 
-        gxx, gxy = grad_array(ux, grid, vkind)
-        gyx, gyy = grad_array(uy, grid, vkind)
-        hxx, hxy = grad_array(tux, grid, vkind)
-        hyx, hyy = grad_array(tuy, grid, vkind)
-        def _def_planes(axx, axy, ayx, ayy, p11, p12, p22):
-            b11 = axx * p11 + axy * p12
-            b12 = axx * p12 + axy * p22
-            b21 = ayx * p11 + ayy * p12
-            b22 = ayx * p12 + ayy * p22
-            return 2.0 * b11, b12 + b21, 2.0 * b22
-        w11, w12, w22 = _def_planes(gxx, gxy, gyx, gyy, s.t11, s.t12, s.t22)
-        v11, v12, v22 = _def_planes(hxx, hxy, hyx, hyy, r.t11, r.t12, r.t22)
+        gxx, gxy = grad_array(ux, grid, "odd")
+        gyx, gyy = grad_array(uy, grid, "odd")
+        hxx, hxy = grad_array(tux, grid, "odd")
+        hyx, hyy = grad_array(tuy, grid, "odd")
+        w11, w12, w22 = upper_convected_source(gxx, gxy, gyx, gyy, s.t11, s.t12, s.t22)
+        v11, v12, v22 = upper_convected_source(hxx, hxy, hyx, hyy, r.t11, r.t12, r.t22)
         deform = integrate_array(
             _frob_ip(w11 - v11, w12 - v12, w22 - v22, d11, d12, d22), grid)
 
@@ -441,9 +421,7 @@ def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
             (s.eta - r.eta) * (d11 + d22), grid)
         rhs[j] = -adv + deform + relaxsrc - decay
 
-    times = np.asarray(traj.times)
-    ddt = np.gradient(half_d2, times, edge_order=2 if n > 2 else 1)
-    return ddt - rhs
+    return _ddt(half_d2, np.asarray(traj.times)) - rhs
 
 
 # --- Gronwall decay experiment --------------------------------------------
@@ -476,9 +454,7 @@ def weak_strong_experiment(traj: Trajectory, ref: RefTrajectory,
     """Combined relative entropy E(t) = E1 + E2 + ET along shared snapshot
     times, with the fitted exponential growth constant C_hat such that
     E(t) <= E(0) exp(C_hat t) (least squares on log E where E > 0)."""
-    if len(traj) != len(ref) or not np.allclose(traj.times, ref.traj.times,
-                                                rtol=0, atol=1e-12):
-        raise ReferenceError("trajectories must share snapshot times")
+    _require_shared_times(traj, ref)
     times = np.asarray(traj.times)
     series = np.array([combined_E(traj.states[j], ref.state(j), prm)
                        for j in range(len(traj))])

@@ -1,83 +1,22 @@
-"""Grid fields, discrete differential operators and deterministic reductions.
+"""Discrete array operators and deterministic reductions.
 
 All operators are pure: they read interior (nx, ny) samples, extend them
-with ghost layers according to the grid's boundary mode, and return fresh
-arrays. Reductions go through the fixed pairwise tree in ``parallel``.
+with ghost layers by the rule ``grid.extension_mode`` picks for the
+caller's field kind, and return fresh arrays. Reductions go through the
+fixed pairwise tree in ``parallel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels, parallel
-from .grid import Grid, _extend_axis, extend, extension_mode, require_same_grid
-from .state import State
-
-
-class FieldError(ValueError):
-    pass
-
-
-def _validate(grid: Grid, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    out = []
-    for a in arrays:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        if a.shape != grid.shape:
-            raise FieldError(f"array shape {a.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(a)):
-            raise FieldError("field contains non-finite samples")
-        out.append(a)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _validate(self.grid, self.data)[0])
-
-
-@dataclass(frozen=True)
-class VecField:
-    grid: Grid
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x, y = _validate(self.grid, self.x, self.y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
-class SymTensorField:
-    """Symmetric 2x2 tensor; only the planes T11, T12, T22 are stored, so
-    symmetry holds by construction."""
-
-    grid: Grid
-    t11: np.ndarray
-    t12: np.ndarray
-    t22: np.ndarray
-
-    def __post_init__(self):
-        p = _validate(self.grid, self.t11, self.t12, self.t22)
-        for name, a in zip(("t11", "t12", "t22"), p):
-            object.__setattr__(self, name, a)
-
-    @property
-    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.t11, self.t12, self.t22)
-
-
-# --- array-level operators (used by the dynamics hot path) -----------------
+from .grid import Grid, _extend_axis, extend, extension_mode
 
 
 def pad1(a: np.ndarray, grid: Grid, kind: str = "generic") -> np.ndarray:
-    return extend(a, extension_mode(grid, kind), extension_mode(grid, kind), width=1)
+    mode = extension_mode(grid, kind)
+    return extend(a, mode, mode, width=1)
 
 
 def pad1_xy(a: np.ndarray, grid: Grid, kind_x: str, kind_y: str) -> np.ndarray:
@@ -98,7 +37,7 @@ def face_velocities(ux: np.ndarray, uy: np.ndarray, grid: Grid) -> tuple[np.ndar
 
     On physical grids the odd reflection makes the wall-face velocity
     exactly zero, closing the advective fluxes."""
-    mode = "periodic" if grid.periodic else "odd"
+    mode = extension_mode(grid, "odd")
     px = _extend_axis(ux, 0, mode, width=1)
     py = _extend_axis(uy, 1, mode, width=1)
     uf = 0.5 * (px[:-1, :] + px[1:, :])
@@ -110,111 +49,30 @@ def advective_div_array(phi: np.ndarray, uf: np.ndarray, vf: np.ndarray, grid: G
                         kind: str = "even") -> np.ndarray:
     """div(u phi) with MUSCL/minmod upwind fluxes and interpolated face
     velocities; ``kind`` sets the ghost rule for the advected quantity."""
-    mode = extension_mode(grid, kind if kind != "generic" else "even")
+    mode = extension_mode(grid, kind)
     phix = _extend_axis(phi, 0, mode, width=2)
     phiy = _extend_axis(phi, 1, mode, width=2)
     return (kernels.muscl_div_x(phix, uf, grid.dx)
             + kernels.muscl_div_y(phiy, vf, grid.dy))
 
 
+def upper_convected_source(gxx, gxy, gyx, gyy, t11, t12, t22):
+    """Stored planes (11, 12, 22) of grad(u) T + T grad(u)^T, with
+    g_ij = d u_i / d x_j and T symmetric; symmetric by construction.
+
+    Works on arrays and on sympy expressions alike (the integer 2 keeps
+    the symbolic coefficients exact)."""
+    a11 = gxx * t11 + gxy * t12
+    a12 = gxx * t12 + gxy * t22
+    a21 = gyx * t11 + gyy * t12
+    a22 = gyx * t12 + gyy * t22
+    return 2 * a11, a12 + a21, 2 * a22
+
+
 def integrate_array(a: np.ndarray, grid: Grid) -> float:
+    """Midpoint-rule integral with the deterministic pairwise reduction."""
     return parallel.deterministic_sum(a) * grid.cell_area
 
 
 def l2_norm_array(a: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(integrate_array(a * a, grid)))
-
-
-# --- field-level operators -------------------------------------------------
-
-
-def grad_scalar(s: ScalarField) -> VecField:
-    """Second-order gradient; one-sided second-order at physical walls."""
-    gx, gy = grad_array(s.data, s.grid, "generic")
-    return VecField(s.grid, gx, gy)
-
-
-def div_vector(v: VecField) -> ScalarField:
-    px = pad1(v.x, v.grid, "generic")
-    py = pad1(v.y, v.grid, "generic")
-    return ScalarField(v.grid, kernels.ddx(px, v.grid.dx) + kernels.ddy(py, v.grid.dy))
-
-
-def laplacian(s: ScalarField, kind: str = "even") -> ScalarField:
-    """5-point Laplacian; the default 'even' ghost rule matches the
-    zero-normal-derivative boundary condition of the diffused fields."""
-    return ScalarField(s.grid, laplacian_array(s.data, s.grid, kind))
-
-
-def laplacian_tensor(T: SymTensorField) -> SymTensorField:
-    return SymTensorField(T.grid, *(laplacian_array(p, T.grid, "even") for p in T.planes))
-
-
-def div_tensor_vec(u: VecField, T: SymTensorField) -> SymTensorField:
-    """Componentwise conservative divergence of the fluxes u * T_ij, using
-    the same MUSCL scheme as all other advected quantities."""
-    require_same_grid(u, T)
-    uf, vf = face_velocities(u.x, u.y, u.grid)
-    planes = [advective_div_array(p, uf, vf, u.grid, "even") for p in T.planes]
-    return SymTensorField(u.grid, *planes)
-
-
-def grad_vector(v: VecField, kind: str = "generic") -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Velocity gradient (g_ij = d u_i / d x_j) as four (nx, ny) arrays
-    (gxx, gxy, gyx, gyy)."""
-    gxx, gxy = grad_array(v.x, v.grid, kind)
-    gyx, gyy = grad_array(v.y, v.grid, kind)
-    return gxx, gxy, gyx, gyy
-
-
-def upper_convected_source(grad_u, T: SymTensorField) -> SymTensorField:
-    """Pointwise grad(u) T + T grad(u)^T; symmetric by construction.
-
-    ``grad_u`` is the (gxx, gxy, gyx, gyy) tuple from :func:`grad_vector`.
-    """
-    gxx, gxy, gyx, gyy = grad_u
-    a11 = gxx * T.t11 + gxy * T.t12
-    a12 = gxx * T.t12 + gxy * T.t22
-    a21 = gyx * T.t11 + gyy * T.t12
-    a22 = gyx * T.t12 + gyy * T.t22
-    return SymTensorField(T.grid, 2.0 * a11, a12 + a21, 2.0 * a22)
-
-
-def integrate(s: ScalarField) -> float:
-    """Midpoint-rule integral with the deterministic pairwise reduction."""
-    return integrate_array(s.data, s.grid)
-
-
-def sup_norm(s: ScalarField) -> float:
-    return float(np.max(np.abs(s.data)))
-
-
-def l2_norm(s: ScalarField) -> float:
-    return l2_norm_array(s.data, s.grid)
-
-
-def apply_bcs(state: State) -> State:
-    """Fill ghost layers for the physical boundary conditions: no-slip
-    velocity (odd reflection), zero normal derivative for eta and T (even),
-    and even reflection for rho (zero normal mass flux, consistent with
-    u = 0 on the walls)."""
-    if state.grid.periodic:
-        raise FieldError("apply_bcs is only meaningful in physical boundary mode")
-    rho = extend(state.rho, "even", "even")
-    ux, uy = state.velocity()
-    gux = extend(ux, "odd", "odd")
-    guy = extend(uy, "odd", "odd")
-    ghosts = {
-        "rho": rho,
-        "ux": gux,
-        "uy": guy,
-        "mx": rho * gux,
-        "my": rho * guy,
-        "eta": extend(state.eta, "even", "even"),
-        "t11": extend(state.t11, "even", "even"),
-        "t12": extend(state.t12, "even", "even"),
-        "t22": extend(state.t22, "even", "even"),
-    }
-    out = state.copy()
-    out.ghosts = ghosts
-    return out

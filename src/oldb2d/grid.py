@@ -116,12 +116,15 @@ def extend(a: np.ndarray, mode_x: str, mode_y: str, width: int = NG) -> np.ndarr
 
 
 def extension_mode(grid: Grid, kind: str) -> str:
-    """Extension rule for a field of the given kind on this grid.
+    """Extension rule for a field of the given kind on this grid; the one
+    place a ghost rule is chosen.
 
-    kind: 'even', 'odd' or 'generic'. Periodic grids always wrap; on
-    physical grids 'generic' uses quadratic extrapolation (one-sided
-    differencing at the boundary), while 'even'/'odd' are the reflection
-    rules of the no-slip / zero-flux boundary conditions.
+    Periodic grids always wrap. On physical grids:
+      'odd'     -> odd reflection: velocity and momentum (no-slip walls)
+      'even'    -> even reflection: rho, pressure, eta, sqrt(eta) and T
+                   (zero normal flux)
+      'generic' -> quadratic extrapolation (one-sided differencing at the
+                   wall): derived quantities such as div u
     """
     if grid.periodic:
         return "periodic"

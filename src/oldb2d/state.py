@@ -27,7 +27,6 @@ class State:
     t11: np.ndarray
     t12: np.ndarray
     t22: np.ndarray
-    ghosts: dict | None = None
 
     def __post_init__(self):
         for name in ("rho", "mx", "my", "eta", "t11", "t12", "t22"):

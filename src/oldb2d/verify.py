@@ -18,6 +18,7 @@ from scipy.stats import qmc
 
 from .constitutive import (ModelParams, bregman_G, bregman_H,
                            calibrate_H_constants, lower_bound_G, lower_bound_H)
+from .fields import upper_convected_source
 from .grid import Grid
 from .state import State
 
@@ -97,17 +98,14 @@ class ManufacturedSolution:
                 + dy(p + q) - prm.mu * lap(uy) - prm.nu * dy(div_u)
                 - dx(t12) - dy(t22))
 
-        gxx, gxy = dx(ux), dy(ux)
-        gyx, gyy = dx(uy), dy(uy)
+        uc11, uc12, uc22 = upper_convected_source(dx(ux), dy(ux), dx(uy), dy(uy),
+                                                  t11, t12, t22)
         relax = 1 / (2 * prm.lam)
-        f_t11 = (dt(t11) + dx(ux * t11) + dy(uy * t11)
-                 - 2 * (gxx * t11 + gxy * t12)
+        f_t11 = (dt(t11) + dx(ux * t11) + dy(uy * t11) - uc11
                  - prm.eps * lap(t11) - relax * (prm.k * eta - t11))
-        f_t12 = (dt(t12) + dx(ux * t12) + dy(uy * t12)
-                 - (gxx * t12 + gxy * t22 + gyx * t11 + gyy * t12)
+        f_t12 = (dt(t12) + dx(ux * t12) + dy(uy * t12) - uc12
                  - prm.eps * lap(t12) + relax * t12)
-        f_t22 = (dt(t22) + dx(ux * t22) + dy(uy * t22)
-                 - 2 * (gyx * t12 + gyy * t22)
+        f_t22 = (dt(t22) + dx(ux * t22) + dy(uy * t22) - uc22
                  - prm.eps * lap(t22) - relax * (prm.k * eta - t22))
         return (f_rho, f_mx, f_my, f_eta, f_t11, f_t12, f_t22)
 

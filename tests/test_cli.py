@@ -129,6 +129,18 @@ t_end = 0.02
     assert len(lines) == 1 + 7 * 3
 
 
+@pytest.mark.parametrize("command,extra,key", [
+    ("verify", "[initial]\npreset = mms:diffusion-eta\n[verify]\nlevels = 16,32\n",
+     "levels"),
+    ("lemma-check", "[lemma]\nsamples = -5\n", "samples"),
+])
+def test_study_settings_checked_before_running(tmp_path, capsys, command, extra, key):
+    cfg = _write(tmp_path, "bad.ini", BASE + extra)
+    assert main([command, cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_lemma_check_pass_and_fail(tmp_path, capsys):
     ok = _write(tmp_path, "ok.ini", BASE + "[lemma]\nsamples = 4096\n")
     assert main(["lemma-check", ok]) == EXIT_OK

@@ -1,10 +1,15 @@
 """Config parsing (full error collection) and binary/CSV round trips."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oldb2d.config import (ConfigError, build_initial, parse_config,
-                           perturb_state, smooth_noise)
+from oldb2d.config import (_KNOWN_KEYS, ConfigError, RunConfig, build_initial,
+                           parse_config, perturb_state, smooth_noise)
 from oldb2d.snapshot_io import (BASE_COLUMNS, COMPARE_COLUMNS, MAGIC,
                                 SnapshotFormatError, read_snapshot,
                                 write_snapshot, write_timeseries)
@@ -81,6 +86,83 @@ def test_invalid_values_are_named():
         parse_config(text)
     msg = str(ei.value)
     assert "'soon'" in msg and "'big'" in msg
+
+
+@pytest.mark.parametrize("section,line,named", [
+    ("grid", "lx = inf", "'lx'"),
+    ("time", "t_end = inf", "'t_end'"),
+    ("time", "t_end = -inf", "'t_end'"),
+    ("time", "dt = inf", "'dt'"),
+    ("time", "cfl = nan", "'cfl'"),
+    ("params", "mu_s = inf", "'mu_s'"),
+    ("forcing", "amplitude = inf", "'amplitude'"),
+    ("diagnostics", "sup_rho_threshold = nan", "sup_rho_threshold"),
+    ("diagnostics", "sup_rho_threshold = -inf", "sup_rho_threshold"),
+    ("lemma", "samples = -5", "samples"),
+    ("lemma", "samples = 0", "samples"),
+    ("lemma", "seed = -1", "seed"),
+    ("initial", "seed = -1", "seed"),
+    ("initial", "seed = abc", "'seed'"),
+    ("verify", "levels = 16,32", "levels"),
+    ("verify", "levels = 32,16,8", "levels"),
+    ("verify", "levels = 16,32,48", "levels"),
+    ("verify", "levels = 4,8,16", "levels"),
+    ("verify", "dt_over_dx2 = 0", "dt_over_dx2"),
+    ("diagnostics", "sup_rho_threshold = inf", None),
+    ("verify", "levels = 8,16,32,64", None),
+    ("output", "directory = out_50%", None),
+])
+def test_value_checks(section, line, named):
+    text = MINIMAL + (line if section == "grid" else f"[{section}]\n{line}") + "\n"
+    if named is None:
+        assert isinstance(parse_config(text), RunConfig)
+        return
+    with pytest.raises(ConfigError) as ei:
+        parse_config(text)
+    assert named in str(ei.value)
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e309", "0", "-5", "16,32",
+                     "8,16,32", "auto", "50%", "%(x)s", ""]),
+    st.floats().map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.text(max_size=12))
+
+
+@st.composite
+def _ini_text(draw):
+    lines = []
+    for sec in sorted(draw(st.sets(st.sampled_from(sorted(_KNOWN_KEYS) + ["extra"])))):
+        keys = sorted(_KNOWN_KEYS.get(sec, ())) + ["bogus"]
+        entries = draw(st.dictionaries(st.sampled_from(keys), _VALUES, max_size=4))
+        lines.append(f"[{sec}]")
+        lines += [f"{key} = {val}" for key, val in entries.items()]
+    if "[grid]" not in lines:
+        lines = ["[grid]", "nx = 16", "ny = 16"] + lines
+    return "\n".join(lines)
+
+
+def _float_fields(cfg: RunConfig) -> dict:
+    vals = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    vals.update(lx=cfg.grid.lx, ly=cfg.grid.ly)
+    vals.update({f.name: getattr(cfg.params, f.name)
+                 for f in dataclasses.fields(cfg.params) if f.init})
+    return {k: v for k, v in vals.items() if isinstance(v, float)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_ini_text(), st.text()), strict=st.booleans())
+def test_any_text_gives_config_error_or_finite_config(text, strict):
+    try:
+        cfg = parse_config(text, strict=strict)
+    except ConfigError:
+        return
+    for name, v in _float_fields(cfg).items():
+        if name == "sup_rho_threshold":
+            assert v > 0, name
+        else:
+            assert math.isfinite(v), name
 
 
 def test_threshold_variants():

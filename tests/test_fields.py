@@ -1,15 +1,12 @@
-"""Grid extensions, discrete operators and field containers."""
+"""Grid extensions, the ghost-rule table and discrete array operators."""
 
 import numpy as np
 import pytest
 
-from oldb2d import fields
-from oldb2d.fields import (FieldError, ScalarField, SymTensorField, VecField,
-                           advective_div_array, apply_bcs, face_velocities,
-                           grad_array, integrate_array, laplacian_array,
+from oldb2d.fields import (advective_div_array, face_velocities, grad_array,
+                           integrate_array, laplacian_array,
                            upper_convected_source)
-from oldb2d.grid import Grid, GridError, extend
-from oldb2d.state import State
+from oldb2d.grid import Grid, GridError, extend, extension_mode
 
 from conftest import periodic_grid, physical_grid, smooth_state
 
@@ -41,6 +38,17 @@ def test_extend_even_odd_reflection():
     odd = extend(a, "odd", "odd", width=2)[:, 2]
     assert odd[1] == -a[0, 0] and odd[0] == -a[1, 0]
     assert odd[-2] == -a[-1, 0] and odd[-1] == -a[-2, 0]
+
+
+def test_extension_mode_table():
+    periodic, physical = periodic_grid(8), physical_grid(8)
+    for kind in ("even", "odd", "generic"):
+        assert extension_mode(periodic, kind) == "periodic"
+    assert extension_mode(physical, "even") == "even"
+    assert extension_mode(physical, "odd") == "odd"
+    assert extension_mode(physical, "generic") == "extrap"
+    with pytest.raises(GridError):
+        extension_mode(physical, "velocity")
 
 
 def test_extrap_matches_one_sided_second_order():
@@ -117,41 +125,15 @@ def test_upper_convected_source_matches_matrix_algebra():
     rng = np.random.default_rng(2)
     gxx, gxy, gyx, gyy = (rng.standard_normal(g.shape) for _ in range(4))
     t11, t12, t22 = (rng.standard_normal(g.shape) for _ in range(3))
-    T = SymTensorField(g, t11, t12, t22)
-    out = upper_convected_source((gxx, gxy, gyx, gyy), T)
+    out = upper_convected_source(gxx, gxy, gyx, gyy, t11, t12, t22)
     i, j = 3, 5
     G = np.array([[gxx[i, j], gxy[i, j]], [gyx[i, j], gyy[i, j]]])
     M = np.array([[t11[i, j], t12[i, j]], [t12[i, j], t22[i, j]]])
     R = G @ M + M @ G.T
-    assert np.isclose(out.t11[i, j], R[0, 0])
-    assert np.isclose(out.t12[i, j], R[0, 1])
-    assert np.isclose(out.t22[i, j], R[1, 1])
+    assert np.isclose(out[0][i, j], R[0, 0])
+    assert np.isclose(out[1][i, j], R[0, 1])
+    assert np.isclose(out[2][i, j], R[1, 1])
     assert np.isclose(R[0, 1], R[1, 0])
-
-
-def test_field_containers_validate():
-    g = periodic_grid(8)
-    with pytest.raises(FieldError):
-        ScalarField(g, np.zeros((4, 4)))
-    bad = np.zeros(g.shape)
-    bad[0, 0] = np.nan
-    with pytest.raises(FieldError):
-        VecField(g, bad, np.zeros(g.shape))
-
-
-def test_apply_bcs_physical_only(prm):
-    g = periodic_grid(8)
-    s = State.uniform(g, 1.0, 1.0, k=prm.k)
-    with pytest.raises(FieldError):
-        apply_bcs(s)
-    gp = physical_grid(8)
-    sp = State.uniform(gp, 1.0, 1.0, k=prm.k)
-    out = apply_bcs(sp)
-    assert out.ghosts is not None
-    # odd reflection of zero velocity stays zero; even reflection of the
-    # constant density stays constant
-    assert np.all(out.ghosts["ux"] == 0.0)
-    assert np.all(out.ghosts["rho"] == 1.0)
 
 
 def test_laplacian_even_mode_zero_for_constant():
