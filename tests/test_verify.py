@@ -1,5 +1,9 @@
 """Manufactured solutions, their symbolic sources, and the scan oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -92,6 +96,48 @@ def test_sampled_state_is_positive_and_consistent(prm):
     assert np.min(s.rho) > 0 and np.min(s.eta) > 0
     ux = ms._eval(ms._field_fns["ux"], g, 0.4)
     assert np.allclose(s.mx, s.rho * ux, rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["periodic-smooth", "diffusion-eta",
+                                  "steady-ws"])
+def test_compiled_sources_match_plain_lambdify(prm, name):
+    # non-square on purpose: swapped x/y axes cannot pass
+    ms = make_ms(name, prm, lx=1.0, ly=1.5)
+    g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
+    xc, yc = g.cell_centers()
+    pairs = list(zip(ms._source_exprs, ms.source_fn(g)(0.3)))
+    if name == "steady-ws":
+        pairs += list(zip(ms._force_exprs, ms.force_fn(g)(0.3)))
+    for expr, got in pairs:
+        want = sp.lambdify((_X, _Y, _T), expr, modules="numpy")(xc, yc, 0.3)
+        assert got.shape == g.shape
+        np.testing.assert_allclose(got, np.broadcast_to(want, g.shape),
+                                   rtol=1e-13, atol=1e-13)
+
+
+_SOURCE_DIGEST = """
+import hashlib
+import numpy as np
+from oldb2d.constitutive import ModelParams
+from oldb2d.grid import Grid
+from oldb2d.verify import make_ms
+g = Grid(nx=16, ny=16, lx=1.0, ly=1.0, boundary_mode="periodic")
+arrs = make_ms("periodic-smooth", ModelParams()).source_fn(g)(0.3)
+print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                              for a in arrs)).hexdigest())
+"""
+
+
+def test_sources_do_not_depend_on_hash_seed():
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for seed in ("1", "8"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _SOURCE_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_unknown_ms_name(prm):
