@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, entropy, parallel
+from . import diagnostics, entropy
 from .config import ConfigError, build_initial, compressive_force, parse_config
 from .dynamics import BlowupAbort, SolverOptions, run_simulation
 from .snapshot_io import write_snapshot, write_timeseries
@@ -48,7 +48,7 @@ def _forcing(cfg):
     return None
 
 
-def _base_rows(traj: Trajectory, cfg, force_fn) -> list:
+def _base_rows(traj: Trajectory, cfg) -> list:
     prm = cfg.params
     n = len(traj)
     e_res = diagnostics.energy_inequality_residual(traj, prm)
@@ -106,13 +106,13 @@ def cmd_run(args) -> int:
         print(f"blow-up abort: monitor {e.monitor} reached {e.value:g} "
               f"(threshold {e.threshold:g})", file=sys.stderr)
         if e.trajectory is not None and len(e.trajectory):
-            rows = _base_rows(e.trajectory, cfg, force_fn)
+            rows = _base_rows(e.trajectory, cfg)
             _write_outputs(e.trajectory, cfg, rows)
         return EXIT_BLOWUP
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    rows = _base_rows(traj, cfg, force_fn)
+    rows = _base_rows(traj, cfg)
     _write_outputs(traj, cfg, rows)
     return EXIT_OK
 
@@ -153,7 +153,7 @@ def cmd_compare(args) -> int:
         traj_weak = run_simulation(init_weak, prm, cfg_ref.t_end, opts_weak,
                                    force_fn=force_fn, source_fn=src)
         ref = entropy.RefTrajectory(traj_ref)
-        rows = _base_rows(traj_weak, cfg_weak, force_fn)
+        rows = _base_rows(traj_weak, cfg_weak)
         ent_res = entropy.entropy_inequality_residual(traj_weak, ref, prm,
                                                       force_fn=force_fn)
         for j, row in enumerate(rows):
@@ -242,13 +242,24 @@ def cmd_lemma_check(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="oldb2d",
         description="2D compressible viscoelastic flow simulator with "
                     "energy/relative-entropy diagnostics")
-    ap.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker threads (results are identical for any N)")
+    ap.add_argument("--threads", type=_thread_count, default=1, metavar="N",
+                    help="accepted for compatibility; the solver is "
+                         "single-threaded and results never depend on N")
     ap.add_argument("--out", default=None, metavar="DIR",
                     help="override the configured output directory")
     ap.add_argument("--strict", action="store_true",
@@ -277,7 +288,6 @@ def main(argv=None) -> int:
     p_lem.set_defaults(func=cmd_lemma_check)
 
     args = ap.parse_args(argv)
-    parallel.set_num_threads(args.threads)
     return args.func(args)
 
 

@@ -1,31 +1,6 @@
-"""Kernel backend selection.
+"""Hot kernels of the solver: stencils, MUSCL fluxes and the fixed
+pairwise reduction tree, all in numpy (see :mod:`oldb2d.kernels.pure`)."""
 
-The compiled extension is preferred when it imports; the pure numpy
-fallback is used otherwise, or when ``OLDB2D_FORCE_PURE`` is set in the
-environment. Both backends are bitwise identical, so the choice never
-affects results, only speed.
-"""
-
-import os
-
-from . import pure
-
-if os.environ.get("OLDB2D_FORCE_PURE"):
-    _impl = pure
-else:
-    try:
-        from . import _core as _impl
-    except ImportError:
-        _impl = pure
-
-BACKEND = _impl.BACKEND
-BLOCK = _impl.BLOCK
-
-pairwise_sum = _impl.pairwise_sum
-block_sums = _impl.block_sums
-combine_block_sums = _impl.combine_block_sums
-laplacian = _impl.laplacian
-ddx = _impl.ddx
-ddy = _impl.ddy
-muscl_div_x = _impl.muscl_div_x
-muscl_div_y = _impl.muscl_div_y
+# BACKEND is recorded in each perfbench run; BLOCK feeds its cost model.
+from .pure import (BACKEND, BLOCK, block_sums, combine_block_sums, ddx, ddy,
+                   laplacian, muscl_div_x, muscl_div_y, pairwise_sum)

@@ -1,56 +1,21 @@
-"""Worker-count plumbing for the deterministic reductions.
+"""Deterministic reductions.
 
-The reduction tree is fixed (leaf blocks of ``kernels.BLOCK`` elements,
-combined pairwise), so the worker count only chooses who computes which
-leaf chunk; results are bitwise identical for any number of workers.
+Every sum goes through the fixed pairwise tree of
+:func:`oldb2d.kernels.pairwise_sum` (leaf blocks of ``kernels.BLOCK``
+elements, combined pairwise), so results never depend on the thread count
+or on the memory layout of the input.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import kernels
 
-#: blocks per work item; fixed so the tree never depends on worker count
+#: unused by the reduction; kept because each perfbench run records it
 CHUNK_BLOCKS = 64
-
-_num_threads = 1
-_pool: ThreadPoolExecutor | None = None
-
-
-def set_num_threads(n: int) -> None:
-    global _num_threads, _pool
-    if n < 1:
-        raise ValueError("thread count must be >= 1")
-    if n != _num_threads and _pool is not None:
-        _pool.shutdown()
-        _pool = None
-    _num_threads = n
-
-
-def get_num_threads() -> int:
-    return _num_threads
-
-
-def _get_pool() -> ThreadPoolExecutor:
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=_num_threads)
-    return _pool
 
 
 def deterministic_sum(a: np.ndarray) -> float:
-    """Pairwise sum of ``a`` (flattened), parallel over leaf chunks."""
-    a = np.ascontiguousarray(a, dtype=np.float64).ravel()
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    nblocks = (n + kernels.BLOCK - 1) // kernels.BLOCK
-    if _num_threads == 1 or nblocks <= CHUNK_BLOCKS:
-        return kernels.combine_block_sums(kernels.block_sums(a, 0, nblocks))
-    bounds = list(range(0, nblocks, CHUNK_BLOCKS)) + [nblocks]
-    pool = _get_pool()
-    parts = pool.map(lambda se: kernels.block_sums(a, se[0], se[1]), zip(bounds[:-1], bounds[1:]))
-    return kernels.combine_block_sums(np.concatenate(list(parts)))
+    """Pairwise sum of ``a`` flattened in C order; a perfbench trace target."""
+    return kernels.pairwise_sum(np.ravel(a))

@@ -163,6 +163,14 @@ def test_threads_flag_does_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_threads_below_one_exit_2(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", n, "run", "unread.ini"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_strict_flag_propagates(tmp_path):
     cfg = _write(tmp_path, "s.ini", BASE + "[time]\nbogus = 1\n")
     assert main(["--strict", "run", cfg]) == EXIT_CONFIG
