@@ -226,6 +226,7 @@ def cmd_lemma_check(args) -> int:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
+    import scipy.stats.qmc  # noqa: F401  the scan's sampler, loaded as set-up
     from .verify import oracle_lemma_scan
     certs = oracle_lemma_scan(cfg.params, n_samples=cfg.lemma_samples,
                               seed=cfg.lemma_seed,

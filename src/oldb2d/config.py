@@ -36,6 +36,9 @@ _KNOWN_KEYS = {
 
 _PRESETS = ("uniform", "gaussian-bump", "shear-layer")
 
+#: the Sobol sequence of the lemma scan has 2**30 points
+_MAX_LEMMA_SAMPLES = 1 << 30
+
 
 @dataclass
 class RunConfig:
@@ -187,8 +190,8 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 
     lemma_corrected = get("lemma", "corrected", as_bool, True)
     lemma_samples = get("lemma", "samples", int, 1 << 20)
-    if lemma_samples < 1:
-        errors.append("samples in [lemma] must be >= 1")
+    if not 1 <= lemma_samples <= _MAX_LEMMA_SAMPLES:
+        errors.append(f"samples in [lemma] must be in [1, {_MAX_LEMMA_SAMPLES}]")
     lemma_seed = get("lemma", "seed", int, 20240817)
     for sec, value in (("initial", seed), ("lemma", lemma_seed)):
         if value < 0:

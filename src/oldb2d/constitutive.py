@@ -110,7 +110,7 @@ def potential_H_prime(rho, prm: ModelParams):
     return prm.a * prm.gamma / (prm.gamma - 1.0) * np.power(rho, prm.gamma - 1.0)
 
 
-def potential_H_second(rho, prm: ModelParams):
+def _potential_H_second(rho, prm: ModelParams):
     return prm.a * prm.gamma * np.power(rho, prm.gamma - 2.0)
 
 
@@ -164,7 +164,7 @@ def bregman_H(rho, rho_t, prm: ModelParams):
     raw = (potential_H(rho, prm) - potential_H(rho_t, prm)
            - potential_H_prime(rho_t, prm) * (rho - rho_t))
     near = np.abs(rho - rho_t) <= _TAYLOR_SWITCH * rho_t
-    taylor = 0.5 * potential_H_second(rho_t, prm) * np.square(rho - rho_t)
+    taylor = 0.5 * _potential_H_second(rho_t, prm) * np.square(rho - rho_t)
     out = np.where(near, taylor, raw)
     return float(out) if out.ndim == 0 else out
 

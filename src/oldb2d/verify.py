@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
-from scipy.stats import qmc
 
 from .constitutive import (ModelParams, bregman_G, bregman_H,
                            calibrate_H_constants, lower_bound_G, lower_bound_H)
@@ -163,12 +162,6 @@ class ManufacturedSolution:
         return max(coeffs) < tol
 
 
-def mms_forcing(ms: ManufacturedSolution, grid: Grid, t: float) -> tuple:
-    """The per-equation source fields at time t (F_rho, F_mx, F_my, F_eta,
-    F_T11, F_T12, F_T22)."""
-    return ms.source_fn(grid)(t)
-
-
 # -- named manufactured solutions -------------------------------------------
 
 
@@ -310,51 +303,74 @@ class LemmaCertificate:
     passed: bool
 
 
+#: Sobol pairs drawn and checked per block of the lemma scan
+_SCAN_CHUNK = 1 << 16
+
+
+def _fold_min(best, slack, value, ref):
+    """Fold one block of slacks into the running (min_slack, value, ref)
+    with ``np.argmin``'s rules: the first minimum wins, and the first NaN
+    wins over every number."""
+    i = int(np.argmin(slack))
+    cand = (float(slack[i]), float(value[i]), float(ref[i]))
+    if (best is None or cand[0] < best[0]
+            or (np.isnan(cand[0]) and not np.isnan(best[0]))):
+        return cand
+    return best
+
+
 def oracle_lemma_scan(prm: ModelParams, n_samples: int = 1 << 20,
                       seed: int = 20240817, corrected: bool = True) -> dict:
     """Scan bregman_H >= lower_bound_H (with freshly calibrated constants)
     and bregman_G >= lower_bound_G over log-uniform quasi-random pairs in
     [1e-6, 1e6]^2; returns {"H": certificate, "G": certificate}.
 
+    ``n_samples`` rounds up to a power of two of at least 2^10. The pairs
+    are drawn and checked in blocks of ``_SCAN_CHUNK``, so memory stays
+    bounded; consecutive draws continue one Sobol sequence, and the result
+    equals a single draw of all the pairs.
+
     With ``corrected=False`` the G bound uses the uncorrected constants
     1/(2 eta_t) and 1/4, which the scan falsifies near eta = 2 eta_t.
     """
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=4, scramble=True, seed=seed)
     m = max(10, int(np.ceil(np.log2(n_samples))))
-    pts = sampler.random_base2(m)
-    n = pts.shape[0]
+    n = 1 << m
+    if n > sampler.maxn:
+        raise ValueError(f"n_samples={n_samples} exceeds the {sampler.maxn} "
+                         "points of the Sobol sequence")
     lo, hi = -6.0, 6.0
-    vals = 10.0 ** (lo + (hi - lo) * pts)
-    rho, rho_t = vals[:, 0], vals[:, 1]
-    eta, eta_t = vals[:, 2], vals[:, 3]
-
     hb = calibrate_H_constants(prm)
-    slack_h = (bregman_H(rho, rho_t, prm)
-               - lower_bound_H(rho, rho_t, prm, hb.delta, hb.c))
-    ih = int(np.argmin(slack_h))
-    cert_h = LemmaCertificate(
-        kind="H", corrected=True, n_samples=n, seed=seed,
-        delta=hb.delta, c=hb.c, min_slack=float(slack_h[ih]),
-        argmin=(float(rho[ih]), float(rho_t[ih])),
-        passed=bool(slack_h[ih] >= 0.0))
+    chunk = min(n, _SCAN_CHUNK)
+    best_h = best_g = None
+    for _ in range(n // chunk):
+        vals = 10.0 ** (lo + (hi - lo) * sampler.random(chunk))
+        rho, rho_t, eta, eta_t = vals.T
+        slack_h = (bregman_H(rho, rho_t, prm)
+                   - lower_bound_H(rho, rho_t, prm, hb.delta, hb.c))
+        best_h = _fold_min(best_h, slack_h, rho, rho_t)
+        slack_g = (bregman_G(eta, eta_t, prm)
+                   - lower_bound_G(eta, eta_t, prm, corrected=corrected))
+        best_g = _fold_min(best_g, slack_g, eta, eta_t)
 
-    slack_g = (bregman_G(eta, eta_t, prm)
-               - lower_bound_G(eta, eta_t, prm, corrected=corrected))
     # the uncorrected bound fails exactly near eta = 2 eta_t; make sure the
     # scan visits that ridge instead of relying on Sobol luck
     ridge_t = 10.0 ** np.linspace(lo, hi, 4096)
     ridge_e = 2.0 * ridge_t
     slack_ridge = (bregman_G(ridge_e, ridge_t, prm)
                    - lower_bound_G(ridge_e, ridge_t, prm, corrected=corrected))
-    all_slack = np.concatenate([slack_g, slack_ridge])
-    all_eta = np.concatenate([eta, ridge_e])
-    all_eta_t = np.concatenate([eta_t, ridge_t])
-    ig = int(np.argmin(all_slack))
+    best_g = _fold_min(best_g, slack_ridge, ridge_e, ridge_t)
+
+    cert_h = LemmaCertificate(
+        kind="H", corrected=True, n_samples=n, seed=seed,
+        delta=hb.delta, c=hb.c, min_slack=best_h[0], argmin=best_h[1:],
+        passed=best_h[0] >= 0.0)
     cert_g = LemmaCertificate(
         kind="G", corrected=corrected, n_samples=n, seed=seed,
-        delta=None, c=None, min_slack=float(all_slack[ig]),
-        argmin=(float(all_eta[ig]), float(all_eta_t[ig])),
-        passed=bool(all_slack[ig] >= 0.0))
+        delta=None, c=None, min_slack=best_g[0], argmin=best_g[1:],
+        passed=best_g[0] >= 0.0)
     return {"H": cert_h, "G": cert_g}
 
 

@@ -133,6 +133,7 @@ t_end = 0.02
     ("verify", "[initial]\npreset = mms:diffusion-eta\n[verify]\nlevels = 16,32\n",
      "levels"),
     ("lemma-check", "[lemma]\nsamples = -5\n", "samples"),
+    ("lemma-check", "[lemma]\nsamples = 2147483648\n", "samples"),
 ])
 def test_study_settings_checked_before_running(tmp_path, capsys, command, extra, key):
     cfg = _write(tmp_path, "bad.ini", BASE + extra)

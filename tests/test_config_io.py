@@ -100,6 +100,9 @@ def test_invalid_values_are_named():
     ("diagnostics", "sup_rho_threshold = -inf", "sup_rho_threshold"),
     ("lemma", "samples = -5", "samples"),
     ("lemma", "samples = 0", "samples"),
+    ("lemma", "samples = 2147483648", "samples"),
+    ("lemma", "samples = 1073741825", "samples"),
+    ("lemma", "samples = 1073741824", None),
     ("lemma", "seed = -1", "seed"),
     ("initial", "seed = -1", "seed"),
     ("initial", "seed = abc", "'seed'"),

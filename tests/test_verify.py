@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from oldb2d.constitutive import ModelParams
+import oldb2d.verify as verify
+from oldb2d.constitutive import (ModelParams, calibrate_H_constants, bregman_G,
+                                 lower_bound_G, lower_bound_H)
 from oldb2d.grid import Grid
-from oldb2d.verify import (ManufacturedSolution, convergence_study, make_ms,
-                           mms_forcing, ode_oracle_relaxation,
+from oldb2d.verify import (LemmaCertificate, ManufacturedSolution,
+                           convergence_study, make_ms, ode_oracle_relaxation,
                            oracle_lemma_scan, _X, _Y, _T)
 
 from conftest import periodic_grid
@@ -25,7 +27,7 @@ def test_constant_equilibrium_has_zero_sources(prm):
     for name in ("rho", "mx", "my", "eta", "t11", "t12", "t22"):
         assert ms.residual_is_zero(name)
     g = periodic_grid(8)
-    for arr in mms_forcing(ms, g, 0.3):
+    for arr in ms.source_fn(g)(0.3):
         assert np.max(np.abs(arr)) == 0.0
 
 
@@ -128,15 +130,19 @@ print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
 """
 
 
-def test_sources_do_not_depend_on_hash_seed():
+def _python(code: str, *args: str, **env: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this
+    checkout's ``oldb2d``."""
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = set()
-    for seed in ("1", "8"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, "-c", _SOURCE_DIGEST], env=env,
-                             capture_output=True, text=True, check=True)
-        digests.add(out.stdout.strip())
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_sources_do_not_depend_on_hash_seed():
+    digests = {_python(_SOURCE_DIGEST, PYTHONHASHSEED=seed) for seed in ("1", "8")}
     assert len(digests) == 1
 
 
@@ -185,3 +191,109 @@ def test_lemma_scan_falsifies_uncorrected_G(prm):
     assert eta == pytest.approx(2.0 * eta_t, rel=1e-12)
     assert g.min_slack == pytest.approx((2 * np.log(2) - 1.5) * prm.kL * eta_t,
                                         rel=1e-6)
+
+
+def _unchunked_scan(prm, n_samples, seed, corrected):
+    """The lemma scan as one draw of all pairs and one argmin per bound."""
+    from scipy.stats import qmc
+
+    m = max(10, int(np.ceil(np.log2(n_samples))))
+    pts = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(m)
+    vals = 10.0 ** (-6.0 + 12.0 * pts)
+    rho, rho_t, eta, eta_t = vals.T
+    hb = calibrate_H_constants(prm)
+    slack_h = (verify.bregman_H(rho, rho_t, prm)
+               - lower_bound_H(rho, rho_t, prm, hb.delta, hb.c))
+    ridge_t = 10.0 ** np.linspace(-6.0, 6.0, 4096)
+    ridge_e = 2.0 * ridge_t
+    slack_g = np.concatenate([
+        bregman_G(e, et, prm) - lower_bound_G(e, et, prm, corrected=corrected)
+        for e, et in ((eta, eta_t), (ridge_e, ridge_t))])
+    all_eta = np.concatenate([eta, ridge_e])
+    all_eta_t = np.concatenate([eta_t, ridge_t])
+    certs = {}
+    for kind, slack, a, b, ok in (("H", slack_h, rho, rho_t, True),
+                                  ("G", slack_g, all_eta, all_eta_t, corrected)):
+        i = int(np.argmin(slack))
+        certs[kind] = LemmaCertificate(
+            kind=kind, corrected=ok, n_samples=pts.shape[0], seed=seed,
+            delta=hb.delta if kind == "H" else None,
+            c=hb.c if kind == "H" else None, min_slack=float(slack[i]),
+            argmin=(float(a[i]), float(b[i])), passed=bool(slack[i] >= 0.0))
+    return certs
+
+
+def _same_certificates(got, want):
+    # NaN slacks compare equal here; dataclass equality would not
+    for kind in ("H", "G"):
+        g, w = vars(got[kind]), vars(want[kind])
+        assert g.keys() == w.keys()
+        for key in g:
+            assert repr(g[key]) == repr(w[key]), (kind, key)
+
+
+@pytest.mark.parametrize("corrected", [True, False])
+@pytest.mark.parametrize("n_samples", [1 << 10, 1 << 12, 100_000, 1 << 18])
+def test_chunked_lemma_scan_matches_one_draw(prm, n_samples, corrected):
+    got = oracle_lemma_scan(prm, n_samples=n_samples, seed=7, corrected=corrected)
+    _same_certificates(got, _unchunked_scan(prm, n_samples, 7, corrected))
+
+
+@pytest.mark.parametrize("fill,chunks", [(np.nan, (2,)), (-1e300, (1, 3))])
+def test_lemma_scan_folds_chunks_like_argmin(prm, monkeypatch, fill, chunks):
+    # a NaN in the third chunk alone, or a tie between the second and the
+    # fourth: the certificate names the pair of the first one
+    from scipy.stats import qmc
+
+    n, chunk = 1 << 18, verify._SCAN_CHUNK
+    pts = qmc.Sobol(d=4, scramble=True, seed=7).random_base2(18)
+    targets = [10.0 ** (-6.0 + 12.0 * pts[k * chunk + 5, 0]) for k in chunks]
+    real = verify.bregman_H
+
+    def poisoned(rho, rho_t, p):
+        return np.where(np.isin(rho, targets), fill, real(rho, rho_t, p))
+    monkeypatch.setattr(verify, "bregman_H", poisoned)
+    got = oracle_lemma_scan(prm, n_samples=n, seed=7)
+    _same_certificates(got, _unchunked_scan(prm, n, 7, True))
+    h = got["H"]
+    assert repr(h.min_slack) == repr(fill) and h.argmin[0] == targets[0]
+    assert not h.passed
+
+
+def test_lemma_scan_rejects_more_pairs_than_the_sequence_has(prm):
+    with pytest.raises(ValueError, match="n_samples"):
+        oracle_lemma_scan(prm, n_samples=(1 << 30) + 1)
+
+
+_IMPORTS = """
+import sys
+import oldb2d.verify
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_importing_verify_leaves_scipy_stats_unloaded():
+    assert _python(_IMPORTS) == "False"
+
+
+_SCAN_ENTRY = """
+import sys
+import oldb2d.verify as verify
+from oldb2d.cli import main
+scan = verify.oracle_lemma_scan
+
+def spy(*args, **kwargs):
+    print("loaded at entry:", "scipy.stats" in sys.modules)
+    return scan(*args, **kwargs)
+verify.oracle_lemma_scan = spy
+sys.exit(main(["lemma-check", sys.argv[1]]))
+"""
+
+
+def test_lemma_check_loads_scipy_stats_before_the_scan(tmp_path):
+    # the benchmark counts everything before the scan's first entry as
+    # set-up, so the sampler's import must come before it
+    cfg = tmp_path / "lemma.ini"
+    cfg.write_text("[grid]\nnx = 16\nny = 16\n[lemma]\nsamples = 1024\n")
+    out = _python(_SCAN_ENTRY, str(cfg)).splitlines()
+    assert out[0] == "loaded at entry: True" and "PASS" in out[1]
