@@ -1,7 +1,8 @@
 """Command-line entry points: run, compare, verify, lemma-check.
 
 Exit codes: 0 success, 2 configuration error, 3 blow-up abort (the
-triggering monitor is named on stderr), 4 numerical failure.
+triggering monitor is named on stderr), 4 numerical failure. The commands
+raise; ``main`` alone maps the exceptions to codes and messages.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import diagnostics, entropy
 from .config import ConfigError, build_initial, compressive_force, parse_config
-from .dynamics import BlowupAbort, SolverOptions, run_simulation
+from .dynamics import BlowupAbort, SolverOptions, cfl_dt, run_simulation
 from .snapshot_io import write_snapshot, write_timeseries
 from .state import NumericalError, Trajectory
 
@@ -42,10 +43,16 @@ def _solver_options(cfg, init) -> SolverOptions:
                          sup_rho_threshold=thr)
 
 
-def _forcing(cfg):
-    if cfg.force_preset == "compress":
-        return compressive_force(cfg)
-    return None
+def _forcing(cfg, ms):
+    """(force_fn, source_fn) of a run: the configured body force, else the
+    manufactured solution's, and the manufactured sources."""
+    force_fn = compressive_force(cfg) if cfg.force_preset == "compress" else None
+    if ms is None:
+        return force_fn, None
+    source_fn = ms.source_fn(cfg.grid)
+    if force_fn is None:
+        force_fn = ms.force_fn(cfg.grid)
+    return force_fn, source_fn
 
 
 def _base_rows(traj: Trajectory, cfg) -> list:
@@ -59,7 +66,7 @@ def _base_rows(traj: Trajectory, cfg) -> list:
         s = traj.states[j]
         acc = traj.accumulators[j]
         eb = diagnostics.total_energy(s, prm)
-        report, _ = diagnostics.blowup_monitor(s, report, prm, alpha=cfg.alpha)
+        report = diagnostics.blowup_monitor(s, report, prm, alpha=cfg.alpha)
         row = {"t": s.t, "kinetic": eb.kinetic,
                "pressure_pot": eb.pressure_pot,
                "polymer_pot": eb.polymer_pot, "stress_tr": eb.stress_tr,
@@ -85,125 +92,80 @@ def _write_outputs(traj: Trajectory, cfg, rows, compare: bool = False,
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args.config, args.strict)
-        init, ms = build_initial(cfg)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args.config, args.strict)
+    init, ms = build_initial(cfg)
     if args.out:
         cfg.out_dir = args.out
     opts = _solver_options(cfg, init)
-    force_fn = _forcing(cfg)
-    source_fn = ms.source_fn(cfg.grid) if ms is not None else None
-    if ms is not None and force_fn is None:
-        force_fn = ms.force_fn(cfg.grid)
+    force_fn, source_fn = _forcing(cfg, ms)
     try:
         traj = run_simulation(init, cfg.params, cfg.t_end, opts,
                               force_fn=force_fn, source_fn=source_fn)
     except BlowupAbort as e:
-        print(f"blow-up abort: monitor {e.monitor} reached {e.value:g} "
-              f"(threshold {e.threshold:g})", file=sys.stderr)
-        if e.trajectory is not None and len(e.trajectory):
-            rows = _base_rows(e.trajectory, cfg)
-            _write_outputs(e.trajectory, cfg, rows)
-        return EXIT_BLOWUP
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    rows = _base_rows(traj, cfg)
-    _write_outputs(traj, cfg, rows)
+        _write_outputs(e.trajectory, cfg, _base_rows(e.trajectory, cfg))
+        raise
+    _write_outputs(traj, cfg, _base_rows(traj, cfg))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    try:
-        cfg_ref = _load_config(args.config_ref, args.strict)
-        cfg_weak = _load_config(args.config_weak, args.strict)
-        init_ref, ms_ref = build_initial(cfg_ref)
-        init_weak, _ = build_initial(cfg_weak)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg_ref = _load_config(args.config_ref, args.strict)
+    cfg_weak = _load_config(args.config_weak, args.strict)
+    init_ref, ms_ref = build_initial(cfg_ref)
+    init_weak, _ = build_initial(cfg_weak)
     if cfg_ref.grid != cfg_weak.grid:
-        print("config error: compare requires identical grids", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(["compare requires identical grids"])
     if args.out:
         cfg_weak.out_dir = args.out
     prm = cfg_ref.params
     # fixed shared step so both trajectories sample identical times
     dt = cfg_ref.dt
     if dt is None:
-        from .dynamics import cfl_dt
         dt = min(cfl_dt(init_ref, prm, cfg_ref.cfl),
                  cfl_dt(init_weak, prm, cfg_ref.cfl))
     opts_ref = _solver_options(cfg_ref, init_ref)
     opts_weak = _solver_options(cfg_weak, init_weak)
     opts_ref.dt = opts_weak.dt = dt
     opts_weak.snapshot_stride = opts_ref.snapshot_stride
-    force_fn = _forcing(cfg_ref)
-    src = ms_ref.source_fn(cfg_ref.grid) if ms_ref is not None else None
-    if ms_ref is not None and force_fn is None:
-        force_fn = ms_ref.force_fn(cfg_ref.grid)
-    try:
-        traj_ref = run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref,
-                                  force_fn=force_fn, source_fn=src)
-        traj_weak = run_simulation(init_weak, prm, cfg_ref.t_end, opts_weak,
-                                   force_fn=force_fn, source_fn=src)
-        ref = entropy.RefTrajectory(traj_ref)
-        rows = _base_rows(traj_weak, cfg_weak)
-        ent_res = entropy.entropy_inequality_residual(traj_weak, ref, prm,
-                                                      force_fn=force_fn)
-        for j, row in enumerate(rows):
-            s, r = traj_weak.states[j], ref.state(j)
-            e1 = entropy.rel_entropy_E1(s, r, prm)
-            e2 = entropy.rel_entropy_E2(s, r, prm)
-            et = entropy.stress_distance_ET(s, r)
-            f = force_fn(traj_weak.times[j]) if force_fn else None
-            rdef = entropy.remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)
-            rnew = entropy.remainder_R_new(s, r, prm)
-            row.update({"E1": e1, "E2": e2, "ET": et,
-                        "E_combined": e1 + e2 + et,
-                        "R1": rdef["R1"], "R2": rdef["R2"], "R3": rdef["R3"],
-                        "R4": rdef["R4"], "R5": rdef["R5"],
-                        "R_def_total": rdef["total"],
-                        "R_new_total": rnew["total"],
-                        "entropy_residual": ent_res[j]})
-    except BlowupAbort as e:
-        print(f"blow-up abort: monitor {e.monitor} reached {e.value:g} "
-              f"(threshold {e.threshold:g})", file=sys.stderr)
-        return EXIT_BLOWUP
-    except (NumericalError, entropy.ReferenceError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    force_fn, src = _forcing(cfg_ref, ms_ref)
+    traj_ref = run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref,
+                              force_fn=force_fn, source_fn=src)
+    traj_weak = run_simulation(init_weak, prm, cfg_ref.t_end, opts_weak,
+                               force_fn=force_fn, source_fn=src)
+    ref = entropy.RefTrajectory(traj_ref)
+    rows = _base_rows(traj_weak, cfg_weak)
+    ent_res = entropy.entropy_inequality_residual(traj_weak, ref, prm,
+                                                  force_fn=force_fn)
+    for j, row in enumerate(rows):
+        s, r = traj_weak.states[j], ref.state(j)
+        e1 = entropy.rel_entropy_E1(s, r, prm)
+        e2 = entropy.rel_entropy_E2(s, r, prm)
+        et = entropy.stress_distance_ET(s, r)
+        f = force_fn(traj_weak.times[j]) if force_fn else None
+        rdef = entropy.remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)
+        rnew = entropy.remainder_R_new(s, r, prm)
+        row.update({"E1": e1, "E2": e2, "ET": et,
+                    "E_combined": e1 + e2 + et,
+                    "R1": rdef["R1"], "R2": rdef["R2"], "R3": rdef["R3"],
+                    "R4": rdef["R4"], "R5": rdef["R5"],
+                    "R_def_total": rdef["total"],
+                    "R_new_total": rnew["total"],
+                    "entropy_residual": ent_res[j]})
     _write_outputs(traj_weak, cfg_weak, rows, compare=True, stem="compare")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load_config(args.config, args.strict)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args.config, args.strict)
     if not cfg.preset.startswith("mms:"):
-        print("config error: verify requires an mms:<name> initial preset",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(["verify requires an mms:<name> initial preset"])
     if args.out:
         cfg.out_dir = args.out
     from .verify import convergence_study, make_ms
     ms = make_ms(cfg.preset[4:], cfg.params, cfg.grid.lx, cfg.grid.ly)
-    try:
-        rep = convergence_study(ms, cfg.params, levels=cfg.verify_levels,
-                                t_end=cfg.verify_t_end,
-                                dt_over_dx2=cfg.verify_dt_over_dx2)
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    rep = convergence_study(ms, cfg.params, levels=cfg.verify_levels,
+                            t_end=cfg.verify_t_end,
+                            dt_over_dx2=cfg.verify_dt_over_dx2)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "convergence.csv")
     with open(path, "w", newline="\n") as fh:
@@ -220,12 +182,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    try:
-        cfg = _load_config(args.config, args.strict)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args.config, args.strict)
     import scipy.stats.qmc  # noqa: F401  the scan's sampler, loaded as set-up
     from .verify import oracle_lemma_scan
     certs = oracle_lemma_scan(cfg.params, n_samples=cfg.lemma_samples,
@@ -289,12 +246,20 @@ def main(argv=None) -> int:
     p_lem.set_defaults(func=cmd_lemma_check)
 
     args = ap.parse_args(argv)
-    return args.func(args)
-
-
-def entry() -> None:
-    sys.exit(main())
+    try:
+        return args.func(args)
+    except ConfigError as e:
+        for msg in e.errors:
+            print(f"config error: {msg}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BlowupAbort as e:
+        print(f"blow-up abort: monitor {e.monitor} reached {e.value:g} "
+              f"(threshold {e.threshold:g})", file=sys.stderr)
+        return EXIT_BLOWUP
+    except (NumericalError, entropy.ReferenceError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,35 +36,40 @@ _KNOWN_KEYS = {
 
 _PRESETS = ("uniform", "gaussian-bump", "shear-layer")
 
+#: the manufactured solutions of ``verify.make_ms``, preset ``mms:<name>``
+MMS_NAMES = ("periodic-smooth", "diffusion-eta", "steady-ws")
+
 #: the Sobol sequence of the lemma scan has 2**30 points
 _MAX_LEMMA_SAMPLES = 1 << 30
 
 
 @dataclass
 class RunConfig:
+    """A parsed configuration; :func:`parse_config` states every default."""
+
     grid: Grid
     params: ModelParams
-    preset: str = "uniform"
-    rho0: float = 1.0
-    eta0: float = 1.0
-    delta0: float = 0.0
-    seed: int = 0
-    t_end: float = 0.1
-    cfl: float = 0.4
-    dt: float | None = None
-    snapshot_stride: int = 10
-    sup_rho_threshold: float | None = None   # None = 1000 * initial max rho
-    alpha: float = 3.0
-    out_dir: str = "."
-    formats: tuple = ("csv", "snapshots")
-    force_preset: str = "none"
-    force_amplitude: float = 0.0
-    lemma_corrected: bool = True
-    lemma_samples: int = 1 << 20
-    lemma_seed: int = 20240817
-    verify_levels: tuple = (32, 64, 128)
-    verify_t_end: float = 0.05
-    verify_dt_over_dx2: float = 0.5
+    preset: str
+    rho0: float
+    eta0: float
+    delta0: float
+    seed: int
+    t_end: float
+    cfl: float
+    dt: float | None                  # None = CFL-adaptive
+    snapshot_stride: int
+    sup_rho_threshold: float | None   # None = 1000 * initial max rho
+    alpha: float
+    out_dir: str
+    formats: tuple
+    force_preset: str
+    force_amplitude: float
+    lemma_corrected: bool
+    lemma_samples: int
+    lemma_seed: int
+    verify_levels: tuple
+    verify_t_end: float
+    verify_dt_over_dx2: float
 
 
 def parse_config(text: str, strict: bool = True) -> RunConfig:
@@ -135,11 +140,13 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
         errors.extend(str(e).split("; "))
 
     preset = get("initial", "preset", str, "uniform")
-    if not (preset in _PRESETS or preset.startswith("mms:")):
+    if not (preset in _PRESETS
+            or preset.startswith("mms:") and preset[4:] in MMS_NAMES):
         errors.append(f"unknown initial preset '{preset}'")
     delta0 = get("initial", "delta0", as_float, 0.0)
-    if delta0 < 0:
-        errors.append("delta0 must be nonnegative")
+    # perturb_state scales rho and eta by 1 + delta0 * n with max|n| = 1
+    if not 0 <= delta0 < 1:
+        errors.append("delta0 must lie in [0, 1)")
     rho0 = get("initial", "rho0", as_float, 1.0)
     eta0 = get("initial", "eta0", as_float, 1.0)
     if rho0 <= 0:
@@ -230,13 +237,13 @@ def parse_config(text: str, strict: bool = True) -> RunConfig:
 # --- initial conditions ----------------------------------------------------
 
 
-def smooth_noise(grid: Grid, rng: np.random.Generator, modes: int = 3,
+def smooth_noise(grid: Grid, rng: np.random.Generator,
                  vanish_on_walls: bool = False) -> np.ndarray:
-    """Smooth random low-mode field with sup norm about 1, deterministic
-    for a given generator state."""
+    """Smooth random field of three low modes with sup norm about 1,
+    deterministic for a given generator state."""
     X, Y = grid.cell_centers()
     out = np.zeros(grid.shape)
-    for _ in range(modes):
+    for _ in range(3):
         mx_, my_ = rng.integers(1, 4, size=2)
         phx, phy = rng.uniform(0.0, 2.0 * np.pi, size=2)
         amp = rng.uniform(0.5, 1.0)

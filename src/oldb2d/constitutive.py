@@ -37,7 +37,6 @@ class ModelParams:
     lam: float = 1.0
     zfrak: float = 0.5
     L: float = 1.0
-    d: int = 2
     mu: float = field(init=False)
     nu: float = field(init=False)
 
@@ -45,7 +44,7 @@ class ModelParams:
         errs = self.validation_errors()
         if errs:
             raise ParameterError("; ".join(errs))
-        mu, nu = viscosity_coeffs(self.mu_s, self.mu_b, self.d)
+        mu, nu = viscosity_coeffs(self.mu_s, self.mu_b)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
 
@@ -71,8 +70,6 @@ class ModelParams:
             errs.append("L must be nonnegative")
         if self.zfrak == 0 and self.L == 0:
             errs.append("zfrak + L must be positive (degenerate polymer pressure)")
-        if self.d != 2:
-            errs.append("only d = 2 is supported")
         return errs
 
     @property
@@ -80,9 +77,10 @@ class ModelParams:
         return self.k * self.L
 
 
-def viscosity_coeffs(mu_s: float, mu_b: float, d: int) -> tuple[float, float]:
-    """Lame-form coefficients (mu, nu) of div S = mu Lap u + nu grad div u."""
-    return mu_s / 2.0, mu_b + mu_s / 2.0 - mu_s / d
+def viscosity_coeffs(mu_s: float, mu_b: float) -> tuple[float, float]:
+    """Lame-form coefficients (mu, nu) of div S = mu Lap u + nu grad div u
+    in d = 2 dimensions."""
+    return mu_s / 2.0, mu_b + mu_s / 2.0 - mu_s / 2
 
 
 def _require_nonneg(x, name):
@@ -192,12 +190,10 @@ def bregman_G(eta, eta_t, prm: ModelParams):
 
 @dataclass(frozen=True)
 class HBoundConstants:
-    """Calibrated (delta, c) for :func:`lower_bound_H`, with the minimum
-    observed slack of the calibration scan."""
+    """Calibrated (delta, c) for :func:`lower_bound_H`."""
 
     delta: float
     c: float
-    min_slack_ratio: float
 
 
 def lower_bound_H(rho, rho_t, prm: ModelParams, delta: float, c: float):
@@ -214,7 +210,7 @@ def lower_bound_H(rho, rho_t, prm: ModelParams, delta: float, c: float):
     return float(out) if out.ndim == 0 else out
 
 
-def calibrate_H_constants(prm: ModelParams, n_ratio: int = 4096) -> HBoundConstants:
+def calibrate_H_constants(prm: ModelParams) -> HBoundConstants:
     """Search (delta, c) such that bregman_H >= lower_bound_H everywhere.
 
     Both sides scale as rho_t^gamma at fixed ratio t = rho / rho_t, so the
@@ -230,7 +226,7 @@ def calibrate_H_constants(prm: ModelParams, n_ratio: int = 4096) -> HBoundConsta
     best = None
     for delta in (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02):
         # inner band: bound = c (t-1)^2, handle t -> 1 by the Taylor limit
-        t = np.linspace(delta, 1.0 / delta, n_ratio)
+        t = np.linspace(delta, 1.0 / delta, 4096)
         tm1 = t - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_in = np.where(np.abs(tm1) < 1e-4, 0.5 * g, phi(t) / np.square(tm1))
@@ -246,7 +242,7 @@ def calibrate_H_constants(prm: ModelParams, n_ratio: int = 4096) -> HBoundConsta
     if c <= 0:
         raise ParameterError(f"no valid lower-bound constants found for gamma={g}")
     c *= 1.0 - 1e-9  # keep a sliver of margin against sampling gaps
-    return HBoundConstants(delta=delta, c=c, min_slack_ratio=1e-9)
+    return HBoundConstants(delta=delta, c=c)
 
 
 def lower_bound_G(eta, eta_t, prm: ModelParams, corrected: bool = True):
@@ -285,7 +281,7 @@ def newtonian_stress(grad_u, prm: ModelParams):
     """
     gxx, gxy, gyx, gyy = (np.asarray(g, dtype=np.float64) for g in grad_u)
     div = gxx + gyy
-    s11 = prm.mu_s * (gxx - div / prm.d) + prm.mu_b * div
+    s11 = prm.mu_s * (gxx - div / 2) + prm.mu_b * div
     s12 = prm.mu_s * 0.5 * (gxy + gyx)
-    s22 = prm.mu_s * (gyy - div / prm.d) + prm.mu_b * div
+    s22 = prm.mu_s * (gyy - div / 2) + prm.mu_b * div
     return s11, s12, s22

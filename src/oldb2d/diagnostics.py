@@ -159,20 +159,19 @@ def min_eig_tau(state: State) -> tuple[float, tuple[int, int]]:
     return float(eig[idx]), (int(idx[0]), int(idx[1]))
 
 
-def velocity_moment(state: State, alpha: float, rho_floor: float = 0.0) -> float:
+def velocity_moment(state: State, alpha: float) -> float:
     """int rho |u|^alpha with the admissible window 2 < alpha <= 3."""
     if not 2.0 < alpha <= 3.0:
         raise ValueError(f"alpha must lie in (2, 3], got {alpha}")
-    ux, uy = state.velocity(rho_floor if rho_floor > 0 else 1e-300)
+    ux, uy = state.velocity(1e-300)
     speed = np.sqrt(ux ** 2 + uy ** 2)
     return integrate_array(state.rho * np.power(speed, alpha), state.grid)
 
 
 def blowup_monitor(state: State, report: BlowupReport, prm: ModelParams,
-                   alpha: float = 3.0,
-                   sup_rho_threshold: float = np.inf) -> tuple[BlowupReport, str | None]:
-    """Update the running monitors with one state; returns the report and
-    the name of the triggered monitor (only sup_rho aborts) or None."""
+                   alpha: float) -> BlowupReport:
+    """Update the running monitors with one state and return the report.
+    Only sup_rho may stop a run, and ``run_simulation`` alone decides that."""
     state.check_finite()
     report.sup_rho = max(report.sup_rho, float(np.max(state.rho)))
     report.sup_eta = max(report.sup_eta, float(np.max(state.eta)))
@@ -184,6 +183,4 @@ def blowup_monitor(state: State, report: BlowupReport, prm: ModelParams,
     report._last_linf_sq = linf_sq
     report.moment_alpha = velocity_moment(state, alpha)
     report.min_eig_tau = min(report.min_eig_tau, min_eig_tau(state)[0])
-    if report.sup_rho > sup_rho_threshold:
-        return report, "sup_rho"
-    return report, None
+    return report

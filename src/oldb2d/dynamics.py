@@ -19,7 +19,7 @@ from .constitutive import ModelParams, polymer_pressure_q, pressure
 from .fields import (advective_div_array, face_velocities, grad_array,
                      integrate_array, laplacian_array, pad1,
                      upper_convected_source)
-from .grid import Grid, extend
+from .grid import extend
 from .state import Accumulators, NumericalError, State, Trajectory
 
 
@@ -27,13 +27,17 @@ class BlowupAbort(RuntimeError):
     """Raised when a blow-up monitor crosses its configured threshold."""
 
     def __init__(self, monitor: str, value: float, threshold: float,
-                 trajectory: Trajectory | None = None):
+                 trajectory: Trajectory):
         super().__init__(f"blow-up monitor {monitor} crossed threshold: "
                          f"{value:g} > {threshold:g}")
         self.monitor = monitor
         self.value = value
         self.threshold = threshold
         self.trajectory = trajectory
+
+
+#: guard against a run that never reaches t_end
+MAX_STEPS = 10_000_000
 
 
 @dataclass
@@ -44,9 +48,8 @@ class SolverOptions:
     eta_clip_tol: float | None = None  # absolute; default 1e-12 * max|eta0|
     sup_rho_threshold: float = np.inf
     snapshot_stride: int = 10
-    max_steps: int = 10_000_000
 
-    def resolved(self, init: State, grid: Grid) -> "SolverOptions":
+    def resolved(self, init: State) -> "SolverOptions":
         out = SolverOptions(**self.__dict__)
         if out.rho_floor is None:
             out.rho_floor = 1e-10 * float(np.mean(init.rho))
@@ -128,7 +131,7 @@ def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
     return out
 
 
-def cfl_dt(state: State, prm: ModelParams, cfl: float = 0.4,
+def cfl_dt(state: State, prm: ModelParams, cfl: float,
            rho_floor: float = 0.0) -> float:
     """Advective and diffusive step limits combined.
 
@@ -211,7 +214,7 @@ def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
         2.0 * prm.kL * (sqx ** 2 + sqy ** 2) + prm.zfrak * (ex ** 2 + ey ** 2), grid)
 
     relax = integrate_array(state.t11 + state.t22, grid) / (4.0 * prm.lam)
-    src_eta = prm.k * prm.d / (4.0 * prm.lam) * integrate_array(eta, grid)
+    src_eta = prm.k * 2 / (4.0 * prm.lam) * integrate_array(eta, grid)
     src_f = 0.0
     if force is not None:
         src_f = integrate_array(state.rho * (force[0] * ux + force[1] * uy), grid)
@@ -230,7 +233,7 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
     Raises :class:`BlowupAbort` when sup rho crosses the configured
     threshold (the trajectory so far is attached to the exception).
     """
-    opts = (opts or SolverOptions()).resolved(init, init.grid)
+    opts = (opts or SolverOptions()).resolved(init)
     traj = Trajectory(init.grid)
     acc = Accumulators()
     state = init.copy()
@@ -255,7 +258,6 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
 
         sup_rho = float(np.max(state.rho))
         if sup_rho > opts.sup_rho_threshold:
-            traj.aborted = "sup_rho"
             traj.add(state, acc)
             raise BlowupAbort("sup_rho", sup_rho, opts.sup_rho_threshold, traj)
 
@@ -265,6 +267,6 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
             traj.add(state, acc)
         if step_callback is not None:
             step_callback(state, acc)
-        if nstep >= opts.max_steps:
-            raise NumericalError(f"exceeded max_steps={opts.max_steps} before t_end")
+        if nstep >= MAX_STEPS:
+            raise NumericalError(f"exceeded max_steps={MAX_STEPS} before t_end")
     return traj

@@ -9,7 +9,7 @@ snapshots (one-sided second order at the ends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -339,8 +339,7 @@ def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
 
 
 def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
-                                prm: ModelParams, force_fn=None,
-                                use_new_form: bool = False) -> np.ndarray:
+                                prm: ModelParams, force_fn=None) -> np.ndarray:
     """residual(t_j) = [E1 + E2](t_j) + diss(0, t_j)
                         - [E1 + E2](0) - int_0^{t_j} R dt.
 
@@ -356,11 +355,8 @@ def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
         s, r = traj.states[j], ref.state(j)
         e12[j] = rel_entropy_E1(s, r, prm) + rel_entropy_E2(s, r, prm)
         diss[j] = relative_dissipation(s, r, prm)
-        if use_new_form:
-            rem[j] = remainder_R_new(s, r, prm)["total"]
-        else:
-            f = force_fn(traj.times[j]) if force_fn else None
-            rem[j] = remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)["total"]
+        f = force_fn(traj.times[j]) if force_fn else None
+        rem[j] = remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)["total"]
     dts = np.diff(traj.times)
     diss_cum = np.concatenate([[0.0], np.cumsum(0.5 * dts * (diss[:-1] + diss[1:]))])
     rem_cum = np.concatenate([[0.0], np.cumsum(0.5 * dts * (rem[:-1] + rem[1:]))])
@@ -434,9 +430,6 @@ class GronwallReport:
     E0: float
     C_hat: float | None
     bounded: bool
-
-    def as_rows(self) -> list:
-        return [(t, e) for t, e in zip(self.times, self.E_series)]
 
 
 def restrict_state(state: State, coarse: Grid) -> State:

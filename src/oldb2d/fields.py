@@ -14,7 +14,7 @@ from . import kernels, parallel
 from .grid import Grid, _extend_axis, extend, extension_mode
 
 
-def pad1(a: np.ndarray, grid: Grid, kind: str = "generic") -> np.ndarray:
+def pad1(a: np.ndarray, grid: Grid, kind: str) -> np.ndarray:
     mode = extension_mode(grid, kind)
     return extend(a, mode, mode, width=1)
 
@@ -23,12 +23,12 @@ def pad1_xy(a: np.ndarray, grid: Grid, kind_x: str, kind_y: str) -> np.ndarray:
     return extend(a, extension_mode(grid, kind_x), extension_mode(grid, kind_y), width=1)
 
 
-def grad_array(a: np.ndarray, grid: Grid, kind: str = "generic") -> tuple[np.ndarray, np.ndarray]:
+def grad_array(a: np.ndarray, grid: Grid, kind: str) -> tuple[np.ndarray, np.ndarray]:
     p = pad1(a, grid, kind)
     return kernels.ddx(p, grid.dx), kernels.ddy(p, grid.dy)
 
 
-def laplacian_array(a: np.ndarray, grid: Grid, kind: str = "even") -> np.ndarray:
+def laplacian_array(a: np.ndarray, grid: Grid, kind: str) -> np.ndarray:
     return kernels.laplacian(pad1(a, grid, kind), grid.dx, grid.dy)
 
 
@@ -46,7 +46,7 @@ def face_velocities(ux: np.ndarray, uy: np.ndarray, grid: Grid) -> tuple[np.ndar
 
 
 def advective_div_array(phi: np.ndarray, uf: np.ndarray, vf: np.ndarray, grid: Grid,
-                        kind: str = "even") -> np.ndarray:
+                        kind: str) -> np.ndarray:
     """div(u phi) with MUSCL/minmod upwind fluxes and interpolated face
     velocities; ``kind`` sets the ghost rule for the advected quantity."""
     mode = extension_mode(grid, kind)

@@ -69,9 +69,8 @@ class Grid:
 
 
 def require_same_grid(a, b):
-    ga = a if isinstance(a, Grid) else a.grid
-    gb = b if isinstance(b, Grid) else b.grid
-    if ga is not gb and not ga.compatible(gb):
+    """Raise unless the two states live on compatible grids."""
+    if a.grid is not b.grid and not a.grid.compatible(b.grid):
         raise GridError("operands live on different grids")
 
 

@@ -100,7 +100,6 @@ class Trajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     accumulators: list = field(default_factory=list)  # Accumulators per snapshot
-    aborted: str | None = None
 
     def add(self, state: State, acc: Accumulators) -> None:
         if self.times and state.t <= self.times[-1]:

@@ -10,11 +10,12 @@ symbolic derivatives only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
+from .config import MMS_NAMES
 from .constitutive import (ModelParams, bregman_G, bregman_H,
                            calibrate_H_constants, lower_bound_G, lower_bound_H)
 from .fields import upper_convected_source
@@ -166,7 +167,8 @@ class ManufacturedSolution:
 
 
 def make_ms(name: str, prm: ModelParams, lx: float = 1.0, ly: float = 1.0) -> ManufacturedSolution:
-    """Registry of manufactured solutions (periodic boxes).
+    """Registry of manufactured solutions (periodic boxes), one per name
+    in ``config.MMS_NAMES``.
 
     - ``periodic-smooth``: gently time-dependent fully coupled fields.
     - ``diffusion-eta``: u = 0, rho = 1, eta an exact heat kernel mode,
@@ -177,6 +179,8 @@ def make_ms(name: str, prm: ModelParams, lx: float = 1.0, ly: float = 1.0) -> Ma
       momentum residual is recast as a body force. Suitable as a strong
       reference for the remainder-equivalence checks.
     """
+    if name not in MMS_NAMES:
+        raise ValueError(f"unknown manufactured solution {name!r}")
     kx = 2 * sp.pi / lx
     ky = 2 * sp.pi / ly
     sx, cx_ = sp.sin(kx * _X), sp.cos(kx * _X)
@@ -202,24 +206,22 @@ def make_ms(name: str, prm: ModelParams, lx: float = 1.0, ly: float = 1.0) -> Ma
                      t22=prm.k * eta)
         return ManufacturedSolution(name, exprs, prm, lx, ly)
 
-    if name == "steady-ws":
-        # psi = (amp/ky) sin sin; u = (psi_y, -psi_x) is divergence free and
-        # tangent to level sets of psi, so rho = R(psi) satisfies the
-        # unforced continuity equation; eta constant satisfies its equation
-        amp = sp.Rational(1, 10)
-        psi_hat = sx * sy
-        ux = amp * sx * cy_
-        uy = -amp * (kx / ky) * cx_ * sy
-        rho = 1 + sp.Rational(1, 5) * psi_hat
-        eta = sp.Integer(1)
-        t11 = prm.k + sp.Rational(1, 20) * sx * cy_
-        t22 = prm.k + sp.Rational(1, 20) * cx_ * sy
-        t12 = sp.Rational(3, 100) * sx * sy
-        exprs = dict(rho=rho, ux=ux, uy=uy, eta=eta, t11=t11, t12=t12, t22=t22)
-        return ManufacturedSolution(name, exprs, prm, lx, ly,
-                                    force_from_momentum=True)
-
-    raise ValueError(f"unknown manufactured solution {name!r}")
+    # steady-ws
+    # psi = (amp/ky) sin sin; u = (psi_y, -psi_x) is divergence free and
+    # tangent to level sets of psi, so rho = R(psi) satisfies the
+    # unforced continuity equation; eta constant satisfies its equation
+    amp = sp.Rational(1, 10)
+    psi_hat = sx * sy
+    ux = amp * sx * cy_
+    uy = -amp * (kx / ky) * cx_ * sy
+    rho = 1 + sp.Rational(1, 5) * psi_hat
+    eta = sp.Integer(1)
+    t11 = prm.k + sp.Rational(1, 20) * sx * cy_
+    t22 = prm.k + sp.Rational(1, 20) * cx_ * sy
+    t12 = sp.Rational(3, 100) * sx * sy
+    exprs = dict(rho=rho, ux=ux, uy=uy, eta=eta, t11=t11, t12=t12, t22=t22)
+    return ManufacturedSolution(name, exprs, prm, lx, ly,
+                                force_from_momentum=True)
 
 
 # -- convergence studies ----------------------------------------------------

@@ -1,4 +1,9 @@
-"""End-to-end CLI behavior driven in process through main()."""
+"""End-to-end CLI behavior, driven in process through main() and once
+through ``python -m oldb2d.cli``."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,8 +55,7 @@ def test_run_missing_file_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
-def test_run_blowup_exit_3_names_monitor(tmp_path, capsys):
-    text = """
+BLOWUP = """
 [grid]
 nx = 16
 ny = 16
@@ -71,7 +75,10 @@ amplitude = 5.0
 [diagnostics]
 sup_rho_threshold = 1.3
 """
-    cfg = _write(tmp_path, "blow.ini", text)
+
+
+def test_run_blowup_exit_3_names_monitor(tmp_path, capsys):
+    cfg = _write(tmp_path, "blow.ini", BLOWUP)
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", cfg]) == EXIT_BLOWUP
     err = capsys.readouterr().err
@@ -93,6 +100,38 @@ def test_compare_identical_configs_zero_entropy(tmp_path, capsys):
         vals = line.split(",")
         assert float(vals[iE]) == 0.0
         assert float(vals[ires]) == 0.0
+
+
+def test_compare_blowup_exit_3_names_monitor(tmp_path, capsys):
+    cfg = _write(tmp_path, "blow.ini", BLOWUP)
+    assert main(["--out", str(tmp_path / "out"), "compare", cfg, cfg]) == EXIT_BLOWUP
+    err = capsys.readouterr().err
+    assert "blow-up abort" in err and "sup_rho" in err
+
+
+def test_compare_zero_eta_reference_exit_4(tmp_path, capsys):
+    ref = _write(tmp_path, "ref.ini", BASE + "[initial]\neta0 = 0\n")
+    weak = _write(tmp_path, "weak.ini", BASE)
+    assert main(["--out", str(tmp_path / "out"), "compare", ref, weak]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert ("numerical failure: reference polymer density must be strictly "
+            "positive") in err
+
+
+@pytest.mark.parametrize("command,extra,named", [
+    ("run", "[initial]\npreset = mms:bogus\n", "'mms:bogus'"),
+    ("compare", "[initial]\npreset = mms:bogus\n", "'mms:bogus'"),
+    ("verify", "[initial]\npreset = mms:bogus\n", "'mms:bogus'"),
+    ("run", "[initial]\ndelta0 = 3.0\nseed = 2\n", "delta0"),
+    ("compare", "[initial]\ndelta0 = 1.0\n", "delta0"),
+])
+def test_bad_initial_data_exit_2(tmp_path, capsys, command, extra, named):
+    cfg = _write(tmp_path, "bad.ini", BASE + extra)
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(tmp_path / "out"), command, *files]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_grid_mismatch_exit_2(tmp_path, capsys):
@@ -175,3 +214,21 @@ def test_threads_below_one_exit_2(capsys, n):
 def test_strict_flag_propagates(tmp_path):
     cfg = _write(tmp_path, "s.ini", BASE + "[time]\nbogus = 1\n")
     assert main(["--strict", "run", cfg]) == EXIT_CONFIG
+
+
+def _module_cli(*args, cwd):
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "oldb2d.cli", *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    missing = _module_cli("run", "nope.ini", cwd=tmp_path)
+    assert missing.returncode == EXIT_CONFIG
+    assert "config error: cannot read config nope.ini" in missing.stderr
+    cfg = _write(tmp_path, "run.ini", BASE)
+    ok = _module_cli("--out", "out", "run", cfg, cwd=tmp_path)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert (tmp_path / "out" / "run.csv").exists()

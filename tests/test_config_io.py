@@ -106,6 +106,13 @@ def test_invalid_values_are_named():
     ("lemma", "seed = -1", "seed"),
     ("initial", "seed = -1", "seed"),
     ("initial", "seed = abc", "'seed'"),
+    ("initial", "preset = mms:bogus", "'mms:bogus'"),
+    ("initial", "preset = mms:", "'mms:'"),
+    ("initial", "delta0 = 1.0", "delta0"),
+    ("initial", "delta0 = 3.0", "delta0"),
+    ("initial", "delta0 = -0.1", "delta0"),
+    ("initial", "delta0 = 0.5", None),
+    ("initial", "preset = mms:steady-ws", None),
     ("verify", "levels = 16,32", "levels"),
     ("verify", "levels = 32,16,8", "levels"),
     ("verify", "levels = 16,32,48", "levels"),

@@ -20,7 +20,7 @@ def test_derived_viscosities_in_2d():
     prm = ModelParams(mu_s=0.4, mu_b=0.3)
     assert prm.mu == pytest.approx(0.2)
     assert prm.nu == pytest.approx(0.3)
-    assert viscosity_coeffs(0.4, 0.3, 2) == (0.2, 0.3)
+    assert viscosity_coeffs(0.4, 0.3) == (0.2, 0.3)
 
 
 def test_parameter_validation_collects_all_errors():

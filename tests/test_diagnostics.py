@@ -128,30 +128,20 @@ def test_blowup_monitor_tracks_sup_and_integral(prm):
     g = periodic_grid(8)
     s = State.uniform(g, 2.5, 1.5, tau0=np.eye(2))
     rep = BlowupReport()
-    rep, trig = blowup_monitor(s, rep, prm)
-    assert trig is None
+    rep = blowup_monitor(s, rep, prm, alpha=3.0)
     assert rep.sup_rho == 2.5 and rep.sup_eta == 1.5
     assert rep.min_eig_tau == pytest.approx(1.0)
     # a later sample accumulates the Linf^2 time integral trapezoidally
     s2 = s.copy()
     s2.t = 1.0
-    rep, trig = blowup_monitor(s2, rep, prm)
+    rep = blowup_monitor(s2, rep, prm, alpha=3.0)
     assert rep.l2t_linf_tau == pytest.approx(1.0)  # |T|_inf = 1 on [0, 1]
     # suprema never decrease
     s3 = s.copy()
     s3.t = 2.0
     s3.rho = s3.rho * 0.5
-    rep, _ = blowup_monitor(s3, rep, prm)
+    rep = blowup_monitor(s3, rep, prm, alpha=3.0)
     assert rep.sup_rho == 2.5
-
-
-def test_blowup_monitor_threshold(prm):
-    g = periodic_grid(8)
-    s = State.uniform(g, 10.0, 1.0, k=prm.k)
-    rep, trig = blowup_monitor(s, BlowupReport(), prm, sup_rho_threshold=5.0)
-    assert trig == "sup_rho"
-    rep, trig = blowup_monitor(s, BlowupReport(), prm, sup_rho_threshold=np.inf)
-    assert trig is None
 
 
 def test_monitors_are_pure(prm):

@@ -112,8 +112,8 @@ def test_blowup_abort_carries_partial_trajectory(prm):
         run_simulation(s, prm, 5.0, opts, force_fn=lambda t: (fx, fy))
     exc = ei.value
     assert exc.monitor == "sup_rho"
-    assert exc.trajectory is not None and len(exc.trajectory) >= 2
-    assert exc.trajectory.aborted == "sup_rho"
+    assert len(exc.trajectory) >= 2
+    assert float(np.max(exc.trajectory.final.rho)) == exc.value
     assert exc.value > exc.threshold
 
 
@@ -121,13 +121,13 @@ def test_infinite_threshold_never_aborts(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)
     traj = run_simulation(s, prm, 0.01, SolverOptions(dt=5e-4))
-    assert traj.aborted is None
+    assert traj.final.t == pytest.approx(0.01)
 
 
 def test_step_is_deterministic(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)
-    opts = SolverOptions().resolved(s, g)
+    opts = SolverOptions().resolved(s)
     a, _ = step_ssprk2(s, 1e-4, prm, opts)
     b, _ = step_ssprk2(s, 1e-4, prm, opts)
     for x, y in zip(a.arrays(), b.arrays()):

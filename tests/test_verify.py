@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 
 import oldb2d.verify as verify
+from oldb2d.config import MMS_NAMES
 from oldb2d.constitutive import (ModelParams, calibrate_H_constants, bregman_G,
                                  lower_bound_G, lower_bound_H)
 from oldb2d.grid import Grid
@@ -100,8 +101,7 @@ def test_sampled_state_is_positive_and_consistent(prm):
     assert np.allclose(s.mx, s.rho * ux, rtol=1e-14)
 
 
-@pytest.mark.parametrize("name", ["periodic-smooth", "diffusion-eta",
-                                  "steady-ws"])
+@pytest.mark.parametrize("name", MMS_NAMES)
 def test_compiled_sources_match_plain_lambdify(prm, name):
     # non-square on purpose: swapped x/y axes cannot pass
     ms = make_ms(name, prm, lx=1.0, ly=1.5)
