@@ -8,6 +8,8 @@ raise; ``main`` alone maps the exceptions to codes and messages.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import dataclasses
 import os
 import sys
 
@@ -23,6 +25,25 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_NUMERICAL = 4
+
+
+def keep_freed_memory() -> None:
+    """Let glibc keep freed step temporaries in the heap.
+
+    By default glibc serves large arrays with mmap, or trims freed heap
+    tops, and hands the pages back to the kernel; each SSP-RK2 step then
+    faults its ~20 MB of numpy temporaries back in (thousands of minor
+    faults per step at 256^2). Both thresholds are set: fixing the trim
+    threshold alone also pins glibc's adaptive mmap threshold at its
+    128 KiB default, which faults more than before. Does nothing where
+    the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: 64 MiB
 
 
 def _load_config(path: str, strict: bool):
@@ -55,6 +76,16 @@ def _forcing(cfg, ms):
     return force_fn, source_fn
 
 
+def _shared_sections(cfg) -> dict:
+    """The sections ``compare`` integrates both runs with, as INI key ->
+    value per section."""
+    prm = cfg.params
+    return {"params": {f.name.lower(): getattr(prm, f.name)
+                       for f in dataclasses.fields(prm) if f.init},
+            "forcing": {"preset": cfg.force_preset,
+                        "amplitude": cfg.force_amplitude}}
+
+
 def _base_rows(traj: Trajectory, cfg) -> list:
     prm = cfg.params
     n = len(traj)
@@ -66,7 +97,7 @@ def _base_rows(traj: Trajectory, cfg) -> list:
         s = traj.states[j]
         acc = traj.accumulators[j]
         eb = diagnostics.total_energy(s, prm)
-        report = diagnostics.blowup_monitor(s, report, prm, alpha=cfg.alpha)
+        report = diagnostics.blowup_monitor(s, report, alpha=cfg.alpha)
         row = {"t": s.t, "kinetic": eb.kinetic,
                "pressure_pot": eb.pressure_pot,
                "polymer_pot": eb.polymer_pot, "stress_tr": eb.stress_tr,
@@ -115,6 +146,15 @@ def cmd_compare(args) -> int:
     init_weak, _ = build_initial(cfg_weak)
     if cfg_ref.grid != cfg_weak.grid:
         raise ConfigError(["compare requires identical grids"])
+    errors = []
+    weak_sections = _shared_sections(cfg_weak)
+    for sec, ref_vals in _shared_sections(cfg_ref).items():
+        keys = [k for k, v in ref_vals.items() if weak_sections[sec][k] != v]
+        if keys:
+            errors.append(f"compare integrates both runs with the reference's "
+                          f"[{sec}]; the candidate's {', '.join(keys)} differ")
+    if errors:
+        raise ConfigError(errors)
     if args.out:
         cfg_weak.out_dir = args.out
     prm = cfg_ref.params
@@ -211,6 +251,7 @@ def _thread_count(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     ap = argparse.ArgumentParser(
         prog="oldb2d",
         description="2D compressible viscoelastic flow simulator with "

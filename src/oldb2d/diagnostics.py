@@ -168,7 +168,7 @@ def velocity_moment(state: State, alpha: float) -> float:
     return integrate_array(state.rho * np.power(speed, alpha), state.grid)
 
 
-def blowup_monitor(state: State, report: BlowupReport, prm: ModelParams,
+def blowup_monitor(state: State, report: BlowupReport,
                    alpha: float) -> BlowupReport:
     """Update the running monitors with one state and return the report.
     Only sup_rho may stop a run, and ``run_simulation`` alone decides that."""

@@ -86,27 +86,35 @@ def require_same_grid(a, b):
 
 
 def _extend_axis(a: np.ndarray, axis: int, mode: str, width: int = NG) -> np.ndarray:
-    if width > a.shape[axis]:
-        raise GridError("ghost width exceeds interior size")
-    a = np.moveaxis(a, axis, 0)
+    if not 1 <= width <= a.shape[axis]:
+        raise GridError(f"ghost width {width} outside 1..{a.shape[axis]}")
+    if mode == "extrap" and width > 2:
+        raise GridError("extrap ghost width must be 1 or 2")
+    shape = list(a.shape)
+    shape[axis] += 2 * width
+    out = np.empty(shape, dtype=a.dtype)
+    # o and a index the extended axis first; o is a view of the C-ordered out
+    o, a = (out, a) if axis == 0 else (out.T, a.T)
+    o[width:-width] = a
     if mode == "periodic":
-        lo, hi = a[-width:], a[:width]
+        o[:width] = a[-width:]
+        o[-width:] = a[:width]
     elif mode == "even":
-        lo, hi = a[width - 1 :: -1], a[: -width - 1 : -1]
+        o[:width] = a[width - 1 :: -1]
+        o[-width:] = a[: -width - 1 : -1]
     elif mode == "odd":
-        lo, hi = -a[width - 1 :: -1], -a[: -width - 1 : -1]
+        np.negative(a[width - 1 :: -1], out=o[:width])
+        np.negative(a[: -width - 1 : -1], out=o[-width:])
     elif mode == "extrap":
         # p quadratic through cells 0,1,2 evaluated at -1 and -2
-        g1_lo = 3.0 * a[0] - 3.0 * a[1] + a[2]
-        g2_lo = 6.0 * a[0] - 8.0 * a[1] + 3.0 * a[2]
-        g1_hi = 3.0 * a[-1] - 3.0 * a[-2] + a[-3]
-        g2_hi = 6.0 * a[-1] - 8.0 * a[-2] + 3.0 * a[-3]
-        lo = np.stack([g2_lo, g1_lo][2 - width :])
-        hi = np.stack([g1_hi, g2_hi][:width])
+        o[width - 1] = 3.0 * a[0] - 3.0 * a[1] + a[2]
+        o[-width] = 3.0 * a[-1] - 3.0 * a[-2] + a[-3]
+        if width == 2:
+            o[0] = 6.0 * a[0] - 8.0 * a[1] + 3.0 * a[2]
+            o[-1] = 6.0 * a[-1] - 8.0 * a[-2] + 3.0 * a[-3]
     else:
         raise GridError(f"unknown extension mode {mode!r}")
-    out = np.concatenate([lo, a, hi], axis=0)
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def extend(a: np.ndarray, mode_x: str, mode_y: str, width: int = NG) -> np.ndarray:

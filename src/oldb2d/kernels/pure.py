@@ -70,10 +70,15 @@ def pairwise_sum(a: np.ndarray) -> float:
 
 def laplacian(p: np.ndarray, dx: float, dy: float) -> np.ndarray:
     """5-point Laplacian of a (nx+2, ny+2) ghost-padded array."""
-    c = p[1:-1, 1:-1]
-    tx = (p[2:, 1:-1] + p[:-2, 1:-1] - 2.0 * c) / (dx * dx)
-    ty = (p[1:-1, 2:] + p[1:-1, :-2] - 2.0 * c) / (dy * dy)
-    return tx + ty
+    c2 = 2.0 * p[1:-1, 1:-1]
+    tx = p[2:, 1:-1] + p[:-2, 1:-1]
+    tx -= c2
+    tx /= dx * dx
+    ty = p[1:-1, 2:] + p[1:-1, :-2]
+    ty -= c2
+    ty /= dy * dy
+    tx += ty
+    return tx
 
 
 def ddx(p: np.ndarray, dx: float) -> np.ndarray:
@@ -86,8 +91,26 @@ def ddy(p: np.ndarray, dy: float) -> np.ndarray:
     return (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * dy)
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
+def _muscl_div(phi: np.ndarray, uf: np.ndarray, d: float) -> np.ndarray:
+    """Axis-0 MUSCL/minmod flux divergence; see muscl_div_x. Both public
+    kernels call this rather than each other, because perfbench counts the
+    calls of each."""
+    dphi = phi[1:] - phi[:-1]  # (nx+3, ny)
+    a, b = dphi[:-1], dphi[1:]
+    mag = np.abs(dphi)
+    # half the minmod slope in cells 1..nx+2: 0 where a and b differ in
+    # sign, else the smaller in magnitude
+    hs = np.where(mag[:-1] < mag[1:], a, b)
+    hs[a * b <= 0.0] = 0.0
+    np.multiply(0.5, hs, out=hs)
+    # face i+1/2 between padded cells (i+1, i+2): the right reconstruction,
+    # replaced by the left one where the face velocity is nonnegative
+    flux = phi[2:-1] - hs[1:]
+    np.add(phi[1:-2], hs[:-1], out=flux, where=uf >= 0.0)
+    np.multiply(uf, flux, out=flux)
+    out = flux[1:] - flux[:-1]
+    out /= d
+    return out
 
 
 def muscl_div_x(phi: np.ndarray, uf: np.ndarray, dx: float) -> np.ndarray:
@@ -97,20 +120,9 @@ def muscl_div_x(phi: np.ndarray, uf: np.ndarray, dx: float) -> np.ndarray:
     uf:  (nx+1, ny) face-normal velocities at the x-faces.
     Returns (nx, ny) flux divergence.
     """
-    dphi = phi[1:, :] - phi[:-1, :]  # (nx+3, ny)
-    slope = _minmod(dphi[:-1, :], dphi[1:, :])  # slope in cells 1..nx+2
-    # face i+1/2 between padded cells (i+1, i+2); left/right reconstructions
-    left = phi[1:-2, :] + 0.5 * slope[:-1, :]
-    right = phi[2:-1, :] - 0.5 * slope[1:, :]
-    flux = np.where(uf >= 0.0, uf * left, uf * right)
-    return (flux[1:, :] - flux[:-1, :]) / dx
+    return _muscl_div(phi, uf, dx)
 
 
 def muscl_div_y(phi: np.ndarray, vf: np.ndarray, dy: float) -> np.ndarray:
-    """y-part of div(u phi); see muscl_div_x."""
-    dphi = phi[:, 1:] - phi[:, :-1]
-    slope = _minmod(dphi[:, :-1], dphi[:, 1:])
-    left = phi[:, 1:-2] + 0.5 * slope[:, :-1]
-    right = phi[:, 2:-1] - 0.5 * slope[:, 1:]
-    flux = np.where(vf >= 0.0, vf * left, vf * right)
-    return (flux[:, 1:] - flux[:, :-1]) / dy
+    """y-part of div(u phi); muscl_div_x on transposed views."""
+    return _muscl_div(phi.T, vf.T, dy).T

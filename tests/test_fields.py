@@ -6,8 +6,9 @@ import pytest
 from oldb2d.fields import (advective_div_array, face_velocities, grad_array,
                            integrate_array, laplacian_array,
                            upper_convected_source)
-from oldb2d.grid import Grid, GridError, extend, extension_mode
+from oldb2d.grid import Grid, GridError, _extend_axis, extend, extension_mode
 
+import reference_kernels as ref
 from conftest import periodic_grid, physical_grid, smooth_state
 
 
@@ -140,3 +141,24 @@ def test_laplacian_even_mode_zero_for_constant():
     g = physical_grid(8)
     lap = laplacian_array(np.full(g.shape, 3.7), g, "even")
     assert np.all(lap == 0.0)
+
+
+@pytest.mark.parametrize("mode", ["periodic", "even", "odd", "extrap"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("width", [1, 2])
+def test_extend_axis_bitwise_equal_to_reference(mode, axis, width):
+    rng = np.random.default_rng(7)
+    for a in (ref.special_values(rng, (23, 21)), rng.standard_normal((23, 21))):
+        with np.errstate(all="ignore"):
+            got = _extend_axis(a, axis, mode, width)
+            want = ref.extend_axis(a, axis, mode, width)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(ref.bits(got), ref.bits(want))
+
+
+@pytest.mark.parametrize("mode,width", [("periodic", 0), ("periodic", 12),
+                                        ("extrap", 3)])
+def test_extend_axis_rejects_bad_width(mode, width):
+    with pytest.raises(GridError):
+        _extend_axis(np.zeros((11, 9)), 0, mode, width)

@@ -1,7 +1,10 @@
-"""Kernels: numerical correctness against naive oracles."""
+"""Kernels: numerical correctness against naive oracles, and bitwise
+agreement with the plain numpy formulas of ``reference_kernels``."""
 
 import numpy as np
+import pytest
 
+import reference_kernels as ref
 from oldb2d import parallel
 from oldb2d.kernels import pure
 
@@ -102,3 +105,46 @@ def test_deterministic_sum_matches_tree():
     # non-contiguous 2-D input is summed in C order of its elements
     a = rng.standard_normal((300, 257)).T
     assert parallel.deterministic_sum(a) == naive_pairwise(list(np.ravel(a)))
+
+
+def _kernel_inputs(seed, n=24, m=19):
+    rng = np.random.default_rng(seed)
+    phix = ref.special_values(rng, (n + 4, m))
+    uf = ref.special_values(rng, (n + 1, m))
+    phiy = ref.special_values(rng, (m, n + 4))
+    vf = ref.special_values(rng, (m, n + 1))
+    return phix, uf, phiy, vf
+
+
+def test_special_values_reach_every_edge_case():
+    phix, uf, _, _ = _kernel_inputs(0)
+    dphi = phix[1:] - phix[:-1]
+    a, b = dphi[:-1], dphi[1:]
+    with np.errstate(invalid="ignore"):
+        assert np.any(np.isnan(a * b))
+        assert np.any((np.abs(a) == np.abs(b)) & (a * b > 0))   # ties
+        assert np.any((a * b == 0) & (a != 0) & (b != 0))       # underflow
+    assert np.any(np.signbit(dphi) & (dphi == 0))                # -0.0
+    assert np.any((uf == 0) & np.signbit(uf))
+    assert np.any((uf == 0) & ~np.signbit(uf))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_muscl_bitwise_equal_to_reference_formula(seed):
+    phix, uf, phiy, vf = _kernel_inputs(seed)
+    with np.errstate(all="ignore"):
+        want_x = ref.muscl_div_x(phix, uf, 0.3)
+        want_y = ref.muscl_div_y(phiy, vf, 0.3)
+        got_x = pure.muscl_div_x(phix, uf, 0.3)
+        got_y = pure.muscl_div_y(phiy, vf, 0.3)
+    assert np.array_equal(ref.bits(got_x), ref.bits(want_x))
+    assert np.array_equal(ref.bits(got_y), ref.bits(want_y))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_laplacian_bitwise_equal_to_reference_formula(seed):
+    p = ref.special_values(np.random.default_rng(seed), (26, 21))
+    with np.errstate(all="ignore"):
+        got = pure.laplacian(p, 0.3, 1e-160)
+        want = ref.laplacian(p, 0.3, 1e-160)
+    assert np.array_equal(ref.bits(got), ref.bits(want))
