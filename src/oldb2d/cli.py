@@ -8,8 +8,11 @@ raise; ``main`` alone maps the exceptions to codes and messages.
 from __future__ import annotations
 
 import argparse
+import atexit
 import ctypes
 import dataclasses
+import functools
+import gc
 import os
 import sys
 
@@ -44,6 +47,19 @@ def keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: 64 MiB
+
+
+@functools.cache
+def freeze_at_exit() -> None:
+    """Have the interpreter's exit-time collections skip every object
+    alive at exit.
+
+    Those passes walk all of loaded scipy and sympy, 0.3-0.4 s per
+    ``lemma-check`` or ``verify`` process, for memory the process hands
+    back when it ends anyway. Every file is closed by a ``with`` block
+    before ``main`` returns, and Python does not promise finalizers at
+    exit. Cached, so ``gc.freeze`` is registered once per process."""
+    atexit.register(gc.freeze)
 
 
 def _load_config(path: str, strict: bool):
@@ -83,7 +99,9 @@ def _shared_sections(cfg) -> dict:
     return {"params": {f.name.lower(): getattr(prm, f.name)
                        for f in dataclasses.fields(prm) if f.init},
             "forcing": {"preset": cfg.force_preset,
-                        "amplitude": cfg.force_amplitude}}
+                        "amplitude": cfg.force_amplitude},
+            "time": {"t_end": cfg.t_end, "cfl": cfg.cfl, "dt": cfg.dt,
+                     "snapshot_stride": cfg.snapshot_stride}}
 
 
 def _base_rows(traj: Trajectory, cfg) -> list:
@@ -166,7 +184,6 @@ def cmd_compare(args) -> int:
     opts_ref = _solver_options(cfg_ref, init_ref)
     opts_weak = _solver_options(cfg_weak, init_weak)
     opts_ref.dt = opts_weak.dt = dt
-    opts_weak.snapshot_stride = opts_ref.snapshot_stride
     force_fn, src = _forcing(cfg_ref, ms_ref)
     traj_ref = run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref,
                               force_fn=force_fn, source_fn=src)
@@ -252,6 +269,7 @@ def _thread_count(text: str) -> int:
 
 def main(argv=None) -> int:
     keep_freed_memory()
+    freeze_at_exit()
     ap = argparse.ArgumentParser(
         prog="oldb2d",
         description="2D compressible viscoelastic flow simulator with "

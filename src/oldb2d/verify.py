@@ -10,10 +10,10 @@ symbolic derivatives only).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .config import MMS_NAMES
 from .constitutive import (ModelParams, bregman_G, bregman_H,
@@ -23,10 +23,18 @@ from .grid import Grid
 from .state import State
 
 
-_X, _Y, _T = sp.symbols("x y t", real=True)
-
 _FIELD_NAMES = ("rho", "ux", "uy", "eta", "t11", "t12", "t22")
 _STATE_NAMES = ("rho", "mx", "my", "eta", "t11", "t12", "t22")
+
+
+@functools.cache
+def _sympy():
+    """sympy and the real symbols x, y, t of every manufactured field.
+
+    Imported on the first manufactured solution, so ``lemma-check``, and
+    ``run`` and ``compare`` without an ``mms:`` preset, never load sympy."""
+    import sympy as sp
+    return (sp, *sp.symbols("x y t", real=True))
 
 
 def _compile(exprs) -> tuple:
@@ -35,8 +43,12 @@ def _compile(exprs) -> tuple:
 
     ``docstring_limit=0`` skips printing each expression into the closure's
     docstring, which would cost about as much set-up time as the CSE pass.
+    ``modules=np`` selects the same printer as ``"numpy"`` but takes the
+    namespace from the module object, skipping ``from numpy import *``
+    and the ~230 numpy submodules it loads.
     """
-    return tuple(sp.lambdify((_X, _Y, _T), e, modules="numpy", cse=True,
+    sp, x, y, t = _sympy()
+    return tuple(sp.lambdify((x, y, t), e, modules=np, cse=True,
                              docstring_limit=0)
                  for e in exprs)
 
@@ -58,7 +70,8 @@ class ManufacturedSolution:
         self.lx = lx
         self.ly = ly
         self.force_from_momentum = force_from_momentum
-        self._field_fns = {k: sp.lambdify((_X, _Y, _T), v, modules="numpy")
+        sp, x, y, t = _sympy()
+        self._field_fns = {k: sp.lambdify((x, y, t), v, modules=np)
                            for k, v in self.exprs.items()}
         self._source_exprs = self._build_source_exprs()
         if force_from_momentum:
@@ -78,21 +91,22 @@ class ManufacturedSolution:
     # -- symbolic residuals of the governing equations ----------------------
 
     def _build_source_exprs(self) -> tuple:
+        sp, x, y, t = _sympy()
         prm = self.prm
         rho, ux, uy, eta = (self.exprs[k] for k in ("rho", "ux", "uy", "eta"))
         t11, t12, t22 = (self.exprs[k] for k in ("t11", "t12", "t22"))
 
         def dx(e):
-            return sp.diff(e, _X)
+            return sp.diff(e, x)
 
         def dy(e):
-            return sp.diff(e, _Y)
+            return sp.diff(e, y)
 
         def dt(e):
-            return sp.diff(e, _T)
+            return sp.diff(e, t)
 
         def lap(e):
-            return sp.diff(e, _X, 2) + sp.diff(e, _Y, 2)
+            return sp.diff(e, x, 2) + sp.diff(e, y, 2)
 
         div_u = dx(ux) + dy(uy)
         # an exact exponent: with a float one (rho**2.0) the order of the
@@ -154,6 +168,7 @@ class ManufacturedSolution:
     def residual_is_zero(self, which: str, tol: float = 1e-12) -> bool:
         """True if the named equation residual is symbolically zero (up to
         floating-point dust from float-valued domain sizes)."""
+        sp = _sympy()[0]
         idx = _STATE_NAMES.index(which)
         expr = sp.expand(sp.simplify(self._source_exprs[idx]))
         if expr == 0:
@@ -181,25 +196,26 @@ def make_ms(name: str, prm: ModelParams, lx: float = 1.0, ly: float = 1.0) -> Ma
     """
     if name not in MMS_NAMES:
         raise ValueError(f"unknown manufactured solution {name!r}")
+    sp, x, y, t = _sympy()
     kx = 2 * sp.pi / lx
     ky = 2 * sp.pi / ly
-    sx, cx_ = sp.sin(kx * _X), sp.cos(kx * _X)
-    sy, cy_ = sp.sin(ky * _Y), sp.cos(ky * _Y)
+    sx, cx_ = sp.sin(kx * x), sp.cos(kx * x)
+    sy, cy_ = sp.sin(ky * y), sp.cos(ky * y)
 
     if name == "periodic-smooth":
-        wob = sp.cos(_T)
+        wob = sp.cos(t)
         rho = 1 + sp.Rational(3, 20) * sx * cy_ * wob
-        ux = sp.Rational(1, 20) * sx * cy_ * (1 + sp.Rational(1, 2) * sp.sin(_T))
-        uy = sp.Rational(1, 20) * cx_ * sy * (1 - sp.Rational(1, 2) * sp.sin(_T))
+        ux = sp.Rational(1, 20) * sx * cy_ * (1 + sp.Rational(1, 2) * sp.sin(t))
+        uy = sp.Rational(1, 20) * cx_ * sy * (1 - sp.Rational(1, 2) * sp.sin(t))
         eta = 1 + sp.Rational(1, 10) * cx_ * sy * wob
         t11 = prm.k * eta + sp.Rational(1, 20) * sx * sy * wob
         t22 = prm.k * eta - sp.Rational(1, 20) * sx * sy * wob
-        t12 = sp.Rational(3, 100) * cx_ * cy_ * sp.sin(_T)
+        t12 = sp.Rational(3, 100) * cx_ * cy_ * sp.sin(t)
         exprs = dict(rho=rho, ux=ux, uy=uy, eta=eta, t11=t11, t12=t12, t22=t22)
         return ManufacturedSolution(name, exprs, prm, lx, ly)
 
     if name == "diffusion-eta":
-        decay = sp.exp(-prm.eps * (kx ** 2 + ky ** 2) * _T)
+        decay = sp.exp(-prm.eps * (kx ** 2 + ky ** 2) * t)
         eta = 1 + sp.Rational(1, 2) * cx_ * cy_ * decay
         exprs = dict(rho=sp.Integer(1), ux=sp.Integer(0), uy=sp.Integer(0),
                      eta=eta, t11=prm.k * eta, t12=sp.Integer(0),

@@ -154,6 +154,20 @@ def test_bad_initial_data_exit_2(tmp_path, capsys, command, extra, named):
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_candidate_time_differs_exit_2(tmp_path, capsys):
+    ref_cfg = _write(tmp_path, "ref.ini", BASE)
+    weak_cfg = _write(tmp_path, "weak.ini",
+                      BASE.replace("t_end = 0.01", "t_end = 0.05")
+                      .replace("snapshot_stride = 5", "snapshot_stride = 1")
+                      + "cfl = 0.2\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref_cfg, weak_cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("config error: compare integrates both runs with the reference's "
+            "[time]; the candidate's t_end, cfl, snapshot_stride differ") in err
+    assert not out.exists()
+
+
 def test_compare_grid_mismatch_exit_2(tmp_path, capsys):
     a = _write(tmp_path, "a.ini", BASE)
     b = _write(tmp_path, "b.ini", BASE.replace("nx = 16", "nx = 32"))
@@ -242,6 +256,39 @@ def _module_cli(*args, cwd):
     return subprocess.run([sys.executable, "-m", "oldb2d.cli", *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
+
+
+_TWO_RUNS = """
+import atexit, gc, sys
+from oldb2d.cli import main
+before = atexit._ncallbacks()
+for out in sys.argv[2:]:
+    assert main(["--out", out, "run", sys.argv[1]]) == 0
+print(atexit._ncallbacks() - before, gc.get_freeze_count())
+atexit._run_exitfuncs()
+print(gc.get_freeze_count() > 0)
+"""
+
+
+def test_exit_hook_registered_once_and_outputs_complete(tmp_path):
+    cfg = _write(tmp_path, "run.ini", BASE)
+    outs = [str(tmp_path / d) for d in ("a", "b")]
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TWO_RUNS, cfg, *outs],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0", "True"]
+    # both runs' files are complete: byte-equal to a run in this process
+    want = tmp_path / "want"
+    assert main(["--out", str(want), "run", cfg]) == EXIT_OK
+    names = sorted(p.name for p in want.iterdir())
+    assert len(names) == 6
+    for out in outs:
+        assert sorted(os.listdir(out)) == names
+        for n in names:
+            assert (tmp_path / out / n).read_bytes() == (want / n).read_bytes()
 
 
 def test_module_entry_point_exit_codes(tmp_path):

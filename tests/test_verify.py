@@ -1,5 +1,6 @@
 """Manufactured solutions, their symbolic sources, and the scan oracles."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -15,9 +16,12 @@ from oldb2d.constitutive import (ModelParams, calibrate_H_constants, bregman_G,
 from oldb2d.grid import Grid
 from oldb2d.verify import (LemmaCertificate, ManufacturedSolution,
                            convergence_study, make_ms, ode_oracle_relaxation,
-                           oracle_lemma_scan, _X, _Y, _T)
+                           oracle_lemma_scan)
 
 from conftest import periodic_grid
+
+# sympy caches symbols by name and assumptions: these are verify's x, y, t
+_X, _Y, _T = sp.symbols("x y t", real=True)
 
 
 def test_constant_equilibrium_has_zero_sources(prm):
@@ -115,6 +119,27 @@ def test_compiled_sources_match_plain_lambdify(prm, name):
         assert got.shape == g.shape
         np.testing.assert_allclose(got, np.broadcast_to(want, g.shape),
                                    rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", MMS_NAMES)
+def test_numpy_module_compiles_like_numpy_string(prm, name):
+    # lambdify(modules=np) must print the same closure source as
+    # modules="numpy" and evaluate it to the same bits
+    ms = make_ms(name, prm, lx=1.0, ly=1.5)
+    g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
+    xyt = (_X, _Y, _T)
+    compiled = list(zip(ms._source_exprs, ms._source_fns))
+    if name == "steady-ws":
+        compiled += zip(ms._force_exprs, ms._force_fns)
+    pairs = [(sp.lambdify(xyt, e, modules="numpy", cse=True, docstring_limit=0), f)
+             for e, f in compiled]
+    pairs += [(sp.lambdify(xyt, ms.exprs[k], modules="numpy"), ms._field_fns[k])
+              for k in ms.exprs]
+    assert len(pairs) == (16 if name == "steady-ws" else 14)
+    for want, got in pairs:
+        assert inspect.getsource(got) == inspect.getsource(want)
+        a, b = ms._eval(got, g, 0.3), ms._eval(want, g, 0.3)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 _SOURCE_DIGEST = """
@@ -265,15 +290,47 @@ def test_lemma_scan_rejects_more_pairs_than_the_sequence_has(prm):
         oracle_lemma_scan(prm, n_samples=(1 << 30) + 1)
 
 
-_IMPORTS = """
-import sys
-import oldb2d.verify
-print("scipy.stats" in sys.modules)
-"""
+def _loaded_after(code: str, module: str, *args: str) -> bool:
+    """Whether ``module`` is in ``sys.modules`` after a fresh interpreter
+    runs ``code``."""
+    out = _python("import sys\n" + code + f"\nprint({module!r} in sys.modules)",
+                  *args)
+    return out.splitlines()[-1] == "True"
 
 
 def test_importing_verify_leaves_scipy_stats_unloaded():
-    assert _python(_IMPORTS) == "False"
+    assert not _loaded_after("import oldb2d.verify", "scipy.stats")
+
+
+_MAIN = """
+from oldb2d.cli import main
+assert main(sys.argv[1:]) == 0
+"""
+
+
+def test_importing_verify_leaves_sympy_unloaded():
+    assert not _loaded_after("import oldb2d.verify", "sympy")
+
+
+def test_lemma_check_leaves_sympy_unloaded(tmp_path):
+    cfg = tmp_path / "lemma.ini"
+    cfg.write_text("[grid]\nnx = 16\nny = 16\n[lemma]\nsamples = 1024\n")
+    assert not _loaded_after(_MAIN, "sympy", "lemma-check", str(cfg))
+
+
+def test_run_leaves_sympy_unloaded(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[grid]\nnx = 16\nny = 16\n[time]\nt_end = 0.001\n"
+                   "dt = 5e-4\n")
+    assert not _loaded_after(_MAIN, "sympy", "--out", str(tmp_path / "out"),
+                             "run", str(cfg))
+
+
+def test_manufactured_solution_leaves_numpy_f2py_unloaded():
+    code = ("from oldb2d.constitutive import ModelParams\n"
+            "from oldb2d.verify import make_ms\n"
+            "make_ms('periodic-smooth', ModelParams())")
+    assert not _loaded_after(code, "numpy.f2py")
 
 
 _SCAN_ENTRY = """
