@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import ctypes
-import dataclasses
 import functools
 import gc
 import os
@@ -19,7 +18,8 @@ import sys
 import numpy as np
 
 from . import diagnostics, entropy
-from .config import ConfigError, build_initial, compressive_force, parse_config
+from .config import (ConfigError, build_initial, compressive_force, parse_config,
+                     section_values)
 from .dynamics import BlowupAbort, SolverOptions, cfl_dt, run_simulation
 from .snapshot_io import write_snapshot, write_timeseries
 from .state import NumericalError, Trajectory
@@ -62,13 +62,13 @@ def freeze_at_exit() -> None:
     atexit.register(gc.freeze)
 
 
-def _load_config(path: str, strict: bool):
+def _load_config(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
         raise ConfigError([f"cannot read config {path}: {e}"]) from e
-    return parse_config(text, strict=strict)
+    return parse_config(text)
 
 
 def _solver_options(cfg, init) -> SolverOptions:
@@ -92,16 +92,8 @@ def _forcing(cfg, ms):
     return force_fn, source_fn
 
 
-def _shared_sections(cfg) -> dict:
-    """The sections ``compare`` integrates both runs with, as INI key ->
-    value per section."""
-    prm = cfg.params
-    return {"params": {f.name.lower(): getattr(prm, f.name)
-                       for f in dataclasses.fields(prm) if f.init},
-            "forcing": {"preset": cfg.force_preset,
-                        "amplitude": cfg.force_amplitude},
-            "time": {"t_end": cfg.t_end, "cfl": cfg.cfl, "dt": cfg.dt,
-                     "snapshot_stride": cfg.snapshot_stride}}
+#: the sections ``compare`` integrates both runs with
+_SHARED_SECTIONS = ("params", "forcing", "time")
 
 
 def _base_rows(traj: Trajectory, cfg) -> list:
@@ -141,7 +133,7 @@ def _write_outputs(traj: Trajectory, cfg, rows, compare: bool = False,
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.strict)
+    cfg = _load_config(args.config)
     init, ms = build_initial(cfg)
     if args.out:
         cfg.out_dir = args.out
@@ -158,19 +150,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg_ref = _load_config(args.config_ref, args.strict)
-    cfg_weak = _load_config(args.config_weak, args.strict)
+    cfg_ref = _load_config(args.config_ref)
+    cfg_weak = _load_config(args.config_weak)
     init_ref, ms_ref = build_initial(cfg_ref)
     init_weak, _ = build_initial(cfg_weak)
     if cfg_ref.grid != cfg_weak.grid:
         raise ConfigError(["compare requires identical grids"])
     errors = []
-    weak_sections = _shared_sections(cfg_weak)
-    for sec, ref_vals in _shared_sections(cfg_ref).items():
-        keys = [k for k, v in ref_vals.items() if weak_sections[sec][k] != v]
+    for sec in _SHARED_SECTIONS:
+        weak_vals = section_values(cfg_weak, sec)
+        keys = [k for k, v in section_values(cfg_ref, sec).items() if weak_vals[k] != v]
         if keys:
             errors.append(f"compare integrates both runs with the reference's "
                           f"[{sec}]; the candidate's {', '.join(keys)} differ")
+    # run_simulation steps while t < t_end - 1e-14 * max(t_end, 1), from t = 0
+    if not cfg_ref.t_end > 1e-14:
+        errors.append(f"compare needs t_end in [time] long enough for one step, "
+                      f"got {cfg_ref.t_end:g}")
     if errors:
         raise ConfigError(errors)
     if args.out:
@@ -213,7 +209,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config, args.strict)
+    cfg = _load_config(args.config)
     if not cfg.preset.startswith("mms:"):
         raise ConfigError(["verify requires an mms:<name> initial preset"])
     if args.out:
@@ -239,7 +235,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    cfg = _load_config(args.config, args.strict)
+    cfg = _load_config(args.config)
     import scipy.stats.qmc  # noqa: F401  the scan's sampler, loaded as set-up
     from .verify import oracle_lemma_scan
     certs = oracle_lemma_scan(cfg.params, n_samples=cfg.lemma_samples,
@@ -279,8 +275,6 @@ def main(argv=None) -> int:
                          "single-threaded and results never depend on N")
     ap.add_argument("--out", default=None, metavar="DIR",
                     help="override the configured output directory")
-    ap.add_argument("--strict", action="store_true",
-                    help="reject unknown config keys")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate one configuration")

@@ -4,6 +4,7 @@ named initial-condition presets, and seeded smooth perturbations."""
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,16 +23,64 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
-_KNOWN_KEYS = {
-    "grid": {"nx", "ny", "lx", "ly", "boundary_mode"},
-    "params": {"a", "gamma", "mu_s", "mu_b", "eps", "k", "lam", "zfrak", "l"},
-    "initial": {"preset", "rho0", "eta0", "delta0", "seed"},
-    "time": {"t_end", "cfl", "dt", "snapshot_stride"},
-    "diagnostics": {"sup_rho_threshold", "alpha"},
-    "output": {"directory", "formats"},
-    "forcing": {"preset", "amplitude"},
-    "lemma": {"corrected", "samples", "seed"},
-    "verify": {"levels", "t_end", "dt_over_dx2"},
+def _float(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(raw)
+    return v
+
+
+def _bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _threshold(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
+
+
+def _formats(raw: str) -> tuple:
+    return tuple(f.strip() for f in raw.split(",") if f.strip())
+
+
+def _levels(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.split(","))
+
+
+#: marks a key without a default
+_REQUIRED = object()
+
+#: section -> INI key -> (field, parser, default): the one list of the keys.
+#: [grid] keys fill Grid fields, [params] keys ModelParams fields and every
+#: other key a RunConfig field.
+SCHEMA = {
+    "grid": {"nx": ("nx", int, _REQUIRED), "ny": ("ny", int, _REQUIRED),
+             "lx": ("lx", _float, 1.0), "ly": ("ly", _float, 1.0),
+             "boundary_mode": ("boundary_mode", str, "periodic")},
+    "params": {f.name.lower(): (f.name, _float, f.default)
+               for f in dataclasses.fields(ModelParams) if f.init},
+    "initial": {"preset": ("preset", str, "uniform"),
+                "rho0": ("rho0", _float, 1.0), "eta0": ("eta0", _float, 1.0),
+                "delta0": ("delta0", _float, 0.0), "seed": ("seed", int, 0)},
+    "time": {"t_end": ("t_end", _float, 0.1), "cfl": ("cfl", _float, 0.4),
+             "dt": ("dt", _float, None),
+             "snapshot_stride": ("snapshot_stride", int, 10)},
+    "diagnostics": {"sup_rho_threshold": ("sup_rho_threshold", _threshold, None),
+                    "alpha": ("alpha", _float, 3.0)},
+    "output": {"directory": ("out_dir", str, "."),
+               "formats": ("formats", _formats, ("csv", "snapshots"))},
+    "forcing": {"preset": ("force_preset", str, "none"),
+                "amplitude": ("force_amplitude", _float, 0.0)},
+    "lemma": {"corrected": ("lemma_corrected", _bool, True),
+              "samples": ("lemma_samples", int, 1 << 20),
+              "seed": ("lemma_seed", int, 20240817)},
+    "verify": {"levels": ("verify_levels", _levels, (32, 64, 128)),
+               "t_end": ("verify_t_end", _float, 0.05),
+               "dt_over_dx2": ("verify_dt_over_dx2", _float, 0.5)},
 }
 
 _PRESETS = ("uniform", "gaussian-bump", "shear-layer")
@@ -45,7 +94,7 @@ _MAX_LEMMA_SAMPLES = 1 << 30
 
 @dataclass
 class RunConfig:
-    """A parsed configuration; :func:`parse_config` states every default."""
+    """A parsed configuration; :data:`SCHEMA` states every key and default."""
 
     grid: Grid
     params: ModelParams
@@ -72,166 +121,92 @@ class RunConfig:
     verify_dt_over_dx2: float
 
 
-def parse_config(text: str, strict: bool = True) -> RunConfig:
+def section_values(cfg: RunConfig, sec: str) -> dict:
+    """INI key -> value of one section of a parsed configuration."""
+    owner = {"grid": cfg.grid, "params": cfg.params}.get(sec, cfg)
+    return {key: getattr(owner, name) for key, (name, _, _) in SCHEMA[sec].items()}
+
+
+def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
-    errors: list[str] = []
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError([f"syntax error: {e}"]) from e
 
+    errors: list[str] = []
     for sec in cp.sections():
-        if sec not in _KNOWN_KEYS:
-            if strict:
-                errors.append(f"unknown section [{sec}]")
+        if sec not in SCHEMA:
+            errors.append(f"unknown section [{sec}]")
             continue
-        for key in cp[sec]:
-            if key not in _KNOWN_KEYS[sec] and strict:
-                errors.append(f"unknown key '{key}' in [{sec}]")
+        errors += [f"unknown key '{key}' in [{sec}]"
+                   for key in cp[sec] if key not in SCHEMA[sec]]
 
-    def get(sec, key, conv, default, required=False):
-        if not cp.has_option(sec, key):
-            if required:
-                errors.append(f"missing mandatory key '{key}' in [{sec}]")
-            return default
-        raw = cp.get(sec, key)
+    # section -> field -> value; a value that fails to parse keeps the
+    # default, so the checks below still see every other key
+    vals = {sec: {} for sec in SCHEMA}
+    for sec, keys in SCHEMA.items():
+        for key, (name, conv, default) in keys.items():
+            vals[sec][name] = default
+            if not cp.has_option(sec, key):
+                if default is _REQUIRED:
+                    errors.append(f"missing mandatory key '{key}' in [{sec}]")
+                continue
+            raw = cp.get(sec, key)
+            try:
+                vals[sec][name] = conv(raw)
+            except (ValueError, TypeError):
+                errors.append(f"invalid value '{raw}' for '{key}' in [{sec}]")
+
+    grid = params = None
+    if _REQUIRED not in vals["grid"].values():
         try:
-            return conv(raw)
-        except (ValueError, TypeError):
-            errors.append(f"invalid value '{raw}' for '{key}' in [{sec}]")
-            return default
-
-    def as_float(raw):
-        v = float(raw)
-        if not math.isfinite(v):
-            raise ValueError(raw)
-        return v
-
-    def as_bool(raw):
-        low = raw.strip().lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(raw)
-
-    nx = get("grid", "nx", int, 64, required=True)
-    ny = get("grid", "ny", int, 64, required=True)
-    lx = get("grid", "lx", as_float, 1.0)
-    ly = get("grid", "ly", as_float, 1.0)
-    bmode = get("grid", "boundary_mode", str, "periodic")
-    grid = None
+            grid = Grid(**vals["grid"])
+        except (GridError, ValueError) as e:
+            errors.append(str(e))
     try:
-        grid = Grid(nx=nx, ny=ny, lx=lx, ly=ly, boundary_mode=bmode)
-    except (GridError, ValueError) as e:
-        errors.append(str(e))
-
-    pkw = {}
-    for key, attr in (("a", "a"), ("gamma", "gamma"), ("mu_s", "mu_s"),
-                      ("mu_b", "mu_b"), ("eps", "eps"), ("k", "k"),
-                      ("lam", "lam"), ("zfrak", "zfrak"), ("l", "L")):
-        if cp.has_option("params", key):
-            pkw[attr] = get("params", key, as_float, None)
-    params = None
-    try:
-        params = ModelParams(**{k: v for k, v in pkw.items() if v is not None})
+        params = ModelParams(**vals["params"])
     except ParameterError as e:
         errors.extend(str(e).split("; "))
 
-    preset = get("initial", "preset", str, "uniform")
-    if not (preset in _PRESETS
-            or preset.startswith("mms:") and preset[4:] in MMS_NAMES):
-        errors.append(f"unknown initial preset '{preset}'")
-    delta0 = get("initial", "delta0", as_float, 0.0)
-    # perturb_state scales rho and eta by 1 + delta0 * n with max|n| = 1
-    if not 0 <= delta0 < 1:
-        errors.append("delta0 must lie in [0, 1)")
-    rho0 = get("initial", "rho0", as_float, 1.0)
-    eta0 = get("initial", "eta0", as_float, 1.0)
-    if rho0 <= 0:
-        errors.append("rho0 must be positive")
-    if eta0 < 0:
-        errors.append("eta0 must be nonnegative")
-    seed = get("initial", "seed", int, 0)
-
-    t_end = get("time", "t_end", as_float, 0.1)
-    if t_end < 0:
-        errors.append("t_end must be nonnegative")
-    cfl = get("time", "cfl", as_float, 0.4)
-    if not 0 < cfl <= 1:
-        errors.append("cfl must lie in (0, 1]")
-    dt = get("time", "dt", as_float, None)
-    if dt is not None and dt <= 0:
-        errors.append("dt must be positive when given")
-    stride = get("time", "snapshot_stride", int, 10)
-    if stride < 1:
-        errors.append("snapshot_stride must be >= 1")
-
-    thr_raw = get("diagnostics", "sup_rho_threshold", str, "auto")
-    if thr_raw in ("auto", None):
-        threshold = None
-    else:
-        try:
-            threshold = float(thr_raw)
-            if not threshold > 0:
-                errors.append("sup_rho_threshold must be positive, 'inf' or 'auto'")
-        except ValueError:
-            errors.append(f"invalid sup_rho_threshold '{thr_raw}'")
-            threshold = None
-    alpha = get("diagnostics", "alpha", as_float, 3.0)
-    if not 2.0 < alpha <= 3.0:
-        errors.append("alpha must lie in (2, 3]")
-
-    out_dir = get("output", "directory", str, ".")
-    formats_raw = get("output", "formats", str, "csv,snapshots")
-    formats = tuple(f.strip() for f in formats_raw.split(",") if f.strip())
-    for f in formats:
-        if f not in ("csv", "snapshots"):
-            errors.append(f"unknown output format '{f}'")
-
-    force_preset = get("forcing", "preset", str, "none")
-    if force_preset not in ("none", "compress"):
-        errors.append(f"unknown forcing preset '{force_preset}'")
-    force_amp = get("forcing", "amplitude", as_float, 0.0)
-
-    lemma_corrected = get("lemma", "corrected", as_bool, True)
-    lemma_samples = get("lemma", "samples", int, 1 << 20)
-    if not 1 <= lemma_samples <= _MAX_LEMMA_SAMPLES:
-        errors.append(f"samples in [lemma] must be in [1, {_MAX_LEMMA_SAMPLES}]")
-    lemma_seed = get("lemma", "seed", int, 20240817)
-    for sec, value in (("initial", seed), ("lemma", lemma_seed)):
-        if value < 0:
-            errors.append(f"seed in [{sec}] must be nonnegative")
-
-    levels_raw = get("verify", "levels", str, "32,64,128")
-    try:
-        verify_levels = tuple(int(v) for v in levels_raw.split(","))
-    except ValueError:
-        errors.append(f"invalid verify levels '{levels_raw}'")
-        verify_levels = (32, 64, 128)
-    if (len(verify_levels) < 3 or verify_levels[0] < 8
-            or any(b != 2 * a for a, b in zip(verify_levels, verify_levels[1:]))):
-        errors.append(f"levels in [verify] must be 3 or more grid sizes from 8 up, "
-                      f"each twice the previous, got '{levels_raw}'")
-    verify_t_end = get("verify", "t_end", as_float, 0.05)
-    verify_ratio = get("verify", "dt_over_dx2", as_float, 0.5)
-    if not verify_ratio > 0:
-        errors.append("dt_over_dx2 in [verify] must be positive")
+    v = {name: val for sec, fields in vals.items() if sec not in ("grid", "params")
+         for name, val in fields.items()}
+    preset, thr, levels = v["preset"], v["sup_rho_threshold"], v["verify_levels"]
+    errors += [msg for bad, msg in (
+        (not (preset in _PRESETS
+              or preset.startswith("mms:") and preset[4:] in MMS_NAMES),
+         f"unknown initial preset '{preset}'"),
+        # perturb_state scales rho and eta by 1 + delta0 * n with max|n| = 1
+        (not 0 <= v["delta0"] < 1, "delta0 must lie in [0, 1)"),
+        (v["rho0"] <= 0, "rho0 must be positive"),
+        (v["eta0"] < 0, "eta0 must be nonnegative"),
+        (v["t_end"] < 0, "t_end must be nonnegative"),
+        (not 0 < v["cfl"] <= 1, "cfl must lie in (0, 1]"),
+        (v["dt"] is not None and v["dt"] <= 0, "dt must be positive when given"),
+        (v["snapshot_stride"] < 1, "snapshot_stride must be >= 1"),
+        (thr is not None and not thr > 0,
+         "sup_rho_threshold must be positive, 'inf' or 'auto'"),
+        (not 2.0 < v["alpha"] <= 3.0, "alpha must lie in (2, 3]"),
+        (v["force_preset"] not in ("none", "compress"),
+         f"unknown forcing preset '{v['force_preset']}'"),
+        (not 1 <= v["lemma_samples"] <= _MAX_LEMMA_SAMPLES,
+         f"samples in [lemma] must be in [1, {_MAX_LEMMA_SAMPLES}]"),
+        (v["seed"] < 0, "seed in [initial] must be nonnegative"),
+        (v["lemma_seed"] < 0, "seed in [lemma] must be nonnegative"),
+        (len(levels) < 3 or levels[0] < 8
+         or any(b != 2 * a for a, b in zip(levels, levels[1:])),
+         f"levels in [verify] must be 3 or more grid sizes from 8 up, each "
+         f"twice the previous, got '{','.join(map(str, levels))}'"),
+        (not v["verify_t_end"] > 0, "t_end in [verify] must be positive"),
+        (not v["verify_dt_over_dx2"] > 0, "dt_over_dx2 in [verify] must be positive"),
+    ) if bad]
+    errors += [f"unknown output format '{f}'" for f in v["formats"]
+               if f not in ("csv", "snapshots")]
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(grid=grid, params=params, preset=preset, rho0=rho0,
-                     eta0=eta0, delta0=delta0,
-                     seed=seed,
-                     t_end=t_end, cfl=cfl, dt=dt, snapshot_stride=stride,
-                     sup_rho_threshold=threshold, alpha=alpha,
-                     out_dir=out_dir, formats=formats,
-                     force_preset=force_preset, force_amplitude=force_amp,
-                     lemma_corrected=lemma_corrected,
-                     lemma_samples=lemma_samples, lemma_seed=lemma_seed,
-                     verify_levels=verify_levels, verify_t_end=verify_t_end,
-                     verify_dt_over_dx2=verify_ratio)
+    return RunConfig(grid=grid, params=params, **v)
 
 
 # --- initial conditions ----------------------------------------------------

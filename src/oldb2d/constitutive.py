@@ -1,9 +1,8 @@
 """Constitutive and thermodynamic scalar functions.
 
 Pressure law p = a rho^gamma, the convex potentials behind the relative
-entropies, their Bregman distances and certified pointwise lower bounds,
-and the Newtonian stress tensor. Everything here is pointwise and accepts
-numpy arrays as well as floats.
+entropies, their Bregman distances and certified pointwise lower bounds.
+Everything here is pointwise and accepts numpy arrays as well as floats.
 """
 
 from __future__ import annotations
@@ -269,19 +268,3 @@ def lower_bound_G(eta, eta_t, prm: ModelParams, corrected: bool = True):
     out = quad + prm.kL * np.where(eta <= 2.0 * eta_t, inner, outer)
     return float(out) if out.ndim == 0 else out
 
-
-# --- Newtonian stress ------------------------------------------------------
-
-
-def newtonian_stress(grad_u, prm: ModelParams):
-    """S(grad u) = mu_s (sym(grad u) - (div u / d) I) + mu_b (div u) I.
-
-    ``grad_u`` is (gxx, gxy, gyx, gyy), scalars or arrays; returns the
-    symmetric planes (s11, s12, s22).
-    """
-    gxx, gxy, gyx, gyy = (np.asarray(g, dtype=np.float64) for g in grad_u)
-    div = gxx + gyy
-    s11 = prm.mu_s * (gxx - div / 2) + prm.mu_b * div
-    s12 = prm.mu_s * 0.5 * (gxy + gyx)
-    s22 = prm.mu_s * (gyy - div / 2) + prm.mu_b * div
-    return s11, s12, s22

@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import ModelParams
-from .fields import (advective_div_array, face_velocities, grad_array,
-                     integrate_array, upper_convected_source)
+from .constitutive import ModelParams, potential_H
+from .fields import (advective_div_array, face_velocities, frob_ip,
+                     integrate_array, stress_grad_sq, upper_convected_source,
+                     velocity_gradient)
 from .state import State, Trajectory
 
 
@@ -34,8 +35,7 @@ def total_energy(state: State, prm: ModelParams) -> EnergyBreakdown:
     with np.errstate(divide="ignore", invalid="ignore"):
         u2 = (state.mx ** 2 + state.my ** 2) / np.maximum(rho, 1e-300)
     kinetic = integrate_array(0.5 * u2, grid)
-    pressure_pot = integrate_array(
-        prm.a / (prm.gamma - 1.0) * np.power(np.maximum(rho, 0.0), prm.gamma), grid)
+    pressure_pot = integrate_array(potential_H(np.maximum(rho, 0.0), prm), grid)
     eta = np.maximum(state.eta, 0.0)
     # eta log eta with the 0 log 0 = 0 convention
     xlx = np.where(eta > 0, eta * np.log(np.where(eta > 0, eta, 1.0)), 0.0)
@@ -77,9 +77,7 @@ def trace_identity_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
     for j, s in enumerate(traj.states):
         tr = s.t11 + s.t22
         half_tr[j] = integrate_array(0.5 * tr, grid)
-        ux, uy = s.velocity()
-        gxx, gxy = grad_array(ux, grid, "odd")
-        gyx, gyy = grad_array(uy, grid, "odd")
+        gxx, gxy, gyx, gyy = velocity_gradient(*s.velocity(), grid)
         t_gradu = s.t11 * gxx + s.t12 * (gxy + gyx) + s.t22 * gyy
         rhs[j] = (integrate_array(prm.k / (2.0 * prm.lam) * s.eta + t_gradu, grid)
                   - integrate_array(tr, grid) / (4.0 * prm.lam))
@@ -95,14 +93,8 @@ def stress_l2_balance_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray
     rhs = np.empty(n)
     for j, s in enumerate(traj.states):
         t11, t12, t22 = s.t11, s.t12, s.t22
-        frob = t11 ** 2 + 2.0 * t12 ** 2 + t22 ** 2
+        frob = frob_ip(t11, t12, t22, t11, t12, t22)
         half_t2[j] = integrate_array(0.5 * frob, grid)
-
-        g11x, g11y = grad_array(t11, grid, "even")
-        g12x, g12y = grad_array(t12, grid, "even")
-        g22x, g22y = grad_array(t22, grid, "even")
-        grad_t_sq = (g11x ** 2 + g11y ** 2 + 2.0 * (g12x ** 2 + g12y ** 2)
-                     + g22x ** 2 + g22y ** 2)
 
         ux, uy = s.velocity()
         uf, vf = face_velocities(ux, uy, grid)
@@ -111,14 +103,12 @@ def stress_l2_balance_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray
             adv += w * integrate_array(
                 advective_div_array(a, uf, vf, grid, "even") * a, grid)
 
-        gxx, gxy = grad_array(ux, grid, "odd")
-        gyx, gyy = grad_array(uy, grid, "odd")
-        uc11, uc12, uc22 = upper_convected_source(gxx, gxy, gyx, gyy, t11, t12, t22)
-        # (grad u T + T grad u^T) : T on the stored planes
-        deform = integrate_array(uc11 * t11 + 2.0 * uc12 * t12 + uc22 * t22, grid)
+        uc = upper_convected_source(*velocity_gradient(ux, uy, grid), t11, t12, t22)
+        deform = integrate_array(frob_ip(*uc, t11, t12, t22), grid)
 
         src = prm.k / (2.0 * prm.lam) * integrate_array(s.eta * (t11 + t22), grid)
-        rhs[j] = (-adv + deform + src - prm.eps * integrate_array(grad_t_sq, grid)
+        rhs[j] = (-adv + deform + src
+                  - prm.eps * integrate_array(stress_grad_sq(t11, t12, t22, grid), grid)
                   - integrate_array(frob, grid) / (2.0 * prm.lam))
     return _ddt(half_t2, np.asarray(traj.times)) - rhs
 

@@ -9,15 +9,15 @@ velocity and zero-flux scalars).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .constitutive import ModelParams, polymer_pressure_q, pressure
-from .fields import (advective_div_array, face_velocities, grad_array,
-                     integrate_array, laplacian_array, pad1,
+from .fields import (advective_div_array, dissipation_density,
+                     face_velocities, integrate_array, laplacian_array, pad1,
                      upper_convected_source)
 from .grid import extend
 from .state import Accumulators, NumericalError, State, Trajectory
@@ -44,17 +44,16 @@ MAX_STEPS = 10_000_000
 class SolverOptions:
     cfl: float = 0.4
     dt: float | None = None            # fixed step; None = CFL-adaptive
-    rho_floor: float | None = None     # absolute; default 1e-10 * mean(rho0)
-    eta_clip_tol: float | None = None  # absolute; default 1e-12 * max|eta0|
     sup_rho_threshold: float = np.inf
     snapshot_stride: int = 10
+    # absolute floors, set by resolved() from the initial state
+    rho_floor: float | None = field(default=None, init=False)
+    eta_clip_tol: float | None = field(default=None, init=False)
 
     def resolved(self, init: State) -> "SolverOptions":
-        out = SolverOptions(**self.__dict__)
-        if out.rho_floor is None:
-            out.rho_floor = 1e-10 * float(np.mean(init.rho))
-        if out.eta_clip_tol is None:
-            out.eta_clip_tol = 1e-12 * float(np.max(np.abs(init.eta)))
+        out = replace(self)
+        out.rho_floor = 1e-10 * float(np.mean(init.rho))
+        out.eta_clip_tol = 1e-12 * float(np.max(np.abs(init.eta)))
         return out
 
 
@@ -201,17 +200,10 @@ def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
     """Instantaneous integrands of the energy-balance accumulators."""
     grid = state.grid
     ux, uy = state.velocity(opts.rho_floor or 0.0)
-    gxx, gxy = grad_array(ux, grid, "odd")
-    gyx, gyy = grad_array(uy, grid, "odd")
-    grad_u_sq = gxx ** 2 + gxy ** 2 + gyx ** 2 + gyy ** 2
-    div_sq = (gxx + gyy) ** 2
-    visc = integrate_array(prm.mu * grad_u_sq + prm.nu * div_sq, grid)
-
     eta = np.maximum(state.eta, 0.0)
-    sqx, sqy = grad_array(np.sqrt(eta), grid, "even")
-    ex, ey = grad_array(eta, grid, "even")
-    poly = 2.0 * prm.eps * integrate_array(
-        2.0 * prm.kL * (sqx ** 2 + sqy ** 2) + prm.zfrak * (ex ** 2 + ey ** 2), grid)
+    visc, bracket = dissipation_density(ux, uy, np.sqrt(eta), eta, grid, prm)
+    visc = integrate_array(visc, grid)
+    poly = 2.0 * prm.eps * integrate_array(bracket, grid)
 
     relax = integrate_array(state.t11 + state.t22, grid) / (4.0 * prm.lam)
     src_eta = prm.k * 2 / (4.0 * prm.lam) * integrate_array(eta, grid)

@@ -18,19 +18,16 @@ from .constitutive import (ModelParams, bregman_G, bregman_H,
                            polymer_pressure_q_prime, potential_H_prime,
                            pressure, pressure_prime)
 from .diagnostics import _ddt
-from .fields import (advective_div_array, face_velocities, grad_array,
-                     integrate_array, laplacian_array, upper_convected_source)
+from .fields import (advective_div_array, dissipation_density,
+                     face_velocities, frob_ip, grad_array, integrate_array,
+                     laplacian_array, stress_grad_sq, upper_convected_source,
+                     velocity_gradient)
 from .grid import Grid, require_same_grid
 from .state import State, Trajectory
 
 
 class ReferenceError(ValueError):
     pass
-
-
-def _frob_ip(a11, a12, a22, b11, b12, b22):
-    """Frobenius inner product of symmetric tensors stored as 3 planes."""
-    return a11 * b11 + 2.0 * a12 * b12 + a22 * b22
 
 
 def _require_shared_times(traj: Trajectory, ref: RefTrajectory) -> None:
@@ -70,7 +67,7 @@ def stress_distance_ET(state: State, ref: State) -> float:
     """int 1/2 |T - T~|^2 (Frobenius)."""
     require_same_grid(state, ref)
     d11, d12, d22 = state.t11 - ref.t11, state.t12 - ref.t12, state.t22 - ref.t22
-    return integrate_array(0.5 * _frob_ip(d11, d12, d22, d11, d12, d22), state.grid)
+    return integrate_array(0.5 * frob_ip(d11, d12, d22, d11, d12, d22), state.grid)
 
 
 def combined_E(state: State, ref: State, prm: ModelParams) -> float:
@@ -154,6 +151,19 @@ class RefTrajectory:
         return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
 
 
+def _remainder_inputs(state: State, ref: State) -> tuple:
+    """What both remainder forms share, after checking the pair: u and u~,
+    their velocity gradients, then sqrt(eta) and sqrt(eta~) each with its
+    gradient."""
+    require_same_grid(state, ref)
+    _check_positive_ref(ref)
+    grid = state.grid
+    u, tu = state.velocity(), ref.velocity()
+    sq, tsq = np.sqrt(np.maximum(state.eta, 0.0)), np.sqrt(ref.eta)
+    return (u, tu, velocity_gradient(*u, grid), velocity_gradient(*tu, grid),
+            (sq, *grad_array(sq, grid, "even")), (tsq, *grad_array(tsq, grid, "even")))
+
+
 # --- remainder, definitional form (five terms) -----------------------------
 
 
@@ -165,19 +175,12 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
 
     Returns {"R1", ..., "R5", "total"}.
     """
-    require_same_grid(state, ref)
-    _check_positive_ref(ref)
+    (ux, uy), (tux, tuy), (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy), \
+        (sq_eta, gsx, gsy), (sq_teta, gtsx, gtsy) = _remainder_inputs(state, ref)
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
-    ux, uy = state.velocity()
-    tux, tuy = ref.velocity()
     dux, duy = tux - ux, tuy - uy  # u~ - u
-
-    gtxx, gtxy = grad_array(tux, grid, "odd")
-    gtyx, gtyy = grad_array(tuy, grid, "odd")
-    gxx, gxy = grad_array(ux, grid, "odd")
-    gyx, gyy = grad_array(uy, grid, "odd")
     div_tu = gtxx + gtyy
     div_du = (gtxx - gxx) + (gtyy - gyy)
 
@@ -207,10 +210,6 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
                   - polymer_pressure_q(np.maximum(eta, 0.0), prm)), grid)
 
     # R3/R4: cross terms of the eta dissipation
-    sq_eta = np.sqrt(np.maximum(eta, 0.0))
-    sq_teta = np.sqrt(teta)
-    gsx, gsy = grad_array(sq_eta, grid, "even")
-    gtsx, gtsy = grad_array(sq_teta, grid, "even")
     cross = (gtsx * (gsx - gtsx) + gtsy * (gsy - gtsy)
              + (gsx * gtsx + gsy * gtsy) * (1.0 - sq_eta / sq_teta))
     r3 = -4.0 * prm.eps * prm.kL * integrate_array(cross, grid)
@@ -221,9 +220,9 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
 
     # R5: elastic stress against the velocity-difference gradient
     # T : grad(w) equals T : sym(grad w) for symmetric T
-    r5 = integrate_array(_frob_ip(state.t11, state.t12, state.t22,
-                                  gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)),
-                                  gtyy - gyy), grid)
+    r5 = integrate_array(frob_ip(state.t11, state.t12, state.t22,
+                                 gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)),
+                                 gtyy - gyy), grid)
     out = {"R1": r1, "R2": r2, "R3": r3, "R4": r4, "R5": r5}
     out["total"] = r1 + r2 + r3 + r4 + r5
     return out
@@ -239,19 +238,12 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
     Terms: convective, viscous_density, pressure_bregman, polymer_bregman,
     polymer_pressure_grad, stress_div, eta_sqrt_cross, stress_deformation.
     """
-    require_same_grid(state, ref)
-    _check_positive_ref(ref)
+    (ux, uy), (tux, tuy), (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy), \
+        (sq_eta, gsx, gsy), (sq_teta, gtsx, gtsy) = _remainder_inputs(state, ref)
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
-    ux, uy = state.velocity()
-    tux, tuy = ref.velocity()
     dux, duy = tux - ux, tuy - uy  # u~ - u
-
-    gtxx, gtxy = grad_array(tux, grid, "odd")
-    gtyx, gtyy = grad_array(tuy, grid, "odd")
-    gxx, gxy = grad_array(ux, grid, "odd")
-    gyx, gyy = grad_array(uy, grid, "odd")
     div_tu = gtxx + gtyy
 
     # 1) rho (u - u~) . grad(u~) . (u~ - u)
@@ -293,10 +285,6 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
 
     # 7) eps kL [ 4 (1/sqrt(eta~)) (sqrt(eta~)-sqrt(eta)) grad sqrt(eta~) .
     #    grad(sqrt(eta~)-sqrt(eta)) - (Lap eta~ / eta~)(sqrt(eta)-sqrt(eta~))^2 ]
-    sq_eta = np.sqrt(np.maximum(eta, 0.0))
-    sq_teta = np.sqrt(teta)
-    gsx, gsy = grad_array(sq_eta, grid, "even")
-    gtsx, gtsy = grad_array(sq_teta, grid, "even")
     lap_teta = laplacian_array(teta, grid, "even")
     diff_s = sq_teta - sq_eta
     t7 = prm.eps * prm.kL * integrate_array(
@@ -304,10 +292,10 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
         - lap_teta / teta * diff_s ** 2, grid)
 
     # 8) (T - T~) : grad(u~ - u)
-    t8 = integrate_array(_frob_ip(state.t11 - ref.t11, state.t12 - ref.t12,
-                                  state.t22 - ref.t22,
-                                  gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)),
-                                  gtyy - gyy), grid)
+    t8 = integrate_array(frob_ip(state.t11 - ref.t11, state.t12 - ref.t12,
+                                 state.t22 - ref.t22,
+                                 gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)),
+                                 gtyy - gyy), grid)
 
     out = {"convective": t1, "viscous_density": t2, "pressure_bregman": t3,
            "polymer_bregman": t4, "polymer_pressure_grad": t5,
@@ -323,19 +311,12 @@ def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
     """Instantaneous integrand of the relative dissipation:
     mu |grad(u-u~)|^2 + nu |div(u-u~)|^2
     + 2 eps (2 kL |grad(sqrt eta - sqrt eta~)|^2 + z |grad(eta-eta~)|^2)."""
-    grid = state.grid
     ux, uy = state.velocity()
     tux, tuy = ref.velocity()
-    gxx, gxy = grad_array(ux - tux, grid, "odd")
-    gyx, gyy = grad_array(uy - tuy, grid, "odd")
-    visc = prm.mu * (gxx ** 2 + gxy ** 2 + gyx ** 2 + gyy ** 2) \
-        + prm.nu * (gxx + gyy) ** 2
-    dsx, dsy = grad_array(np.sqrt(np.maximum(state.eta, 0.0)) - np.sqrt(ref.eta),
-                          grid, "even")
-    dex, dey = grad_array(state.eta - ref.eta, grid, "even")
-    poly = 2.0 * prm.eps * (2.0 * prm.kL * (dsx ** 2 + dsy ** 2)
-                            + prm.zfrak * (dex ** 2 + dey ** 2))
-    return integrate_array(visc + poly, grid)
+    visc, bracket = dissipation_density(
+        ux - tux, uy - tuy, np.sqrt(np.maximum(state.eta, 0.0)) - np.sqrt(ref.eta),
+        state.eta - ref.eta, state.grid, prm)
+    return integrate_array(visc + 2.0 * prm.eps * bracket, state.grid)
 
 
 def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
@@ -384,15 +365,10 @@ def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
     for j in range(n):
         s, r = traj.states[j], ref.state(j)
         d11, d12, d22 = s.t11 - r.t11, s.t12 - r.t12, s.t22 - r.t22
-        half_d2[j] = integrate_array(0.5 * _frob_ip(d11, d12, d22, d11, d12, d22), grid)
-
-        g11x, g11y = grad_array(d11, grid, "even")
-        g12x, g12y = grad_array(d12, grid, "even")
-        g22x, g22y = grad_array(d22, grid, "even")
-        grad_d_sq = g11x**2 + g11y**2 + 2.0 * (g12x**2 + g12y**2) + g22x**2 + g22y**2
-        decay = (prm.eps * integrate_array(grad_d_sq, grid)
-                 + integrate_array(_frob_ip(d11, d12, d22, d11, d12, d22), grid)
-                 / (2.0 * prm.lam))
+        d2 = frob_ip(d11, d12, d22, d11, d12, d22)
+        half_d2[j] = integrate_array(0.5 * d2, grid)
+        decay = (prm.eps * integrate_array(stress_grad_sq(d11, d12, d22, grid), grid)
+                 + integrate_array(d2, grid) / (2.0 * prm.lam))
 
         ux, uy = s.velocity()
         tux, tuy = r.velocity()
@@ -404,14 +380,12 @@ def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
                   - advective_div_array(b, tf, sf, grid, "even"))
             adv += w * integrate_array(da * (a - b), grid)
 
-        gxx, gxy = grad_array(ux, grid, "odd")
-        gyx, gyy = grad_array(uy, grid, "odd")
-        hxx, hxy = grad_array(tux, grid, "odd")
-        hyx, hyy = grad_array(tuy, grid, "odd")
-        w11, w12, w22 = upper_convected_source(gxx, gxy, gyx, gyy, s.t11, s.t12, s.t22)
-        v11, v12, v22 = upper_convected_source(hxx, hxy, hyx, hyy, r.t11, r.t12, r.t22)
+        w11, w12, w22 = upper_convected_source(*velocity_gradient(ux, uy, grid),
+                                               s.t11, s.t12, s.t22)
+        v11, v12, v22 = upper_convected_source(*velocity_gradient(tux, tuy, grid),
+                                               r.t11, r.t12, r.t22)
         deform = integrate_array(
-            _frob_ip(w11 - v11, w12 - v12, w22 - v22, d11, d12, d22), grid)
+            frob_ip(w11 - v11, w12 - v12, w22 - v22, d11, d12, d22), grid)
 
         relaxsrc = (prm.k / (2.0 * prm.lam)) * integrate_array(
             (s.eta - r.eta) * (d11 + d22), grid)

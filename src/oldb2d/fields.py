@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels, parallel
+from .constitutive import ModelParams
 from .grid import Grid, _extend_axis, extend, extension_mode
 
 
@@ -26,6 +27,28 @@ def pad1_xy(a: np.ndarray, grid: Grid, kind_x: str, kind_y: str) -> np.ndarray:
 def grad_array(a: np.ndarray, grid: Grid, kind: str) -> tuple[np.ndarray, np.ndarray]:
     p = pad1(a, grid, kind)
     return kernels.ddx(p, grid.dx), kernels.ddy(p, grid.dy)
+
+
+def velocity_gradient(ux: np.ndarray, uy: np.ndarray,
+                      grid: Grid) -> tuple[np.ndarray, ...]:
+    """(gxx, gxy, gyx, gyy) with g_ij = d u_i / d x_j, under the no-slip
+    (odd) ghost rule."""
+    return (*grad_array(ux, grid, "odd"), *grad_array(uy, grid, "odd"))
+
+
+def dissipation_density(ux: np.ndarray, uy: np.ndarray, sq_eta: np.ndarray,
+                        eta: np.ndarray, grid: Grid,
+                        prm: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Viscous density mu |grad u|^2 + nu (div u)^2 and polymer bracket
+    2 kL |grad sqrt(eta)|^2 + z |grad eta|^2; the polymer dissipation is
+    2 eps times the bracket. The relative dissipation passes differences
+    for u, sqrt(eta) and eta."""
+    gxx, gxy, gyx, gyy = velocity_gradient(ux, uy, grid)
+    visc = (prm.mu * (gxx ** 2 + gxy ** 2 + gyx ** 2 + gyy ** 2)
+            + prm.nu * (gxx + gyy) ** 2)
+    sx, sy = grad_array(sq_eta, grid, "even")
+    ex, ey = grad_array(eta, grid, "even")
+    return visc, 2.0 * prm.kL * (sx ** 2 + sy ** 2) + prm.zfrak * (ex ** 2 + ey ** 2)
 
 
 def laplacian_array(a: np.ndarray, grid: Grid, kind: str) -> np.ndarray:
@@ -67,6 +90,21 @@ def upper_convected_source(gxx, gxy, gyx, gyy, t11, t12, t22):
     a21 = gyx * t11 + gyy * t12
     a22 = gyx * t12 + gyy * t22
     return 2 * a11, a12 + a21, 2 * a22
+
+
+def frob_ip(a11, a12, a22, b11, b12, b22):
+    """Frobenius inner product of symmetric tensors stored as 3 planes."""
+    return a11 * b11 + 2.0 * a12 * b12 + a22 * b22
+
+
+def stress_grad_sq(d11: np.ndarray, d12: np.ndarray, d22: np.ndarray,
+                   grid: Grid) -> np.ndarray:
+    """|grad D|^2 of a symmetric tensor stored as 3 planes, under the
+    zero-flux (even) ghost rule."""
+    g11x, g11y = grad_array(d11, grid, "even")
+    g12x, g12y = grad_array(d12, grid, "even")
+    g22x, g22y = grad_array(d22, grid, "even")
+    return g11x ** 2 + g11y ** 2 + 2.0 * (g12x ** 2 + g12y ** 2) + g22x ** 2 + g22y ** 2
 
 
 def integrate_array(a: np.ndarray, grid: Grid) -> float:

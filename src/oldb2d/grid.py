@@ -81,15 +81,15 @@ def require_same_grid(a, b):
 #   even     : mirror across the boundary face (discrete homogeneous Neumann)
 #   odd      : anti-mirror (zero value at the face; no-slip velocity)
 #   extrap   : quadratic extrapolation through the first three interior
-#              cells; makes a central difference at the boundary cell equal
-#              to the one-sided second-order formula
+#              cells, one ghost cell wide; makes a central difference at the
+#              boundary cell equal to the one-sided second-order formula
 
 
 def _extend_axis(a: np.ndarray, axis: int, mode: str, width: int = NG) -> np.ndarray:
     if not 1 <= width <= a.shape[axis]:
         raise GridError(f"ghost width {width} outside 1..{a.shape[axis]}")
-    if mode == "extrap" and width > 2:
-        raise GridError("extrap ghost width must be 1 or 2")
+    if mode == "extrap" and width > 1:
+        raise GridError("extrap ghost width must be 1")
     shape = list(a.shape)
     shape[axis] += 2 * width
     out = np.empty(shape, dtype=a.dtype)
@@ -106,12 +106,9 @@ def _extend_axis(a: np.ndarray, axis: int, mode: str, width: int = NG) -> np.nda
         np.negative(a[width - 1 :: -1], out=o[:width])
         np.negative(a[: -width - 1 : -1], out=o[-width:])
     elif mode == "extrap":
-        # p quadratic through cells 0,1,2 evaluated at -1 and -2
-        o[width - 1] = 3.0 * a[0] - 3.0 * a[1] + a[2]
-        o[-width] = 3.0 * a[-1] - 3.0 * a[-2] + a[-3]
-        if width == 2:
-            o[0] = 6.0 * a[0] - 8.0 * a[1] + 3.0 * a[2]
-            o[-1] = 6.0 * a[-1] - 8.0 * a[-2] + 3.0 * a[-3]
+        # p quadratic through cells 0,1,2 evaluated at -1
+        o[0] = 3.0 * a[0] - 3.0 * a[1] + a[2]
+        o[-1] = 3.0 * a[-1] - 3.0 * a[-2] + a[-3]
     else:
         raise GridError(f"unknown extension mode {mode!r}")
     return out

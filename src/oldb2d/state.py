@@ -112,9 +112,5 @@ class Trajectory:
         return len(self.states)
 
     @property
-    def initial(self) -> State:
-        return self.states[0]
-
-    @property
     def final(self) -> State:
         return self.states[-1]

@@ -47,13 +47,9 @@ def extend_axis(a, axis, mode, width=2):
         lo, hi = a[width - 1 :: -1], a[: -width - 1 : -1]
     elif mode == "odd":
         lo, hi = -a[width - 1 :: -1], -a[: -width - 1 : -1]
-    elif mode == "extrap":
-        g1_lo = 3.0 * a[0] - 3.0 * a[1] + a[2]
-        g2_lo = 6.0 * a[0] - 8.0 * a[1] + 3.0 * a[2]
-        g1_hi = 3.0 * a[-1] - 3.0 * a[-2] + a[-3]
-        g2_hi = 6.0 * a[-1] - 8.0 * a[-2] + 3.0 * a[-3]
-        lo = np.stack([g2_lo, g1_lo][2 - width :])
-        hi = np.stack([g1_hi, g2_hi][:width])
+    elif mode == "extrap" and width == 1:
+        lo = (3.0 * a[0] - 3.0 * a[1] + a[2])[None]
+        hi = (3.0 * a[-1] - 3.0 * a[-2] + a[-3])[None]
     else:
         raise ValueError(mode)
     out = np.concatenate([lo, a, hi], axis=0)

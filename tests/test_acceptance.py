@@ -67,7 +67,7 @@ def test_criterion_03_equilibrium_fixed_point(prm):
     s = State.uniform(g, 1.3, 0.7, k=prm.k)
     dt = 5e-4
     traj = run_simulation(s, prm, 100 * dt, SolverOptions(dt=dt, snapshot_stride=20))
-    for a, b in zip(traj.final.arrays(), traj.initial.arrays()):
+    for a, b in zip(traj.final.arrays(), traj.states[0].arrays()):
         scale = max(np.max(np.abs(b)), 1.0)
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
     assert np.max(np.abs(diagnostics.energy_inequality_residual(traj, prm))) <= 1e-12

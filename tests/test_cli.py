@@ -168,6 +168,15 @@ def test_compare_candidate_time_differs_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end", ["0", "1e-14"])
+def test_compare_t_end_below_one_step_exit_2(tmp_path, capsys, t_end):
+    cfg = _write(tmp_path, "c.ini", BASE.replace("t_end = 0.01", f"t_end = {t_end}"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", cfg, cfg]) == EXIT_CONFIG
+    assert "t_end in [time]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_grid_mismatch_exit_2(tmp_path, capsys):
     a = _write(tmp_path, "a.ini", BASE)
     b = _write(tmp_path, "b.ini", BASE.replace("nx = 16", "nx = 32"))
@@ -245,9 +254,11 @@ def test_threads_below_one_exit_2(capsys, n):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_strict_flag_propagates(tmp_path):
-    cfg = _write(tmp_path, "s.ini", BASE + "[time]\nbogus = 1\n")
-    assert main(["--strict", "run", cfg]) == EXIT_CONFIG
+def test_unknown_key_exit_2_names_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.ini", BASE + "t_ned = 5\n")
+    assert main(["--out", str(tmp_path / "out"), "run", cfg]) == EXIT_CONFIG
+    assert "config error: unknown key 't_ned' in [time]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _module_cli(*args, cwd):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oldb2d.config import (_KNOWN_KEYS, ConfigError, RunConfig, build_initial,
-                           parse_config, perturb_state, smooth_noise)
+from oldb2d.config import (SCHEMA, ConfigError, RunConfig, build_initial,
+                           parse_config, perturb_state, section_values,
+                           smooth_noise)
 from oldb2d.snapshot_io import (BASE_COLUMNS, COMPARE_COLUMNS, MAGIC,
                                 SnapshotFormatError, read_snapshot,
                                 write_snapshot, write_timeseries)
@@ -72,12 +73,72 @@ x = 1
     assert len(errs) >= 6
 
 
-def test_strict_flag_controls_unknown_keys():
-    text = MINIMAL + "[time]\nbogus = 1\n"
-    with pytest.raises(ConfigError):
-        parse_config(text, strict=True)
-    cfg = parse_config(text, strict=False)
-    assert cfg.t_end == 0.1
+def test_unknown_keys_are_rejected():
+    with pytest.raises(ConfigError) as ei:
+        parse_config(MINIMAL + "[time]\nt_ned = 5\n")
+    assert ei.value.errors == ["unknown key 't_ned' in [time]"]
+
+
+#: every SCHEMA key with a valid non-default value, the field it must land
+#: in and the value read back there; values differ between keys, so a
+#: table row pointing at another key's field fails
+NON_DEFAULT = [
+    ("grid", "nx", "24", "grid.nx", 24),
+    ("grid", "ny", "20", "grid.ny", 20),
+    ("grid", "lx", "2.0", "grid.lx", 2.0),
+    ("grid", "ly", "1.5", "grid.ly", 1.5),
+    ("grid", "boundary_mode", "physical", "grid.boundary_mode", "physical"),
+    ("params", "a", "2.5", "params.a", 2.5),
+    ("params", "gamma", "1.4", "params.gamma", 1.4),
+    ("params", "mu_s", "0.3", "params.mu_s", 0.3),
+    ("params", "mu_b", "0.1", "params.mu_b", 0.1),
+    ("params", "eps", "0.05", "params.eps", 0.05),
+    ("params", "k", "3.0", "params.k", 3.0),
+    ("params", "lam", "0.7", "params.lam", 0.7),
+    ("params", "zfrak", "0.25", "params.zfrak", 0.25),
+    ("params", "l", "2.0", "params.L", 2.0),
+    ("initial", "preset", "gaussian-bump", "preset", "gaussian-bump"),
+    ("initial", "rho0", "1.7", "rho0", 1.7),
+    ("initial", "eta0", "0.6", "eta0", 0.6),
+    ("initial", "delta0", "0.2", "delta0", 0.2),
+    ("initial", "seed", "7", "seed", 7),
+    ("time", "t_end", "0.15", "t_end", 0.15),
+    ("time", "cfl", "0.35", "cfl", 0.35),
+    ("time", "dt", "1e-3", "dt", 1e-3),
+    ("time", "snapshot_stride", "3", "snapshot_stride", 3),
+    ("diagnostics", "sup_rho_threshold", "50.0", "sup_rho_threshold", 50.0),
+    ("diagnostics", "alpha", "2.5", "alpha", 2.5),
+    ("output", "directory", "elsewhere", "out_dir", "elsewhere"),
+    ("output", "formats", "csv", "formats", ("csv",)),
+    ("forcing", "preset", "compress", "force_preset", "compress"),
+    ("forcing", "amplitude", "0.45", "force_amplitude", 0.45),
+    ("lemma", "corrected", "false", "lemma_corrected", False),
+    ("lemma", "samples", "4096", "lemma_samples", 4096),
+    ("lemma", "seed", "11", "lemma_seed", 11),
+    ("verify", "levels", "8,16,32,64", "verify_levels", (8, 16, 32, 64)),
+    ("verify", "t_end", "0.02", "verify_t_end", 0.02),
+    ("verify", "dt_over_dx2", "0.25", "verify_dt_over_dx2", 0.25),
+]
+
+
+def _field(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def test_every_schema_key_reads_back_in_its_own_field():
+    assert sorted((sec, key) for sec, key, *_ in NON_DEFAULT) == \
+        sorted((sec, key) for sec, keys in SCHEMA.items() for key in keys)
+    sections = {}
+    for sec, key, raw, _, _ in NON_DEFAULT:
+        sections.setdefault(sec, []).append(f"{key} = {raw}")
+    cfg = parse_config("".join(f"[{sec}]\n" + "\n".join(lines) + "\n"
+                               for sec, lines in sections.items()))
+    defaults = parse_config(MINIMAL)
+    for sec, key, _, path, want in NON_DEFAULT:
+        assert _field(cfg, path) == want != _field(defaults, path), (sec, key)
+        assert section_values(cfg, sec)[key] == want, (sec, key)
 
 
 def test_invalid_values_are_named():
@@ -118,6 +179,8 @@ def test_invalid_values_are_named():
     ("verify", "levels = 16,32,48", "levels"),
     ("verify", "levels = 4,8,16", "levels"),
     ("verify", "dt_over_dx2 = 0", "dt_over_dx2"),
+    ("verify", "t_end = 0", "t_end in [verify]"),
+    ("verify", "t_end = -0.05", "t_end in [verify]"),
     ("diagnostics", "sup_rho_threshold = inf", None),
     ("verify", "levels = 8,16,32,64", None),
     ("output", "directory = out_50%", None),
@@ -143,8 +206,8 @@ _VALUES = st.one_of(
 @st.composite
 def _ini_text(draw):
     lines = []
-    for sec in sorted(draw(st.sets(st.sampled_from(sorted(_KNOWN_KEYS) + ["extra"])))):
-        keys = sorted(_KNOWN_KEYS.get(sec, ())) + ["bogus"]
+    for sec in sorted(draw(st.sets(st.sampled_from(sorted(SCHEMA) + ["extra"])))):
+        keys = sorted(SCHEMA.get(sec, ())) + ["bogus"]
         entries = draw(st.dictionaries(st.sampled_from(keys), _VALUES, max_size=4))
         lines.append(f"[{sec}]")
         lines += [f"{key} = {val}" for key, val in entries.items()]
@@ -162,10 +225,10 @@ def _float_fields(cfg: RunConfig) -> dict:
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=st.one_of(_ini_text(), st.text()), strict=st.booleans())
-def test_any_text_gives_config_error_or_finite_config(text, strict):
+@given(text=st.one_of(_ini_text(), st.text()))
+def test_any_text_gives_config_error_or_finite_config(text):
     try:
-        cfg = parse_config(text, strict=strict)
+        cfg = parse_config(text)
     except ConfigError:
         return
     for name, v in _float_fields(cfg).items():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oldb2d.constitutive import (DomainError, HBoundConstants, ModelParams,
                                  ParameterError, bregman_G, bregman_H,
                                  calibrate_H_constants, lower_bound_G,
-                                 lower_bound_H, newtonian_stress,
+                                 lower_bound_H,
                                  polymer_potential_G, polymer_potential_G_prime,
                                  polymer_pressure_q, potential_H,
                                  potential_H_prime, pressure,
@@ -115,13 +115,3 @@ def test_G_bound_corrected_on_random_samples():
     eta_t = 10.0 ** rng.uniform(-6, 6, 20_000)
     slack = bregman_G(eta, eta_t, prm) - lower_bound_G(eta, eta_t, prm)
     assert np.min(slack) >= -1e-12 * np.max(np.abs(slack))
-
-
-def test_newtonian_stress_traceless_shear_part():
-    prm = ModelParams(mu_s=0.4, mu_b=0.25)
-    g = (0.3, 0.1, -0.2, 0.5)
-    s11, s12, s22 = newtonian_stress(g, prm)
-    div = g[0] + g[3]
-    # deviatoric part is traceless; bulk part carries mu_b div
-    assert s11 + s22 == pytest.approx(2 * prm.mu_b * div)
-    assert s12 == pytest.approx(prm.mu_s * 0.5 * (g[1] + g[2]))

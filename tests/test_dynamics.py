@@ -19,7 +19,7 @@ def test_uniform_equilibrium_is_fixed_point(mode, prm):
     g = periodic_grid(16) if mode == "periodic" else physical_grid(16)
     s = State.uniform(g, 1.2, 0.8, k=prm.k)
     traj = run_simulation(s, prm, 0.05, SolverOptions(dt=1e-3))
-    for a, b in zip(traj.final.arrays(), traj.initial.arrays()):
+    for a, b in zip(traj.final.arrays(), traj.states[0].arrays()):
         assert np.array_equal(a, b)
 
 
@@ -76,7 +76,9 @@ def test_cfl_dt_positive_and_scales(prm):
 
 def test_eta_clipping_and_undershoot_error(prm):
     g = periodic_grid(8)
-    opts = SolverOptions(rho_floor=1e-12, eta_clip_tol=1e-6)
+    # derived tolerance 1e-12 * max|eta0| = 1e-6
+    opts = SolverOptions().resolved(State.uniform(g, 1.0, 1e6, k=prm.k))
+    assert opts.eta_clip_tol == pytest.approx(1e-6)
     rho = np.ones(g.shape)
     eta = np.ones(g.shape)
     eta[0, 0] = -1e-8  # inside tolerance: clipped, mass recorded

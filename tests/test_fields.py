@@ -143,9 +143,10 @@ def test_laplacian_even_mode_zero_for_constant():
     assert np.all(lap == 0.0)
 
 
-@pytest.mark.parametrize("mode", ["periodic", "even", "odd", "extrap"])
-@pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("width,axis,mode", [
+    (width, axis, mode) for width in (1, 2) for axis in (0, 1)
+    for mode in ("periodic", "even", "odd", "extrap")
+    if not (mode == "extrap" and width == 2)])
 def test_extend_axis_bitwise_equal_to_reference(mode, axis, width):
     rng = np.random.default_rng(7)
     for a in (ref.special_values(rng, (23, 21)), rng.standard_normal((23, 21))):
@@ -158,7 +159,7 @@ def test_extend_axis_bitwise_equal_to_reference(mode, axis, width):
 
 
 @pytest.mark.parametrize("mode,width", [("periodic", 0), ("periodic", 12),
-                                        ("extrap", 3)])
+                                        ("extrap", 2), ("extrap", 3)])
 def test_extend_axis_rejects_bad_width(mode, width):
     with pytest.raises(GridError):
         _extend_axis(np.zeros((11, 9)), 0, mode, width)
