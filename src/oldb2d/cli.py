@@ -142,8 +142,9 @@ def cmd_run(args) -> int:
     try:
         traj = run_simulation(init, cfg.params, cfg.t_end, opts,
                               force_fn=force_fn, source_fn=source_fn)
-    except BlowupAbort as e:
-        _write_outputs(e.trajectory, cfg, _base_rows(e.trajectory, cfg))
+    except (BlowupAbort, NumericalError) as e:
+        if e.trajectory is not None:
+            _write_outputs(e.trajectory, cfg, _base_rows(e.trajectory, cfg))
         raise
     _write_outputs(traj, cfg, _base_rows(traj, cfg))
     return EXIT_OK
@@ -177,6 +178,13 @@ def cmd_compare(args) -> int:
     if dt is None:
         dt = min(cfl_dt(init_ref, prm, cfg_ref.cfl),
                  cfl_dt(init_weak, prm, cfg_ref.cfl))
+    # the reference stores every snapshot_stride steps and at t_end
+    spacing = min(cfg_ref.snapshot_stride * dt, cfg_ref.t_end)
+    if entropy.spacing_exceeds_dx(spacing, cfg_ref.grid):
+        raise ConfigError([
+            f"compare needs reference snapshots at most min(dx, dy) = "
+            f"{min(cfg_ref.grid.dx, cfg_ref.grid.dy):g} apart, but snapshot_stride "
+            f"* dt in [time] spaces them {spacing:g} apart; lower snapshot_stride"])
     opts_ref = _solver_options(cfg_ref, init_ref)
     opts_weak = _solver_options(cfg_weak, init_weak)
     opts_ref.dt = opts_weak.dt = dt

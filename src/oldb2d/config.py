@@ -177,6 +177,9 @@ def parse_config(text: str) -> RunConfig:
         (not (preset in _PRESETS
               or preset.startswith("mms:") and preset[4:] in MMS_NAMES),
          f"unknown initial preset '{preset}'"),
+        # every make_ms solution is periodic
+        (preset.startswith("mms:") and vals["grid"]["boundary_mode"] != "periodic",
+         f"preset '{preset}' needs boundary_mode = periodic in [grid]"),
         # perturb_state scales rho and eta by 1 + delta0 * n with max|n| = 1
         (not 0 <= v["delta0"] < 1, "delta0 must lie in [0, 1)"),
         (v["rho0"] <= 0, "rho0 must be positive"),

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import ModelParams, potential_H
+from .constitutive import ModelParams, _xlogx, potential_H
 from .fields import (advective_div_array, face_velocities, frob_ip,
                      integrate_array, stress_grad_sq, upper_convected_source,
                      velocity_gradient)
@@ -37,9 +37,8 @@ def total_energy(state: State, prm: ModelParams) -> EnergyBreakdown:
     kinetic = integrate_array(0.5 * u2, grid)
     pressure_pot = integrate_array(potential_H(np.maximum(rho, 0.0), prm), grid)
     eta = np.maximum(state.eta, 0.0)
-    # eta log eta with the 0 log 0 = 0 convention
-    xlx = np.where(eta > 0, eta * np.log(np.where(eta > 0, eta, 1.0)), 0.0)
-    polymer_pot = integrate_array(prm.kL * (xlx + 1.0) + prm.zfrak * eta ** 2, grid)
+    polymer_pot = integrate_array(prm.kL * (_xlogx(eta) + 1.0) + prm.zfrak * eta ** 2,
+                                  grid)
     stress_tr = integrate_array(0.5 * (state.t11 + state.t22), grid)
     return EnergyBreakdown(kinetic, pressure_pot, polymer_pot, stress_tr)
 
@@ -84,33 +83,57 @@ def trace_identity_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
     return _ddt(half_tr, np.asarray(traj.times)) - rhs
 
 
-def stress_l2_balance_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
-    """Residual of d/dt int 1/2|T|^2 + eps int |grad T|^2 + (1/2l) int |T|^2
-       = -int Div(uT):T + int (grad u T + T grad u^T):T + (k/2l) int eta tr T."""
+def _stress_balance(traj: Trajectory, refs, prm: ModelParams) -> np.ndarray:
+    """Residual of the L2 balance of D = T - T~ against one reference state
+    per snapshot of ``traj``:
+
+    d/dt int 1/2|D|^2 + eps int |grad D|^2 + (1/2 lambda) int |D|^2
+      = -int [Div(uT) - Div(u~T~)] : D
+        + int [(grad u T + T grad u^T) - (grad u~ T~ + T~ grad u~^T)] : D
+        + (k/2 lambda) int (eta - eta~) tr D.
+
+    Time derivative by centered differences (one-sided at the ends)."""
     grid = traj.grid
     n = len(traj)
-    half_t2 = np.empty(n)
+    half_d2 = np.empty(n)
     rhs = np.empty(n)
-    for j, s in enumerate(traj.states):
-        t11, t12, t22 = s.t11, s.t12, s.t22
-        frob = frob_ip(t11, t12, t22, t11, t12, t22)
-        half_t2[j] = integrate_array(0.5 * frob, grid)
+    for j, (s, r) in enumerate(zip(traj.states, refs)):
+        d11, d12, d22 = s.t11 - r.t11, s.t12 - r.t12, s.t22 - r.t22
+        d2 = frob_ip(d11, d12, d22, d11, d12, d22)
+        half_d2[j] = integrate_array(0.5 * d2, grid)
+        decay = (prm.eps * integrate_array(stress_grad_sq(d11, d12, d22, grid), grid)
+                 + integrate_array(d2, grid) / (2.0 * prm.lam))
 
         ux, uy = s.velocity()
+        tux, tuy = r.velocity()
         uf, vf = face_velocities(ux, uy, grid)
+        tf, sf = face_velocities(tux, tuy, grid)
         adv = 0.0
-        for a, w in ((t11, 1.0), (t12, 2.0), (t22, 1.0)):
-            adv += w * integrate_array(
-                advective_div_array(a, uf, vf, grid, "even") * a, grid)
+        for (a, b, w) in ((s.t11, r.t11, 1.0), (s.t12, r.t12, 2.0), (s.t22, r.t22, 1.0)):
+            da = (advective_div_array(a, uf, vf, grid, "even")
+                  - advective_div_array(b, tf, sf, grid, "even"))
+            adv += w * integrate_array(da * (a - b), grid)
 
-        uc = upper_convected_source(*velocity_gradient(ux, uy, grid), t11, t12, t22)
-        deform = integrate_array(frob_ip(*uc, t11, t12, t22), grid)
+        w11, w12, w22 = upper_convected_source(*velocity_gradient(ux, uy, grid),
+                                               s.t11, s.t12, s.t22)
+        v11, v12, v22 = upper_convected_source(*velocity_gradient(tux, tuy, grid),
+                                               r.t11, r.t12, r.t22)
+        deform = integrate_array(
+            frob_ip(w11 - v11, w12 - v12, w22 - v22, d11, d12, d22), grid)
 
-        src = prm.k / (2.0 * prm.lam) * integrate_array(s.eta * (t11 + t22), grid)
-        rhs[j] = (-adv + deform + src
-                  - prm.eps * integrate_array(stress_grad_sq(t11, t12, t22, grid), grid)
-                  - integrate_array(frob, grid) / (2.0 * prm.lam))
-    return _ddt(half_t2, np.asarray(traj.times)) - rhs
+        relaxsrc = (prm.k / (2.0 * prm.lam)) * integrate_array(
+            (s.eta - r.eta) * (d11 + d22), grid)
+        rhs[j] = -adv + deform + relaxsrc - decay
+
+    return _ddt(half_d2, np.asarray(traj.times)) - rhs
+
+
+def stress_l2_balance_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
+    """The a-priori stress L2 estimate: the stress-distance balance against
+    the state at rest with zero stress and zero polymer density, where
+    every subtraction of the reference is exact."""
+    rest = State.uniform(traj.grid, 1.0, 0.0)
+    return _stress_balance(traj, [rest] * len(traj), prm)
 
 
 # --- blow-up monitors ------------------------------------------------------

@@ -17,11 +17,9 @@ from .constitutive import (ModelParams, bregman_G, bregman_H,
                            polymer_potential_G_prime, polymer_pressure_q,
                            polymer_pressure_q_prime, potential_H_prime,
                            pressure, pressure_prime)
-from .diagnostics import _ddt
-from .fields import (advective_div_array, dissipation_density,
-                     face_velocities, frob_ip, grad_array, integrate_array,
-                     laplacian_array, stress_grad_sq, upper_convected_source,
-                     velocity_gradient)
+from .diagnostics import _stress_balance
+from .fields import (dissipation_density, frob_ip, grad_array, integrate_array,
+                     laplacian_array, velocity_gradient)
 from .grid import Grid, require_same_grid
 from .state import State, Trajectory
 
@@ -78,6 +76,13 @@ def combined_E(state: State, ref: State, prm: ModelParams) -> float:
 # --- reference trajectories and their time derivatives ---------------------
 
 
+def spacing_exceeds_dx(spacing: float, grid: Grid) -> bool:
+    """Whether reference snapshots ``spacing`` apart are too sparse: the
+    spacing must not exceed dx, so the O(spacing^2) time differencing stays
+    subordinate to the O(dx^2) space discretization."""
+    return spacing > min(grid.dx, grid.dy) + 1e-12
+
+
 @dataclass
 class RefTrajectory:
     """A trajectory designated as the strong reference solution.
@@ -98,9 +103,7 @@ class RefTrajectory:
             raise ReferenceError("reference snapshot times must increase")
 
     def check_stride(self, grid: Grid) -> None:
-        """Snapshot spacing must not exceed dx, so the O(spacing^2) time
-        differencing stays subordinate to the O(dx^2) space discretization."""
-        if np.max(np.diff(self.traj.times)) > min(grid.dx, grid.dy) + 1e-12:
+        if spacing_exceeds_dx(np.max(np.diff(self.traj.times)), grid):
             raise ReferenceError(
                 "reference snapshot spacing exceeds dx; store snapshots more often")
 
@@ -125,25 +128,21 @@ class RefTrajectory:
             dt = times[1] - times[0]
             d = tuple((b - a) / dt for a, b in zip(q0, q1))
             return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
+        # the 3-snapshot window: centered at i, shifted inward at the ends
+        lo = min(max(i - 1, 0), n - 3)
+        t0, t1, t2 = times[lo:lo + 3]
+        q0, q1, q2 = (quantities(s) for s in states[lo:lo + 3])
+        h1, h2 = t1 - t0, t2 - t1
         if 0 < i < n - 1:
             # centered over a possibly nonuniform stencil
-            t0, t1, t2 = times[i - 1], times[i], times[i + 1]
-            q0, q1, q2 = (quantities(states[j]) for j in (i - 1, i, i + 1))
-            h1, h2 = t1 - t0, t2 - t1
             c0 = -h2 / (h1 * (h1 + h2))
             c1 = (h2 - h1) / (h1 * h2)
             c2 = h1 / (h2 * (h1 + h2))
         elif i == 0:
-            t0, t1, t2 = times[0], times[1], times[2]
-            q0, q1, q2 = (quantities(states[j]) for j in (0, 1, 2))
-            h1, h2 = t1 - t0, t2 - t1
             c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
             c1 = (h1 + h2) / (h1 * h2)
             c2 = -h1 / (h2 * (h1 + h2))
         else:
-            t0, t1, t2 = times[n - 3], times[n - 2], times[n - 1]
-            q0, q1, q2 = (quantities(states[j]) for j in (n - 3, n - 2, n - 1))
-            h1, h2 = t1 - t0, t2 - t1
             c0 = h2 / (h1 * (h1 + h2))
             c1 = -(h1 + h2) / (h1 * h2)
             c2 = (h1 + 2 * h2) / (h2 * (h1 + h2))
@@ -152,15 +151,20 @@ class RefTrajectory:
 
 
 def _remainder_inputs(state: State, ref: State) -> tuple:
-    """What both remainder forms share, after checking the pair: u and u~,
-    their velocity gradients, then sqrt(eta) and sqrt(eta~) each with its
-    gradient."""
+    """What both remainder forms share, after checking the pair: u, u~ and
+    u~ - u, the velocity gradients of u and u~, div u~, the stored planes
+    (11, 12, 22) of sym grad(u~ - u), then sqrt(eta) and sqrt(eta~) each
+    with its gradient."""
     require_same_grid(state, ref)
     _check_positive_ref(ref)
     grid = state.grid
-    u, tu = state.velocity(), ref.velocity()
+    ux, uy = state.velocity()
+    tux, tuy = ref.velocity()
+    g, gt = velocity_gradient(ux, uy, grid), velocity_gradient(tux, tuy, grid)
+    (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy) = g, gt
+    sym_du = (gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)), gtyy - gyy)
     sq, tsq = np.sqrt(np.maximum(state.eta, 0.0)), np.sqrt(ref.eta)
-    return (u, tu, velocity_gradient(*u, grid), velocity_gradient(*tu, grid),
+    return ((ux, uy), (tux, tuy), (tux - ux, tuy - uy), g, gt, gtxx + gtyy, sym_du,
             (sq, *grad_array(sq, grid, "even")), (tsq, *grad_array(tsq, grid, "even")))
 
 
@@ -175,23 +179,21 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
 
     Returns {"R1", ..., "R5", "total"}.
     """
-    (ux, uy), (tux, tuy), (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy), \
+    (ux, uy), (tux, tuy), (dux, duy), (gxx, gxy, gyx, gyy), \
+        (gtxx, gtxy, gtyx, gtyy), div_tu, (s11, s12, s22), \
         (sq_eta, gsx, gsy), (sq_teta, gtsx, gtsy) = _remainder_inputs(state, ref)
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
-    dux, duy = tux - ux, tuy - uy  # u~ - u
-    div_tu = gtxx + gtyy
-    div_du = (gtxx - gxx) + (gtyy - gyy)
 
     # R1: momentum-equation pairing
     adv_x = state.rho * (ref_derivs["dut_x"] + ux * gtxx + uy * gtxy)
     adv_y = state.rho * (ref_derivs["dut_y"] + ux * gtyx + uy * gtyy)
     r1 = integrate_array(adv_x * dux + adv_y * duy, grid)
     r1 += integrate_array(
-        prm.mu * (gtxx * (gtxx - gxx) + gtxy * (gtxy - gxy)
-                  + gtyx * (gtyx - gyx) + gtyy * (gtyy - gyy))
-        + prm.nu * div_tu * div_du, grid)
+        prm.mu * (gtxx * s11 + gtxy * (gtxy - gxy)
+                  + gtyx * (gtyx - gyx) + gtyy * s22)
+        + prm.nu * div_tu * (s11 + s22), grid)
     if force is not None:
         r1 += integrate_array(state.rho * (force[0] * (-dux) + force[1] * (-duy)), grid)
     hp_x, hp_y = grad_array(potential_H_prime(trho, prm), grid, "generic")
@@ -220,9 +222,8 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
 
     # R5: elastic stress against the velocity-difference gradient
     # T : grad(w) equals T : sym(grad w) for symmetric T
-    r5 = integrate_array(frob_ip(state.t11, state.t12, state.t22,
-                                 gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)),
-                                 gtyy - gyy), grid)
+    r5 = integrate_array(frob_ip(state.t11, state.t12, state.t22, s11, s12, s22),
+                         grid)
     out = {"R1": r1, "R2": r2, "R3": r3, "R4": r4, "R5": r5}
     out["total"] = r1 + r2 + r3 + r4 + r5
     return out
@@ -238,13 +239,11 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
     Terms: convective, viscous_density, pressure_bregman, polymer_bregman,
     polymer_pressure_grad, stress_div, eta_sqrt_cross, stress_deformation.
     """
-    (ux, uy), (tux, tuy), (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy), \
+    _, (tux, tuy), (dux, duy), _, (gtxx, gtxy, gtyx, gtyy), div_tu, sym_du, \
         (sq_eta, gsx, gsy), (sq_teta, gtsx, gtsy) = _remainder_inputs(state, ref)
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
-    dux, duy = tux - ux, tuy - uy  # u~ - u
-    div_tu = gtxx + gtyy
 
     # 1) rho (u - u~) . grad(u~) . (u~ - u)
     t1 = integrate_array(
@@ -293,9 +292,7 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
 
     # 8) (T - T~) : grad(u~ - u)
     t8 = integrate_array(frob_ip(state.t11 - ref.t11, state.t12 - ref.t12,
-                                 state.t22 - ref.t22,
-                                 gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)),
-                                 gtyy - gyy), grid)
+                                 state.t22 - ref.t22, *sym_du), grid)
 
     out = {"convective": t1, "viscous_density": t2, "pressure_bregman": t3,
            "polymer_bregman": t4, "polymer_pressure_grad": t5,
@@ -339,8 +336,8 @@ def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
         f = force_fn(traj.times[j]) if force_fn else None
         rem[j] = remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)["total"]
     dts = np.diff(traj.times)
-    diss_cum = np.concatenate([[0.0], np.cumsum(0.5 * dts * (diss[:-1] + diss[1:]))])
-    rem_cum = np.concatenate([[0.0], np.cumsum(0.5 * dts * (rem[:-1] + rem[1:]))])
+    diss_cum, rem_cum = (np.concatenate([[0.0], np.cumsum(0.5 * dts * (y[:-1] + y[1:]))])
+                         for y in (diss, rem))
     return (e12 - e12[0]) + diss_cum - rem_cum
 
 
@@ -349,49 +346,10 @@ def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
 
 def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
                             prm: ModelParams) -> np.ndarray:
-    """Residual of the balance for D = T - T~:
-
-    d/dt int 1/2|D|^2 + eps int |grad D|^2 + (1/2 lambda) int |D|^2
-      = -int [Div(uT) - Div(u~T~)] : D
-        + int [(grad u T + T grad u^T) - (grad u~ T~ + T~ grad u~^T)] : D
-        + (k/2 lambda) int (eta - eta~) tr D.
-
-    Time derivative by centered differences (one-sided at the ends)."""
+    """Residual of the L2 balance of T - T~ (see diagnostics._stress_balance)
+    along shared snapshot times."""
     _require_shared_times(traj, ref)
-    n = len(traj)
-    grid = traj.grid
-    half_d2 = np.empty(n)
-    rhs = np.empty(n)
-    for j in range(n):
-        s, r = traj.states[j], ref.state(j)
-        d11, d12, d22 = s.t11 - r.t11, s.t12 - r.t12, s.t22 - r.t22
-        d2 = frob_ip(d11, d12, d22, d11, d12, d22)
-        half_d2[j] = integrate_array(0.5 * d2, grid)
-        decay = (prm.eps * integrate_array(stress_grad_sq(d11, d12, d22, grid), grid)
-                 + integrate_array(d2, grid) / (2.0 * prm.lam))
-
-        ux, uy = s.velocity()
-        tux, tuy = r.velocity()
-        uf, vf = face_velocities(ux, uy, grid)
-        tf, sf = face_velocities(tux, tuy, grid)
-        adv = 0.0
-        for (a, b, w) in ((s.t11, r.t11, 1.0), (s.t12, r.t12, 2.0), (s.t22, r.t22, 1.0)):
-            da = (advective_div_array(a, uf, vf, grid, "even")
-                  - advective_div_array(b, tf, sf, grid, "even"))
-            adv += w * integrate_array(da * (a - b), grid)
-
-        w11, w12, w22 = upper_convected_source(*velocity_gradient(ux, uy, grid),
-                                               s.t11, s.t12, s.t22)
-        v11, v12, v22 = upper_convected_source(*velocity_gradient(tux, tuy, grid),
-                                               r.t11, r.t12, r.t22)
-        deform = integrate_array(
-            frob_ip(w11 - v11, w12 - v12, w22 - v22, d11, d12, d22), grid)
-
-        relaxsrc = (prm.k / (2.0 * prm.lam)) * integrate_array(
-            (s.eta - r.eta) * (d11 + d22), grid)
-        rhs[j] = -adv + deform + relaxsrc - decay
-
-    return _ddt(half_d2, np.asarray(traj.times)) - rhs
+    return _stress_balance(traj, ref.traj.states, prm)
 
 
 # --- Gronwall decay experiment --------------------------------------------

@@ -34,8 +34,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise GridError(f"need at least 8 cells per direction, got {self.nx}x{self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise GridError("domain extents must be positive")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise GridError("domain extents must be positive and finite")
         if self.boundary_mode not in (PERIODIC, PHYSICAL):
             raise GridError(f"unknown boundary mode {self.boundary_mode!r}")
         object.__setattr__(self, "dx", self.lx / self.nx)

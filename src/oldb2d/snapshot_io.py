@@ -8,11 +8,13 @@ reproduce writes bitwise.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, GridError
 from .state import State
 
 MAGIC = b"OLDB2D\x00"
@@ -47,6 +49,7 @@ def write_snapshot(path, state: State) -> None:
 
 
 def read_snapshot(path, boundary_mode: str = "periodic") -> State:
+    """Read a snapshot back; any malformed file raises SnapshotFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -57,20 +60,23 @@ def read_snapshot(path, boundary_mode: str = "periodic") -> State:
             raise SnapshotFormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise SnapshotFormatError(f"unsupported format version {version}")
-        grid = Grid(nx=nx, ny=ny, lx=nx * dx, ly=ny * dy,
-                    boundary_mode=boundary_mode)
+        if not math.isfinite(t):
+            raise SnapshotFormatError(f"bad header: time {t}")
+        try:
+            grid = Grid(nx=nx, ny=ny, lx=nx * dx, ly=ny * dy,
+                        boundary_mode=boundary_mode)
+        except GridError as e:
+            raise SnapshotFormatError(f"bad header: {e}") from e
         plane_bytes = nx * ny * 8
-        planes = []
-        for i in range(7):
-            buf = fh.read(plane_bytes)
-            if len(buf) != plane_bytes:
-                raise SnapshotFormatError(
-                    f"truncated plane {i}: expected {plane_bytes} bytes, "
-                    f"got {len(buf)}")
-            planes.append(np.frombuffer(buf, dtype="<f8").reshape(nx, ny).copy())
-        extra = fh.read(1)
-        if extra:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size + 7 * plane_bytes:
+            raise SnapshotFormatError(
+                f"truncated planes: expected {7 * plane_bytes} bytes, "
+                f"got {size - _HEADER.size}")
+        if size > _HEADER.size + 7 * plane_bytes:
             raise SnapshotFormatError("trailing bytes after final plane")
+        planes = [np.frombuffer(fh.read(plane_bytes), dtype="<f8").reshape(nx, ny).copy()
+                  for _ in range(7)]
     return State(grid, t, *planes)
 
 

@@ -10,7 +10,10 @@ from .grid import Grid
 
 
 class NumericalError(RuntimeError):
-    """Raised when the solver produces invalid data (NaN/Inf, undershoots)."""
+    """Raised when the solver produces invalid data (NaN/Inf, undershoots).
+    ``run_simulation`` attaches the trajectory stored before the failure."""
+
+    trajectory: Trajectory | None = None
 
 
 @dataclass

@@ -91,6 +91,22 @@ def test_run_blowup_exit_3_names_monitor(tmp_path, capsys):
     assert (out / "run.csv").exists()
 
 
+def test_run_numerical_failure_exit_4_keeps_partial_outputs(tmp_path, capsys):
+    # the compressive force empties the centre's ring of eta within a few steps
+    text = (BLOWUP.replace("amplitude = 5.0", "amplitude = 1e5")
+            .replace("sup_rho_threshold = 1.3", "sup_rho_threshold = auto")
+            .replace("snapshot_stride = 5", "snapshot_stride = 1"))
+    cfg = _write(tmp_path, "fail.ini", text)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--out", str(out), "run", cfg]) == EXIT_NUMERICAL
+    assert "numerical failure: eta undershoot" in capsys.readouterr().err
+    rows = (out / "run.csv").read_text().splitlines()[1:]
+    snaps = sorted(out.glob("run_*.bin"))
+    assert len(snaps) == len(rows) > 1
+    assert [read_snapshot(p).t for p in snaps] == [float(r.split(",")[0]) for r in rows]
+
+
 def test_compare_identical_configs_zero_entropy(tmp_path, capsys):
     cfg = _write(tmp_path, "a.ini", BASE)
     out = tmp_path / "out"
@@ -168,6 +184,24 @@ def test_compare_candidate_time_differs_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stride,t_end,code", [
+    # 130 steps of 5e-4 is 0.065, above dx = 1/16
+    ("130", "0.08", EXIT_CONFIG),
+    # the spacing never exceeds t_end
+    ("1000", "0.01", EXIT_OK),
+])
+def test_compare_snapshot_spacing_above_dx_exit_2(tmp_path, capsys, stride, t_end, code):
+    cfg = _write(tmp_path, "c.ini", BASE.replace("snapshot_stride = 5",
+                                                 f"snapshot_stride = {stride}")
+                 .replace("t_end = 0.01", f"t_end = {t_end}"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", cfg, cfg]) == code
+    if code == EXIT_CONFIG:
+        err = capsys.readouterr().err
+        assert "snapshot_stride" in err and "dt" in err and "lower" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("t_end", ["0", "1e-14"])
 def test_compare_t_end_below_one_step_exit_2(tmp_path, capsys, t_end):
     cfg = _write(tmp_path, "c.ini", BASE.replace("t_end = 0.01", f"t_end = {t_end}"))
@@ -182,6 +216,20 @@ def test_compare_grid_mismatch_exit_2(tmp_path, capsys):
     b = _write(tmp_path, "b.ini", BASE.replace("nx = 16", "nx = 32"))
     assert main(["compare", a, b]) == EXIT_CONFIG
     assert "identical grids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "compare"])
+def test_mms_preset_on_walls_exit_2(tmp_path, capsys, command):
+    text = (BASE.replace("ny = 16\n", "ny = 16\nboundary_mode = physical\n", 1)
+            + "[initial]\npreset = mms:periodic-smooth\n"
+            "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+    cfg = _write(tmp_path, "walls.ini", text)
+    out = tmp_path / "out"
+    args = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(out), command, *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "boundary_mode" in err
+    assert not out.exists()
 
 
 def test_verify_requires_mms_preset(tmp_path, capsys):

@@ -2,15 +2,18 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oldb2d.config import (SCHEMA, ConfigError, RunConfig, build_initial,
                            parse_config, perturb_state, section_values,
                            smooth_noise)
+from oldb2d.grid import Grid
 from oldb2d.snapshot_io import (BASE_COLUMNS, COMPARE_COLUMNS, MAGIC,
                                 SnapshotFormatError, read_snapshot,
                                 write_snapshot, write_timeseries)
@@ -338,6 +341,94 @@ def test_snapshot_truncation_reports_byte_counts(tmp_path, prm):
     p.write_bytes(data + b"\x00")
     with pytest.raises(SnapshotFormatError, match="trailing"):
         read_snapshot(p)
+
+
+#: the v1 header: magic, version, nx, ny, dx, dy, t
+_HEADER_FMT = "<7sI II ddd"
+_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+#: bytes of the 8x8 snapshot that _snapshot_bytes writes
+_SNAP_SIZE = _HEADER_SIZE + 7 * 8 * 8 * 8
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _finite_states(draw):
+    nx, ny = draw(st.integers(8, 12)), draw(st.integers(8, 12))
+    lx, ly = draw(st.floats(1e-6, 1e6)), draw(st.floats(1e-6, 1e6))
+    planes = [draw(arrays(np.float64, (nx, ny), elements=_FINITE)) for _ in range(7)]
+    return State(Grid(nx, ny, lx, ly), draw(_FINITE), *planes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=_finite_states())
+def test_random_finite_states_round_trip_bitwise(tmp_path_factory, state):
+    p = tmp_path_factory.getbasetemp() / "round_trip.bin"
+    write_snapshot(p, state)
+    r = read_snapshot(p)
+    assert (r.grid.dx, r.grid.dy) == (state.grid.dx, state.grid.dy)
+    assert np.float64(r.t).tobytes() == np.float64(state.t).tobytes()
+    for a, b in zip(r.arrays(), state.arrays()):
+        assert a.tobytes() == b.tobytes()
+
+
+def _snapshot_bytes(tmp_path):
+    s = State(Grid(8, 8, 1.0, 1.0), 0.375,
+              *np.random.default_rng(4).standard_normal((7, 8, 8)))
+    p = tmp_path / "good.bin"
+    write_snapshot(p, s)
+    return p.read_bytes()
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("nx", 4, "at least 8 cells"),
+    ("dx", 0.0, "positive"),
+    ("dx", -0.125, "positive"),
+    ("dx", math.nan, "finite"),
+    ("dy", math.inf, "finite"),
+    ("t", math.nan, "time"),
+    ("t", -math.inf, "time"),
+    # claims 64 times the planes the file holds
+    ("nx", 8 * 64, "expected"),
+])
+def test_bad_header_raises_format_error(tmp_path, field, value, match):
+    data = _snapshot_bytes(tmp_path)
+    header = dict(zip(("magic", "version", "nx", "ny", "dx", "dy", "t"),
+                      struct.unpack_from(_HEADER_FMT, data)))
+    header[field] = value
+    p = tmp_path / "bad.bin"
+    p.write_bytes(struct.pack(_HEADER_FMT, *header.values()) + data[_HEADER_SIZE:])
+    with pytest.raises(SnapshotFormatError, match=match):
+        read_snapshot(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.one_of(st.integers(0, _HEADER_SIZE - 1),
+                                          st.integers(0, _SNAP_SIZE - 1)),
+                                st.integers(1, 255)), max_size=3),
+       cut=st.one_of(st.none(), st.integers(0, _SNAP_SIZE)))
+@example(flips=[(11, 8)], cut=None)    # nx 8 -> 0
+@example(flips=[(26, 0x80)], cut=None)  # dx 0.125 -> -0.125
+def test_corrupt_snapshot_reads_back_or_raises_format_error(tmp_path_factory,
+                                                            flips, cut):
+    base = tmp_path_factory.getbasetemp()
+    good = _snapshot_bytes(base)
+    data = bytearray(good)
+    for pos, mask in flips:
+        data[pos] ^= mask
+    data = bytes(data[:cut])
+    if len(data) >= _HEADER_SIZE:
+        # keep the plane sizes a header claims small
+        nx, ny = struct.unpack_from(_HEADER_FMT, data)[2:4]
+        assume(nx * ny <= 1 << 16)
+    p = base / "corrupt.bin"
+    p.write_bytes(data)
+    try:
+        s = read_snapshot(p)
+    except SnapshotFormatError:
+        return
+    assert math.isfinite(s.t) and 0 < s.grid.dx < math.inf and 0 < s.grid.dy < math.inf
+    write_snapshot(p, s)
+    assert p.read_bytes() == data
 
 
 def test_timeseries_columns_and_determinism(tmp_path):

@@ -17,6 +17,9 @@ def test_grid_validation():
         Grid(nx=4, ny=16, lx=1.0, ly=1.0, boundary_mode="periodic")
     with pytest.raises(GridError):
         Grid(nx=16, ny=16, lx=-1.0, ly=1.0, boundary_mode="periodic")
+    for lx, ly in ((np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(GridError, match="finite"):
+            Grid(nx=16, ny=16, lx=lx, ly=ly)
     with pytest.raises(GridError):
         Grid(nx=16, ny=16, lx=1.0, ly=1.0, boundary_mode="weird")
 
