@@ -7,8 +7,10 @@ Each config's header comment names the command that runs it (a line
 ``PYTHONHASHSEED=0``, in a fresh temporary directory that holds a copy of
 ``configs/``. The script prints one line per command with its exit code,
 then a sorted ``sha256  name`` list of every file the commands wrote and
-of each command's stdout and stderr. Run it on two checkouts and diff the
-two listings to check that a change keeps every output byte.
+of each command's stdout and stderr. Streams are labelled by the command
+text, so a config added later adds lines without renaming others. Run it
+on two checkouts and diff the two listings to check that a change keeps
+every output byte.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "configs", work / "configs")
-        for i, args in enumerate(header_commands(ROOT / "configs")):
+        for args in header_commands(ROOT / "configs"):
             proc = subprocess.run(
                 [sys.executable, "-m", "oldb2d.cli", "--threads", "1", *args],
                 cwd=work, env=env, capture_output=True)
@@ -51,7 +53,7 @@ def main() -> int:
             for stream in ("stdout", "stderr"):
                 data = getattr(proc, stream)
                 digests.append((hashlib.sha256(data).hexdigest(),
-                                f"[{i}] {args[-1]} {stream}"))
+                                f"oldb2d {shlex.join(args)} {stream}"))
         for path in sorted(work.rglob("*")):
             rel = path.relative_to(work)
             if path.is_file() and rel.parts[0] != "configs":

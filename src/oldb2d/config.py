@@ -180,6 +180,9 @@ def parse_config(text: str) -> RunConfig:
         # every make_ms solution is periodic
         (preset.startswith("mms:") and vals["grid"]["boundary_mode"] != "periodic",
          f"preset '{preset}' needs boundary_mode = periodic in [grid]"),
+        # a manufactured solution brings its own force and sources
+        (preset.startswith("mms:") and v["force_preset"] != "none",
+         f"preset '{preset}' takes no forcing; remove preset in [forcing]"),
         # perturb_state scales rho and eta by 1 + delta0 * n with max|n| = 1
         (not 0 <= v["delta0"] < 1, "delta0 must lie in [0, 1)"),
         (v["rho0"] <= 0, "rho0 must be positive"),

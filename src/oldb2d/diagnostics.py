@@ -188,7 +188,10 @@ def blowup_monitor(state: State, report: BlowupReport,
     state.check_finite()
     report.sup_rho = max(report.sup_rho, float(np.max(state.rho)))
     report.sup_eta = max(report.sup_eta, float(np.max(state.eta)))
-    linf_sq = linf_tau(state) ** 2
+    try:
+        linf_sq = linf_tau(state) ** 2
+    except OverflowError:  # a Python float ** raises where numpy gives inf
+        linf_sq = np.inf
     if report._last_t is not None:
         dt = state.t - report._last_t
         report.l2t_linf_tau += 0.5 * dt * (report._last_linf_sq + linf_sq)

@@ -47,8 +47,8 @@ class SolverOptions:
     sup_rho_threshold: float = np.inf
     snapshot_stride: int = 10
     # absolute floors, set by resolved() from the initial state
-    rho_floor: float | None = field(default=None, init=False)
-    eta_clip_tol: float | None = field(default=None, init=False)
+    rho_floor: float = field(default=0.0, init=False)
+    eta_clip_tol: float = field(default=0.0, init=False)
 
     def resolved(self, init: State) -> "SolverOptions":
         out = replace(self)
@@ -75,7 +75,7 @@ def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
 
     rho, mx, my, eta = state.rho, state.mx, state.my, state.eta
     t11, t12, t22 = state.t11, state.t12, state.t22
-    ux, uy = state.velocity(opts.rho_floor or 0.0)
+    ux, uy = state.velocity(opts.rho_floor)
     uf, vf = face_velocities(ux, uy, grid)
 
     # continuity and polymer density
@@ -140,7 +140,7 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float,
     """
     grid = state.grid
     rho = np.maximum(state.rho, rho_floor) if rho_floor > 0 else state.rho
-    ux, uy = state.mx / rho, state.my / rho
+    ux, uy = state.velocity(rho_floor)
     cs = np.sqrt(prm.gamma * pressure(np.maximum(state.rho, 0.0), prm) / rho)
     adv_x = grid.dx / np.max(np.abs(ux) + cs)
     adv_y = grid.dy / np.max(np.abs(uy) + cs)
@@ -200,7 +200,7 @@ def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
                   force: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
     """Instantaneous integrands of the energy-balance accumulators."""
     grid = state.grid
-    ux, uy = state.velocity(opts.rho_floor or 0.0)
+    ux, uy = state.velocity(opts.rho_floor)
     eta = np.maximum(state.eta, 0.0)
     visc, bracket = dissipation_density(ux, uy, np.sqrt(eta), eta, grid, prm)
     visc = integrate_array(visc, grid)
@@ -215,6 +215,9 @@ def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
             "src_f": src_f, "src_eta": src_eta}
 
 
+# every non-finite value a step makes is caught by check_finite or
+# _apply_floors, which name the field; numpy's warnings would only precede them
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_simulation(init: State, prm: ModelParams, t_end: float,
                    opts: SolverOptions | None = None,
                    force_fn: ForceFn | None = None,
@@ -243,6 +246,8 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
             dt = opts.dt if opts.dt is not None else cfl_dt(state, prm, opts.cfl,
                                                             opts.rho_floor)
             dt = min(dt, t_end - state.t)
+            if not state.t + dt > state.t:
+                raise NumericalError(f"time step dt={dt:g} does not advance t={state.t:g}")
             state, clipped = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
             acc.clipped_eta += clipped
 

@@ -49,7 +49,7 @@ def rel_entropy_E1(state: State, ref: State, prm: ModelParams) -> float:
     int 1/2 rho |u - u~|^2 + bregman_H(rho, rho~)."""
     require_same_grid(state, ref)
     _check_positive_ref(ref)
-    ux, uy = state.velocity(0.0) if np.all(state.rho > 0) else state.velocity(1e-300)
+    ux, uy = state.velocity(1e-300)
     tux, tuy = ref.velocity()
     kin = 0.5 * state.rho * ((ux - tux) ** 2 + (uy - tuy) ** 2)
     return integrate_array(kin + bregman_H(state.rho, ref.rho, prm), state.grid)

@@ -34,8 +34,12 @@ class Grid:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise GridError(f"need at least 8 cells per direction, got {self.nx}x{self.ny}")
-        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
-            raise GridError("domain extents must be positive and finite")
+        # the discretization squares lengths (dx ** 2, the bump width), and
+        # a Python float ** raises where the result overflows
+        if not (0 < self.lx and self.lx * self.lx < np.inf
+                and 0 < self.ly and self.ly * self.ly < np.inf):
+            raise GridError("domain extents must be positive and finite, "
+                            "with finite squares (below 1.3e154)")
         if self.boundary_mode not in (PERIODIC, PHYSICAL):
             raise GridError(f"unknown boundary mode {self.boundary_mode!r}")
         object.__setattr__(self, "dx", self.lx / self.nx)
@@ -59,18 +63,10 @@ class Grid:
         y = (np.arange(self.ny) + 0.5) * self.dy
         return np.meshgrid(x, y, indexing="ij")
 
-    def compatible(self, other: "Grid") -> bool:
-        return (
-            self.shape == other.shape
-            and np.isclose(self.lx, other.lx)
-            and np.isclose(self.ly, other.ly)
-            and self.boundary_mode == other.boundary_mode
-        )
-
 
 def require_same_grid(a, b):
-    """Raise unless the two states live on compatible grids."""
-    if a.grid is not b.grid and not a.grid.compatible(b.grid):
+    """Raise unless the two states live on equal grids."""
+    if a.grid != b.grid:
         raise GridError("operands live on different grids")
 
 

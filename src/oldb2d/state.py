@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,8 +91,7 @@ class Accumulators:
         }
 
     def copy(self) -> "Accumulators":
-        return Accumulators(self.visc, self.poly, self.relax,
-                            self.src_f, self.src_eta, self.clipped_eta)
+        return replace(self)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,38 @@ def test_run_numerical_failure_exit_4_keeps_partial_outputs(tmp_path, capsys):
     snaps = sorted(out.glob("run_*.bin"))
     assert len(snaps) == len(rows) > 1
     assert [read_snapshot(p).t for p in snaps] == [float(r.split(",")[0]) for r in rows]
+
+
+def test_run_numerical_failure_prints_no_numpy_warnings(tmp_path, capsys):
+    text = (BLOWUP.replace("amplitude = 5.0", "amplitude = 1e200")
+            .replace("sup_rho_threshold = 1.3", "sup_rho_threshold = auto"))
+    cfg = _write(tmp_path, "fail.ini", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out", str(tmp_path / "out"), "run", cfg]) == EXIT_NUMERICAL
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "numerical failure: eta undershoot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,code,named", [
+    # gamma = 1000 shrinks the CFL step below ulp(t) within ten steps
+    ("[grid]\nnx = 16\nny = 16\n[initial]\npreset = gaussian-bump\n"
+     "[params]\ngamma = 1000\n[time]\nt_end = 0.01\n",
+     EXIT_NUMERICAL, "does not advance t="),
+    # |T|_Linf ~ 1e300: its square overflows after the run
+    ("[grid]\nnx = 8\nny = 8\n[initial]\npreset = gaussian-bump\n"
+     "[params]\nk = 1e300\n[time]\nt_end = 0.002\n", EXIT_OK, ""),
+    # the bump width squared overflows in the initial state
+    ("[grid]\nnx = 8\nny = 8\nlx = 1e200\nly = 1e200\n"
+     "[initial]\npreset = gaussian-bump\n", EXIT_CONFIG, "finite squares"),
+], ids=["stalled-t", "tau-square-overflow", "length-square-overflow"])
+def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, text, code, named):
+    cfg = _write(tmp_path, "x.ini", text)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", cfg]) == code
+    assert named in capsys.readouterr().err
+    if code != EXIT_CONFIG:
+        assert (out / "run.csv").exists()
 
 
 def test_compare_identical_configs_zero_entropy(tmp_path, capsys):
@@ -229,6 +262,19 @@ def test_mms_preset_on_walls_exit_2(tmp_path, capsys, command):
     assert main(["--out", str(out), command, *args]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "boundary_mode" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "compare"])
+def test_mms_preset_with_forcing_exit_2(tmp_path, capsys, command):
+    text = (BASE + "[initial]\npreset = mms:steady-ws\n[forcing]\npreset = compress\n"
+            "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+    cfg = _write(tmp_path, "forced.ini", text)
+    out = tmp_path / "out"
+    args = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(out), command, *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "preset in [forcing]" in err
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from oldb2d.entropy import (GronwallReport, RefTrajectory, ReferenceError,
                             remainder_R_new, restrict_state,
                             stress_distance_ET, stress_distance_balance,
                             weak_strong_experiment)
+from oldb2d.grid import GridError
 from oldb2d.state import Accumulators, State, Trajectory
 
 from conftest import periodic_grid, random_smooth_state, smooth_state
@@ -44,6 +45,16 @@ def test_E2_trivial_example():
     s = ref.copy()
     s.eta = s.eta + 1.0
     assert rel_entropy_E2(s, ref, prm) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_grids_equal_only_when_identical(prm):
+    s = State.uniform(periodic_grid(16), 1.0, 1.0, k=prm.k)
+    assert rel_entropy_E1(s, State.uniform(periodic_grid(16), 1.0, 1.0, k=prm.k),
+                          prm) == 0.0
+    # np.isclose would have paired these; the cell areas differ
+    near = State.uniform(periodic_grid(16, lx=1.0 + 1e-9), 1.0, 1.0, k=prm.k)
+    with pytest.raises(GridError, match="different grids"):
+        rel_entropy_E1(s, near, prm)
 
 
 def test_combined_E_identity_stress(prm):
