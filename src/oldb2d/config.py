@@ -6,13 +6,13 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constitutive import ModelParams, ParameterError
 from .grid import Grid, GridError
 from .state import State
+from .verify import MMS_NAMES, make_ms
 
 
 class ConfigError(ValueError):
@@ -67,8 +67,9 @@ SCHEMA = {
                 "rho0": ("rho0", _float, 1.0), "eta0": ("eta0", _float, 1.0),
                 "delta0": ("delta0", _float, 0.0), "seed": ("seed", int, 0)},
     "time": {"t_end": ("t_end", _float, 0.1), "cfl": ("cfl", _float, 0.4),
-             "dt": ("dt", _float, None),
+             "dt": ("dt", _float, None),  # None = CFL-adaptive
              "snapshot_stride": ("snapshot_stride", int, 10)},
+    # sup_rho_threshold None = 1000 * initial max rho
     "diagnostics": {"sup_rho_threshold": ("sup_rho_threshold", _threshold, None),
                     "alpha": ("alpha", _float, 3.0)},
     "output": {"directory": ("out_dir", str, "."),
@@ -85,40 +86,16 @@ SCHEMA = {
 
 _PRESETS = ("uniform", "gaussian-bump", "shear-layer")
 
-#: the manufactured solutions of ``verify.make_ms``, preset ``mms:<name>``
-MMS_NAMES = ("periodic-smooth", "diffusion-eta", "steady-ws")
-
 #: the Sobol sequence of the lemma scan has 2**30 points
 _MAX_LEMMA_SAMPLES = 1 << 30
 
-
-@dataclass
-class RunConfig:
-    """A parsed configuration; :data:`SCHEMA` states every key and default."""
-
-    grid: Grid
-    params: ModelParams
-    preset: str
-    rho0: float
-    eta0: float
-    delta0: float
-    seed: int
-    t_end: float
-    cfl: float
-    dt: float | None                  # None = CFL-adaptive
-    snapshot_stride: int
-    sup_rho_threshold: float | None   # None = 1000 * initial max rho
-    alpha: float
-    out_dir: str
-    formats: tuple
-    force_preset: str
-    force_amplitude: float
-    lemma_corrected: bool
-    lemma_samples: int
-    lemma_seed: int
-    verify_levels: tuple
-    verify_t_end: float
-    verify_dt_over_dx2: float
+#: a parsed configuration: ``grid``, ``params``, then one field per other
+#: :data:`SCHEMA` key, in SCHEMA order
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", ["grid", "params"] + [
+        name for sec, keys in SCHEMA.items() if sec not in ("grid", "params")
+        for name, _, _ in keys.values()],
+    namespace={"__module__": __name__})
 
 
 def section_values(cfg: RunConfig, sec: str) -> dict:
@@ -236,15 +213,24 @@ def smooth_noise(grid: Grid, rng: np.random.Generator,
     return out
 
 
+def manufactured_solution(cfg: RunConfig):
+    """The manufactured solution of an ``mms:<name>`` preset, else None."""
+    if not cfg.preset.startswith("mms:"):
+        return None
+    return make_ms(cfg.preset[4:], cfg.params, cfg.grid.lx, cfg.grid.ly)
+
+
 def build_initial(cfg: RunConfig):
-    """Initial state from the configured preset, plus the manufactured
-    solution object when the preset is mms:<name> (None otherwise)."""
+    """(state, force_fn, source_fn) of a run: the configured preset's initial
+    state with the manufactured solution's force and sources, or else the
+    configured body force and no sources."""
     grid, prm = cfg.grid, cfg.params
-    ms = None
-    if cfg.preset.startswith("mms:"):
-        from .verify import make_ms
-        ms = make_ms(cfg.preset[4:], prm, grid.lx, grid.ly)
+    ms = manufactured_solution(cfg)
+    force_fn = compressive_force(cfg) if cfg.force_preset == "compress" else None
+    source_fn = None
+    if ms is not None:
         state = ms.sample_state(grid, 0.0)
+        force_fn, source_fn = ms.force_fn(grid), ms.source_fn(grid)
     elif cfg.preset == "uniform":
         state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
     elif cfg.preset == "gaussian-bump":
@@ -254,7 +240,7 @@ def build_initial(cfg: RunConfig):
                       / (2.0 * sig ** 2))
         state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
         state.rho = cfg.rho0 * (1.0 + 0.2 * bump)
-    elif cfg.preset == "shear-layer":
+    else:  # shear-layer
         X, Y = grid.cell_centers()
         w = 0.05 * grid.ly
         upper = Y > grid.ly / 2
@@ -265,12 +251,10 @@ def build_initial(cfg: RunConfig):
         state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
         state.mx = state.rho * ux
         state.my = state.rho * uy
-    else:
-        raise ConfigError([f"unknown initial preset '{cfg.preset}'"])
 
     if cfg.delta0 > 0:
         state = perturb_state(state, cfg.delta0, cfg.seed, prm.k)
-    return state, ms
+    return state, force_fn, source_fn
 
 
 def perturb_state(state: State, delta0: float, seed: int, k: float) -> State:

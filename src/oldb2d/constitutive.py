@@ -62,7 +62,7 @@ class ModelParams:
         if not self.k > 0:
             errs.append("k must be positive")
         if not self.lam > 0:
-            errs.append("lambda must be positive")
+            errs.append("lam must be positive")
         if self.zfrak < 0:
             errs.append("zfrak must be nonnegative")
         if self.L < 0:

@@ -142,15 +142,25 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float,
     rho = np.maximum(state.rho, rho_floor) if rho_floor > 0 else state.rho
     ux, uy = state.velocity(rho_floor)
     cs = np.sqrt(prm.gamma * pressure(np.maximum(state.rho, 0.0), prm) / rho)
-    adv_x = grid.dx / np.max(np.abs(ux) + cs)
-    adv_y = grid.dy / np.max(np.abs(uy) + cs)
-    rho_min = float(np.min(rho))
+    speed_x = np.max(np.abs(ux) + cs)
+    speed_y = np.max(np.abs(uy) + cs)
+    adv_x = grid.dx / speed_x
+    adv_y = grid.dy / speed_y
+    rho_min = np.min(rho)  # a numpy scalar: mu / 0 is inf, not ZeroDivisionError
     diff = max(prm.eps, prm.mu / rho_min, (prm.mu + prm.nu) / rho_min)
     diff_x = grid.dx ** 2 / (4.0 * diff)
     diff_y = grid.dy ** 2 / (4.0 * diff)
     dt = cfl * min(adv_x, adv_y, diff_x, diff_y)
     if not dt > 0:
-        raise NumericalError(f"nonpositive time step {dt:g} at t={state.t:g}")
+        diffusivity = f"max(eps, mu/rho_min, (mu+nu)/rho_min) = {diff:g}"
+        causes = [f"{name} limit is {val:g} ({cause})" for name, val, cause in (
+            ("advective x", adv_x, f"max |u| + c_s = {speed_x:g}"),
+            ("advective y", adv_y, f"max |v| + c_s = {speed_y:g}"),
+            ("diffusive x", diff_x, diffusivity),
+            ("diffusive y", diff_y, diffusivity)) if not val > 0]
+        raise NumericalError(
+            f"nonpositive time step {dt:g} at t={state.t:g}: "
+            + ("; ".join(causes) or "cfl * min of the limits underflows"))
     return float(dt)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MMS_NAMES
 from .constitutive import (ModelParams, bregman_G, bregman_H,
                            calibrate_H_constants, lower_bound_G, lower_bound_H)
 from .fields import upper_convected_source
@@ -180,10 +179,13 @@ class ManufacturedSolution:
 
 # -- named manufactured solutions -------------------------------------------
 
+#: the solutions of :func:`make_ms`, config preset ``mms:<name>``
+MMS_NAMES = ("periodic-smooth", "diffusion-eta", "steady-ws")
+
 
 def make_ms(name: str, prm: ModelParams, lx: float = 1.0, ly: float = 1.0) -> ManufacturedSolution:
     """Registry of manufactured solutions (periodic boxes), one per name
-    in ``config.MMS_NAMES``.
+    in :data:`MMS_NAMES`.
 
     - ``periodic-smooth``: gently time-dependent fully coupled fields.
     - ``diffusion-eta``: u = 0, rho = 1, eta an exact heat kernel mode,

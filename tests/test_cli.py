@@ -16,6 +16,7 @@ from oldb2d import fields, grid, kernels
 from oldb2d.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         main)
 from oldb2d.snapshot_io import COMPARE_COLUMNS, read_snapshot
+from oldb2d.verify import ManufacturedSolution
 
 
 BASE = """
@@ -119,6 +120,31 @@ def test_run_numerical_failure_prints_no_numpy_warnings(tmp_path, capsys):
     assert "numerical failure: eta undershoot" in capsys.readouterr().err
 
 
+TINY = "[grid]\nnx = 8\nny = 8\n[time]\nt_end = 0.001\n[initial]\n"
+
+
+@pytest.mark.parametrize("command,initial", [
+    # eta ** 2 and rho ** gamma overflow in the energy of the rows kept on
+    # failure; in compare, c_s overflows in the shared step
+    ("run", "eta0 = 1e160"),
+    ("run", "rho0 = 1e300"),
+    ("compare", "rho0 = 1e300"),
+], ids=["run-eta-square", "run-rho-power", "compare-rho-power"])
+def test_failure_outside_the_step_prints_no_numpy_warnings(tmp_path, capsys,
+                                                          command, initial):
+    cfg = _write(tmp_path, "x.ini", TINY + initial + "\n")
+    out = tmp_path / "out"
+    args = [cfg, cfg] if command == "compare" else [cfg]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out", str(out), command, *args]) == EXIT_NUMERICAL
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "numerical failure" in capsys.readouterr().err
+    if command == "run":
+        # the partial rows keep their non-finite energies
+        assert "inf" in (out / "run.csv").read_text()
+
+
 @pytest.mark.parametrize("text,code,named", [
     # gamma = 1000 shrinks the CFL step below ulp(t) within ten steps
     ("[grid]\nnx = 16\nny = 16\n[initial]\npreset = gaussian-bump\n"
@@ -130,7 +156,16 @@ def test_run_numerical_failure_prints_no_numpy_warnings(tmp_path, capsys):
     # the bump width squared overflows in the initial state
     ("[grid]\nnx = 8\nny = 8\nlx = 1e200\nly = 1e200\n"
      "[initial]\npreset = gaussian-bump\n", EXIT_CONFIG, "finite squares"),
-], ids=["stalled-t", "tau-square-overflow", "length-square-overflow"])
+    # c_s overflows to inf, so both advective limits are dx / inf = 0
+    (TINY + "rho0 = 1e300\n", EXIT_NUMERICAL,
+     "numerical failure: nonpositive time step 0 at t=0: "
+     "advective x limit is 0 (max |u| + c_s = inf); "
+     "advective y limit is 0 (max |v| + c_s = inf)\n"),
+    # the perturbation halves rho = 5e-324 to 0 in some cells
+    (TINY + "rho0 = 5e-324\ndelta0 = 0.5\nseed = 3\n", EXIT_NUMERICAL,
+     "diffusive x limit is 0 (max(eps, mu/rho_min, (mu+nu)/rho_min) = inf)"),
+], ids=["stalled-t", "tau-square-overflow", "length-square-overflow",
+        "sound-speed-overflow", "zero-density"])
 def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, text, code, named):
     cfg = _write(tmp_path, "x.ini", text)
     out = tmp_path / "out"
@@ -303,6 +338,23 @@ t_end = 0.02
     lines = (out / "convergence.csv").read_text().splitlines()
     assert lines[0] == "field,n,l2_error,linf_error,l2_order"
     assert len(lines) == 1 + 7 * 3
+
+
+def test_verify_samples_no_initial_state(tmp_path, monkeypatch):
+    levels = []
+    sample = ManufacturedSolution.sample_state
+
+    def counted(self, grid, t):
+        levels.append(grid.nx)
+        return sample(self, grid, t)
+
+    monkeypatch.setattr(ManufacturedSolution, "sample_state", counted)
+    text = (BASE + "[initial]\npreset = mms:diffusion-eta\ndelta0 = 0.5\n"
+            "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+    cfg = _write(tmp_path, "v.ini", text)
+    assert main(["--out", str(tmp_path / "out"), "verify", cfg]) == EXIT_OK
+    # the initial and the exact state of each level, nothing on [grid]
+    assert levels == [8, 8, 16, 16, 32, 32]
 
 
 @pytest.mark.parametrize("command,extra,key", [

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oldb2d.config import (SCHEMA, ConfigError, RunConfig, build_initial,
-                           parse_config, perturb_state, section_values,
-                           smooth_noise)
+                           manufactured_solution, parse_config, perturb_state,
+                           section_values, smooth_noise)
 from oldb2d.grid import Grid
 from oldb2d.snapshot_io import (BASE_COLUMNS, COMPARE_COLUMNS, MAGIC,
                                 SnapshotFormatError, read_snapshot,
@@ -159,6 +159,8 @@ def test_invalid_values_are_named():
     ("time", "dt = inf", "'dt'"),
     ("time", "cfl = nan", "'cfl'"),
     ("params", "mu_s = inf", "'mu_s'"),
+    # named by its INI key: "lam must", which "lambda must" does not contain
+    ("params", "lam = -1", "lam must be positive"),
     ("forcing", "amplitude = inf", "'amplitude'"),
     ("diagnostics", "sup_rho_threshold = nan", "sup_rho_threshold"),
     ("diagnostics", "sup_rho_threshold = -inf", "sup_rho_threshold"),
@@ -255,13 +257,19 @@ def test_threshold_variants():
 def test_build_initial_presets(prm):
     for preset in ("uniform", "gaussian-bump", "shear-layer"):
         cfg = parse_config(MINIMAL + f"[initial]\npreset = {preset}\n")
-        state, ms = build_initial(cfg)
-        assert ms is None
+        state, force_fn, source_fn = build_initial(cfg)
+        assert manufactured_solution(cfg) is None
+        assert force_fn is None and source_fn is None
         assert np.min(state.rho) > 0
         assert state.t11.shape == cfg.grid.shape
+    cfg = parse_config(MINIMAL + "[forcing]\npreset = compress\namplitude = 1\n")
+    assert build_initial(cfg)[1] is not None
     cfg = parse_config(MINIMAL + "[initial]\npreset = mms:periodic-smooth\n")
-    state, ms = build_initial(cfg)
+    state, force_fn, source_fn = build_initial(cfg)
+    ms = manufactured_solution(cfg)
     assert ms is not None and ms.name == "periodic-smooth"
+    # periodic-smooth carries its momentum residual as a source, not a force
+    assert force_fn is None and len(source_fn(0.0)) == 7
 
 
 def test_perturbation_deterministic_and_scaled(prm):

@@ -74,6 +74,17 @@ def test_cfl_dt_positive_and_scales(prm):
     assert cfl_dt(s2, prm, 0.4) == pytest.approx(dt1 / 4, rel=0.2)
 
 
+def test_cfl_dt_names_a_vanishing_diffusive_limit(prm):
+    s = State.uniform(periodic_grid(8), 1.0, 1.0, k=prm.k)
+    s.rho[3, 4] = 5e-324  # mu / rho_min overflows to inf
+    with pytest.raises(NumericalError) as ei, np.errstate(all="ignore"):
+        cfl_dt(s, prm, 0.4)
+    diff = "(max(eps, mu/rho_min, (mu+nu)/rho_min) = inf)"
+    assert str(ei.value) == ("nonpositive time step 0 at t=0: "
+                             f"diffusive x limit is 0 {diff}; "
+                             f"diffusive y limit is 0 {diff}")
+
+
 def test_eta_clipping_and_undershoot_error(prm):
     g = periodic_grid(8)
     # derived tolerance 1e-12 * max|eta0| = 1e-6

@@ -10,11 +10,10 @@ import pytest
 import sympy as sp
 
 import oldb2d.verify as verify
-from oldb2d.config import MMS_NAMES
 from oldb2d.constitutive import (ModelParams, calibrate_H_constants, bregman_G,
                                  lower_bound_G, lower_bound_H)
 from oldb2d.grid import Grid
-from oldb2d.verify import (LemmaCertificate, ManufacturedSolution,
+from oldb2d.verify import (MMS_NAMES, LemmaCertificate, ManufacturedSolution,
                            convergence_study, make_ms, ode_oracle_relaxation,
                            oracle_lemma_scan)
 
