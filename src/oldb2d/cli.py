@@ -54,11 +54,11 @@ def freeze_at_exit() -> None:
     """Have the interpreter's exit-time collections skip every object
     alive at exit.
 
-    Those passes walk all of loaded scipy and sympy, 0.3-0.4 s per
-    ``lemma-check`` or ``verify`` process, for memory the process hands
-    back when it ends anyway. Every file is closed by a ``with`` block
-    before ``main`` returns, and Python does not promise finalizers at
-    exit. Cached, so ``gc.freeze`` is registered once per process."""
+    Those passes walk all of loaded sympy in a ``verify`` process, for
+    memory the process hands back when it ends anyway. Every file is
+    closed by a ``with`` block before ``main`` returns, and Python does
+    not promise finalizers at exit. Cached, so ``gc.freeze`` is
+    registered once per process."""
     atexit.register(gc.freeze)
 
 
@@ -218,7 +218,6 @@ def cmd_verify(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     cfg = _load_config(args.config)
-    import scipy.stats.qmc  # noqa: F401  the scan's sampler, loaded as set-up
     from .verify import oracle_lemma_scan
     certs = oracle_lemma_scan(cfg.params, n_samples=cfg.lemma_samples,
                               seed=cfg.lemma_seed,

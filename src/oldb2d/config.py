@@ -12,7 +12,7 @@ import numpy as np
 from .constitutive import ModelParams, ParameterError
 from .grid import Grid, GridError
 from .state import State
-from .verify import MMS_NAMES, make_ms
+from .verify import MMS_NAMES, SOBOL_POINTS, make_ms
 
 
 class ConfigError(ValueError):
@@ -85,9 +85,6 @@ SCHEMA = {
 }
 
 _PRESETS = ("uniform", "gaussian-bump", "shear-layer")
-
-#: the Sobol sequence of the lemma scan has 2**30 points
-_MAX_LEMMA_SAMPLES = 1 << 30
 
 #: a parsed configuration: ``grid``, ``params``, then one field per other
 #: :data:`SCHEMA` key, in SCHEMA order
@@ -173,8 +170,8 @@ def parse_config(text: str) -> RunConfig:
         (not 2.0 < v["alpha"] <= 3.0, "alpha must lie in (2, 3]"),
         (v["force_preset"] not in ("none", "compress"),
          f"unknown forcing preset '{v['force_preset']}'"),
-        (not 1 <= v["lemma_samples"] <= _MAX_LEMMA_SAMPLES,
-         f"samples in [lemma] must be in [1, {_MAX_LEMMA_SAMPLES}]"),
+        (not 1 <= v["lemma_samples"] <= SOBOL_POINTS,
+         f"samples in [lemma] must be in [1, {SOBOL_POINTS}]"),
         (v["seed"] < 0, "seed in [initial] must be nonnegative"),
         (v["lemma_seed"] < 0, "seed in [lemma] must be nonnegative"),
         (len(levels) < 3 or levels[0] < 8

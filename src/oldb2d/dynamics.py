@@ -158,8 +158,9 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float,
             ("advective y", adv_y, f"max |v| + c_s = {speed_y:g}"),
             ("diffusive x", diff_x, diffusivity),
             ("diffusive y", diff_y, diffusivity)) if not val > 0]
+        head = "time step is nan" if np.isnan(dt) else f"nonpositive time step {dt:g}"
         raise NumericalError(
-            f"nonpositive time step {dt:g} at t={state.t:g}: "
+            f"{head} at t={state.t:g}: "
             + ("; ".join(causes) or "cfl * min of the limits underflows"))
     return float(dt)
 

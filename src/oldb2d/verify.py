@@ -326,6 +326,73 @@ class LemmaCertificate:
 #: Sobol pairs drawn and checked per block of the lemma scan
 _SCAN_CHUNK = 1 << 16
 
+_SOBOL_BITS = 30
+#: points of the lemma scan's Sobol sequence, the most ``[lemma] samples``
+SOBOL_POINTS = 1 << _SOBOL_BITS
+
+#: Joe & Kuo (SIAM J. Sci. Comput. 2008) primitive polynomials, with the
+#: leading and trailing 1, and initial direction numbers of dimensions
+#: 2-4; dimension 1 is all ones
+_JOE_KUO = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
+
+
+def _sobol_directions() -> np.ndarray:
+    """(4, 30) uint32 direction numbers; column j is aligned to bit 29 - j."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, m in _JOE_KUO:
+        s, v = len(m), list(m)
+        for j in range(s, _SOBOL_BITS):
+            new = v[j - s]
+            for k in range(s):
+                if poly >> (s - 1 - k) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    return (np.array(rows, dtype=np.uint32)
+            << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32))
+
+
+def _sobol_scramble(seed: int) -> tuple:
+    """(shift, directions) of scipy's ``qmc.Sobol(d=4, scramble=True,
+    seed=seed)``: Matoušek's linear matrix scramble (J. Complexity 1998)
+    plus a digital shift, drawn from ``default_rng(seed)`` in scipy's order.
+
+    Bit 29 - p of scrambled column j is the parity of row p of the unit
+    lower triangular matrix dotted with the bits of column j."""
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, size=(4, bits), dtype=np.uint32) @ (
+        np.uint32(1) << np.arange(bits, dtype=np.uint32))
+    ltm = np.tril(rng.integers(0, 2, size=(4, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    high_first = np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    v_bits = _sobol_directions()[:, :, None] >> high_first & 1  # (d, j, i)
+    parity = ltm @ v_bits.transpose(0, 2, 1) & 1                # (d, p, j)
+    return shift, (parity << high_first[:, None]).sum(axis=1, dtype=np.uint32)
+
+
+def _sobol_blocks(seed: int, n: int, chunk: int):
+    """The first ``n`` points of scipy's ``qmc.Sobol(d=4, scramble=True,
+    seed=seed)`` with the same bits, as (chunk, 4) float64 blocks.
+
+    Point i, in Gray-code order, is the shift XOR the direction columns of
+    the set bits of gray(i) = i ^ (i >> 1). With chunk = 2^k and
+    i = c 2^k + r, gray(i) = (gray(c) << k) ^ ((c & 1) << (k - 1)) ^ gray(r),
+    so block c is one table over r XOR a constant."""
+    shift, v = _sobol_scramble(seed)
+    k = chunk.bit_length() - 1
+    table = np.zeros((chunk, 4), dtype=np.uint32)  # row r: gray(r)'s columns
+    for b in range(k):
+        # reflected Gray code: gray(2^b + r) = 2^b | gray(2^b - 1 - r)
+        table[1 << b:2 << b] = table[(1 << b) - 1::-1] ^ v[:, b]
+    for c in range(n // chunk):
+        const = shift ^ (v[:, k - 1] if c & 1 else 0)
+        gray = c ^ (c >> 1)
+        for b in range(gray.bit_length()):
+            if gray >> b & 1:
+                const = const ^ v[:, k + b]
+        yield (table ^ const) * (1.0 / SOBOL_POINTS)
+
 
 def _fold_min(best, slack, value, ref):
     """Fold one block of slacks into the running (min_slack, value, ref)
@@ -353,20 +420,17 @@ def oracle_lemma_scan(prm: ModelParams, n_samples: int = 1 << 20,
     With ``corrected=False`` the G bound uses the uncorrected constants
     1/(2 eta_t) and 1/4, which the scan falsifies near eta = 2 eta_t.
     """
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=4, scramble=True, seed=seed)
     m = max(10, int(np.ceil(np.log2(n_samples))))
     n = 1 << m
-    if n > sampler.maxn:
-        raise ValueError(f"n_samples={n_samples} exceeds the {sampler.maxn} "
+    if n > SOBOL_POINTS:
+        raise ValueError(f"n_samples={n_samples} exceeds the {SOBOL_POINTS} "
                          "points of the Sobol sequence")
     lo, hi = -6.0, 6.0
     hb = calibrate_H_constants(prm)
     chunk = min(n, _SCAN_CHUNK)
     best_h = best_g = None
-    for _ in range(n // chunk):
-        vals = 10.0 ** (lo + (hi - lo) * sampler.random(chunk))
+    for pts in _sobol_blocks(seed, n, chunk):
+        vals = 10.0 ** (lo + (hi - lo) * pts)
         rho, rho_t, eta, eta_t = vals.T
         slack_h = (bregman_H(rho, rho_t, prm)
                    - lower_bound_H(rho, rho_t, prm, hb.delta, hb.c))

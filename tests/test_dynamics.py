@@ -85,6 +85,19 @@ def test_cfl_dt_names_a_vanishing_diffusive_limit(prm):
                              f"diffusive y limit is 0 {diff}")
 
 
+def test_cfl_dt_names_a_nan_time_step(prm):
+    s = State.uniform(periodic_grid(8), 1.0, 1.0, k=prm.k)
+    s.rho[3, 4] = 0.0  # c_s = sqrt(0 / 0) is nan, mu / rho_min is inf
+    with pytest.raises(NumericalError) as ei, np.errstate(all="ignore"):
+        cfl_dt(s, prm, 0.4)
+    diff = "(max(eps, mu/rho_min, (mu+nu)/rho_min) = inf)"
+    assert str(ei.value) == ("time step is nan at t=0: "
+                             "advective x limit is nan (max |u| + c_s = nan); "
+                             "advective y limit is nan (max |v| + c_s = nan); "
+                             f"diffusive x limit is 0 {diff}; "
+                             f"diffusive y limit is 0 {diff}")
+
+
 def test_eta_clipping_and_undershoot_error(prm):
     g = periodic_grid(8)
     # derived tolerance 1e-12 * max|eta0| = 1e-6

@@ -284,6 +284,33 @@ def test_lemma_scan_folds_chunks_like_argmin(prm, monkeypatch, fill, chunks):
     assert not h.passed
 
 
+def test_sobol_directions_match_scipy():
+    from scipy.stats import qmc
+
+    # scipy keeps its direction numbers, column j aligned to bit 29 - j, in _sv
+    want = qmc.Sobol(d=4, scramble=False)._sv
+    got = verify._sobol_directions()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 12345, 20240817])
+def test_sobol_blocks_match_scipy_bit_for_bit(seed):
+    from scipy.stats import qmc
+
+    ref = qmc.Sobol(d=4, scramble=True, seed=seed)
+    shift, v = verify._sobol_scramble(seed)
+    assert np.array_equal(shift, ref._shift) and np.array_equal(v, ref._sv)
+    # one 2^10 draw, then four 2^16 chunks: odd chunks after chunk 0 too
+    for n, chunk in ((1 << 10, 1 << 10), (1 << 18, 1 << 16)):
+        ref = qmc.Sobol(d=4, scramble=True, seed=seed)
+        blocks = list(verify._sobol_blocks(seed, n, chunk))
+        assert len(blocks) == n // chunk
+        for got in blocks:
+            want = ref.random(chunk)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_lemma_scan_rejects_more_pairs_than_the_sequence_has(prm):
     with pytest.raises(ValueError, match="n_samples"):
         oracle_lemma_scan(prm, n_samples=(1 << 30) + 1)
@@ -332,24 +359,19 @@ def test_manufactured_solution_leaves_numpy_f2py_unloaded():
     assert not _loaded_after(code, "numpy.f2py")
 
 
-_SCAN_ENTRY = """
-import sys
-import oldb2d.verify as verify
-from oldb2d.cli import main
-scan = verify.oracle_lemma_scan
-
-def spy(*args, **kwargs):
-    print("loaded at entry:", "scipy.stats" in sys.modules)
-    return scan(*args, **kwargs)
-verify.oracle_lemma_scan = spy
-sys.exit(main(["lemma-check", sys.argv[1]]))
-"""
+_TINY = "[grid]\nnx = 16\nny = 16\n"
 
 
-def test_lemma_check_loads_scipy_stats_before_the_scan(tmp_path):
-    # the benchmark counts everything before the scan's first entry as
-    # set-up, so the sampler's import must come before it
-    cfg = tmp_path / "lemma.ini"
-    cfg.write_text("[grid]\nnx = 16\nny = 16\n[lemma]\nsamples = 1024\n")
-    out = _python(_SCAN_ENTRY, str(cfg)).splitlines()
-    assert out[0] == "loaded at entry: True" and "PASS" in out[1]
+@pytest.mark.parametrize("command,text", [
+    ("lemma-check", "[lemma]\nsamples = 1024\n"),
+    ("run", "[time]\nt_end = 0.001\ndt = 5e-4\n"),
+    ("compare", "[time]\nt_end = 0.001\ndt = 5e-4\n"),
+    ("verify", "[initial]\npreset = mms:diffusion-eta\n"
+               "[verify]\nlevels = 8,16,32\nt_end = 0.002\n"),
+], ids=["lemma-check", "run", "compare", "verify"])
+def test_commands_leave_scipy_unloaded(tmp_path, command, text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(_TINY + text)
+    args = [str(cfg)] * (2 if command == "compare" else 1)
+    assert not _loaded_after(_MAIN, "scipy", "--out", str(tmp_path / "out"),
+                             command, *args)
