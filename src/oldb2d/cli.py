@@ -84,31 +84,71 @@ def _solver_options(cfg, init) -> SolverOptions:
 _SHARED_SECTIONS = ("params", "forcing", "time")
 
 
-def _base_rows(traj: Trajectory, cfg) -> list:
-    """One row per snapshot; the energy, monitor and accumulator columns
-    are named by the fields of the objects that compute them."""
-    prm = cfg.params
-    report = diagnostics.BlowupReport()
-    rows = []
-    for s, acc, e_res, t_res in zip(
-            traj.states, traj.accumulators,
-            diagnostics.energy_inequality_residual(traj, prm),
-            diagnostics.trace_identity_residual(traj, prm)):
+class _Rows:
+    """The sink of a streaming trajectory: evaluates each snapshot's CSV row
+    when the snapshot is added and writes its snapshot file, holding only
+    scalars. The energy, monitor and accumulator columns are named by the
+    fields of the objects that compute them. With a reference, the rows
+    carry ``compare``'s relative-entropy columns; a snapshot between
+    reference snapshots (a blow-up abort off the stride) gets no row."""
+
+    def __init__(self, cfg, ref: entropy.RefTrajectory | None = None,
+                 force_fn=None):
+        self.cfg, self.ref, self.force_fn = cfg, ref, force_fn
+        self.stem = "run" if ref is None else "compare"
+        self.report = diagnostics.BlowupReport()
+        self.e0 = None
+        self.rows = []
+        self.trace, self.entropy = [], []   # the *_terms of each row
+
+    def __call__(self, s, acc) -> None:
+        j, cfg, ref = len(self.rows), self.cfg, self.ref
+        prm = cfg.params
+        if ref is not None and not ref.shares_time(j, s.t):
+            return
+        if self.e0 is None:
+            self.e0 = diagnostics.total_energy(s, prm).total
         eb = diagnostics.total_energy(s, prm)
-        report = diagnostics.blowup_monitor(s, report, alpha=cfg.alpha)
-        rows.append({"t": s.t, **vars(eb), **vars(report), **acc.as_dict(),
-                     "energy_residual": e_res, "trace_residual": t_res})
-    return rows
+        e_res = diagnostics.energy_residual(s, acc, self.e0, prm)
+        self.trace.append(diagnostics.trace_identity_terms(s, prm))
+        self.report = diagnostics.blowup_monitor(s, self.report, alpha=cfg.alpha)
+        row = {"t": s.t, **vars(eb), **vars(self.report), **acc.as_dict(),
+               "energy_residual": e_res}
+        if ref is not None:
+            r = ref.state(j)
+            e1 = entropy.rel_entropy_E1(s, r, prm)
+            e2 = entropy.rel_entropy_E2(s, r, prm)
+            et = entropy.stress_distance_ET(s, r)
+            f = self.force_fn(s.t) if self.force_fn else None
+            rdef = entropy.remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)
+            rnew = entropy.remainder_R_new(s, r, prm)
+            row.update(rdef)
+            row.update({"E1": e1, "E2": e2, "ET": et, "E_combined": e1 + e2 + et,
+                        "R_def_total": rdef["total"], "R_new_total": rnew["total"]})
+            self.entropy.append(entropy.entropy_inequality_terms(
+                s, ref, j, prm, force_fn=self.force_fn))
+        self.rows.append(row)
+        if "snapshots" in cfg.formats:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            write_snapshot(os.path.join(cfg.out_dir, f"{self.stem}_{j:06d}.bin"), s)
 
-
-def _write_outputs(traj: Trajectory, cfg, rows, stem: str = "run") -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    if "csv" in cfg.formats:
-        write_timeseries(os.path.join(cfg.out_dir, f"{stem}.csv"), rows,
-                         compare=stem == "compare")
-    if "snapshots" in cfg.formats:
-        for j, s in enumerate(traj.states):
-            write_snapshot(os.path.join(cfg.out_dir, f"{stem}_{j:06d}.bin"), s)
+    def write_csv(self) -> None:
+        """Write the rows so far; nothing if no snapshot got a row."""
+        if not self.rows:
+            return
+        cfg = self.cfg
+        times = [row["t"] for row in self.rows]
+        residuals = {"trace_residual": diagnostics.trace_identity_series(
+            self.trace, times)}
+        if self.ref is not None:
+            residuals["entropy_residual"] = entropy.entropy_inequality_series(
+                self.entropy, times)
+        for j, row in enumerate(self.rows):
+            row.update({k: v[j] for k, v in residuals.items()})
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        if "csv" in cfg.formats:
+            write_timeseries(os.path.join(cfg.out_dir, f"{self.stem}.csv"),
+                             self.rows, compare=self.ref is not None)
 
 
 def cmd_run(args) -> int:
@@ -117,14 +157,13 @@ def cmd_run(args) -> int:
     if args.out:
         cfg.out_dir = args.out
     opts = _solver_options(cfg, init)
+    rows = _Rows(cfg)
     try:
-        traj = run_simulation(init, cfg.params, cfg.t_end, opts,
-                              force_fn=force_fn, source_fn=source_fn)
-    except (BlowupAbort, NumericalError) as e:
-        if e.trajectory is not None:
-            _write_outputs(e.trajectory, cfg, _base_rows(e.trajectory, cfg))
-        raise
-    _write_outputs(traj, cfg, _base_rows(traj, cfg))
+        run_simulation(init, cfg.params, cfg.t_end, opts,
+                       force_fn=force_fn, source_fn=source_fn,
+                       trajectory=Trajectory(init.grid, sink=rows))
+    finally:
+        rows.write_csv()
     return EXIT_OK
 
 
@@ -166,27 +205,18 @@ def cmd_compare(args) -> int:
     opts_ref = _solver_options(cfg_ref, init_ref)
     opts_weak = _solver_options(cfg_weak, init_weak)
     opts_ref.dt = opts_weak.dt = dt
-    traj_ref = run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref,
-                              force_fn=force_fn, source_fn=src)
-    traj_weak = run_simulation(init_weak, prm, cfg_ref.t_end, opts_weak,
-                               force_fn=force_fn, source_fn=src)
-    ref = entropy.RefTrajectory(traj_ref)
-    rows = _base_rows(traj_weak, cfg_weak)
-    ent_res = entropy.entropy_inequality_residual(traj_weak, ref, prm,
-                                                  force_fn=force_fn)
-    for j, row in enumerate(rows):
-        s, r = traj_weak.states[j], ref.state(j)
-        e1 = entropy.rel_entropy_E1(s, r, prm)
-        e2 = entropy.rel_entropy_E2(s, r, prm)
-        et = entropy.stress_distance_ET(s, r)
-        f = force_fn(traj_weak.times[j]) if force_fn else None
-        rdef = entropy.remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)
-        rnew = entropy.remainder_R_new(s, r, prm)
-        row.update(rdef)
-        row.update({"E1": e1, "E2": e2, "ET": et, "E_combined": e1 + e2 + et,
-                    "R_def_total": rdef["total"], "R_new_total": rnew["total"],
-                    "entropy_residual": ent_res[j]})
-    _write_outputs(traj_weak, cfg_weak, rows, stem="compare")
+    # the reference is stored whole: row j needs its snapshots j-1..j+1
+    ref = entropy.RefTrajectory(run_simulation(init_ref, prm, cfg_ref.t_end,
+                                               opts_ref, force_fn=force_fn,
+                                               source_fn=src))
+    rows = _Rows(cfg_weak, ref, force_fn)
+    try:
+        traj = run_simulation(init_weak, prm, cfg_ref.t_end, opts_weak,
+                              force_fn=force_fn, source_fn=src,
+                              trajectory=Trajectory(init_weak.grid, sink=rows))
+    finally:
+        rows.write_csv()
+    entropy.require_shared_times(traj, ref)
     return EXIT_OK
 
 

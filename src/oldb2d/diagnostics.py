@@ -12,7 +12,7 @@ from .constitutive import ModelParams, _xlogx, potential_H
 from .fields import (advective_div_array, face_velocities, frob_ip,
                      integrate_array, stress_grad_sq, upper_convected_source,
                      velocity_gradient)
-from .state import State, Trajectory
+from .state import Accumulators, State, Trajectory
 
 
 @dataclass
@@ -43,20 +43,25 @@ def total_energy(state: State, prm: ModelParams) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic, pressure_pot, polymer_pot, stress_tr)
 
 
+def energy_residual(state: State, acc: Accumulators, e0: float,
+                    prm: ModelParams) -> float:
+    """[E(t) + visc + poly + relax] - [E(0) + src_f + src_eta] at one
+    snapshot, given E(0) and the accumulators at the snapshot's time."""
+    e = total_energy(state, prm).total
+    return (e + acc.visc + acc.poly + acc.relax) - (e0 + acc.src_f + acc.src_eta)
+
+
 def energy_inequality_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
-    """residual(t_j) = [E(t_j) + visc + poly + relax] - [E(0) + src_f + src_eta]
-    with the cumulative terms taken from the trajectory's accumulators.
+    """:func:`energy_residual` at every stored snapshot, with the cumulative
+    terms taken from the trajectory's accumulators.
 
     Exactly zero at j = 0; the continuous statement is residual <= 0, the
     signed discrete value is returned."""
     if not traj.accumulators:
         raise ValueError("trajectory carries no accumulators")
     e0 = total_energy(traj.states[0], prm).total
-    out = np.empty(len(traj))
-    for j, (s, acc) in enumerate(zip(traj.states, traj.accumulators)):
-        e = total_energy(s, prm).total
-        out[j] = (e + acc.visc + acc.poly + acc.relax) - (e0 + acc.src_f + acc.src_eta)
-    return out
+    return np.array([energy_residual(s, acc, e0, prm)
+                     for s, acc in zip(traj.states, traj.accumulators)])
 
 
 def _ddt(series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -66,21 +71,30 @@ def _ddt(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.gradient(series, times, edge_order=2 if len(times) > 2 else 1)
 
 
-def trace_identity_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
+def trace_identity_terms(state: State, prm: ModelParams) -> tuple[float, float]:
+    """int 1/2 tr T and int [(k/2 lambda) eta + T : grad u] - (1/4 lambda)
+    int tr T at one state; see :func:`trace_identity_series`."""
+    grid = state.grid
+    tr = state.t11 + state.t22
+    gxx, gxy, gyx, gyy = velocity_gradient(*state.velocity(), grid)
+    t_gradu = state.t11 * gxx + state.t12 * (gxy + gyx) + state.t22 * gyy
+    return (integrate_array(0.5 * tr, grid),
+            integrate_array(prm.k / (2.0 * prm.lam) * state.eta + t_gradu, grid)
+            - integrate_array(tr, grid) / (4.0 * prm.lam))
+
+
+def trace_identity_series(terms: list, times) -> np.ndarray:
     """d/dt int 1/2 tr T + (1/4 lambda) int tr T
-       - int [(k/2 lambda) eta + T : grad u]  ~ 0."""
-    grid = traj.grid
-    n = len(traj)
-    half_tr = np.empty(n)
-    rhs = np.empty(n)
-    for j, s in enumerate(traj.states):
-        tr = s.t11 + s.t22
-        half_tr[j] = integrate_array(0.5 * tr, grid)
-        gxx, gxy, gyx, gyy = velocity_gradient(*s.velocity(), grid)
-        t_gradu = s.t11 * gxx + s.t12 * (gxy + gyx) + s.t22 * gyy
-        rhs[j] = (integrate_array(prm.k / (2.0 * prm.lam) * s.eta + t_gradu, grid)
-                  - integrate_array(tr, grid) / (4.0 * prm.lam))
-    return _ddt(half_tr, np.asarray(traj.times)) - rhs
+       - int [(k/2 lambda) eta + T : grad u]  ~ 0
+    from the :func:`trace_identity_terms` of each snapshot."""
+    half_tr, rhs = (np.array([term[k] for term in terms]) for k in (0, 1))
+    return _ddt(half_tr, np.asarray(times)) - rhs
+
+
+def trace_identity_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
+    """:func:`trace_identity_series` over the stored snapshots."""
+    return trace_identity_series([trace_identity_terms(s, prm) for s in traj.states],
+                                 traj.times)
 
 
 def _stress_balance(traj: Trajectory, refs, prm: ModelParams) -> np.ndarray:

@@ -233,16 +233,18 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
                    opts: SolverOptions | None = None,
                    force_fn: ForceFn | None = None,
                    source_fn: SourceFn | None = None,
-                   step_callback=None) -> Trajectory:
+                   step_callback=None, *,
+                   trajectory: Trajectory | None = None) -> Trajectory:
     """Integrate to t_end, accumulating energy-balance integrals with the
-    trapezoidal rule and storing snapshots at the configured stride.
+    trapezoidal rule and adding snapshots at the configured stride to
+    ``trajectory`` (a new storing one by default), which is returned.
 
     Raises :class:`BlowupAbort` when sup rho crosses the configured
     threshold, and :class:`NumericalError` when a step fails; either way the
     trajectory so far is attached to the exception.
     """
     opts = (opts or SolverOptions()).resolved(init)
-    traj = Trajectory(init.grid)
+    traj = trajectory if trajectory is not None else Trajectory(init.grid)
     acc = Accumulators()
     state = init.copy()
     state.check_finite()

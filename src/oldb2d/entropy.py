@@ -9,7 +9,7 @@ snapshots (one-sided second order at the ends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class ReferenceError(ValueError):
     pass
 
 
-def _require_shared_times(traj: Trajectory, ref: RefTrajectory) -> None:
+def require_shared_times(traj: Trajectory, ref: RefTrajectory) -> None:
     if len(traj) != len(ref) or not np.allclose(traj.times, ref.traj.times,
                                                 rtol=0, atol=1e-12):
         raise ReferenceError("trajectories must share snapshot times")
@@ -89,9 +89,12 @@ class RefTrajectory:
 
     Validates strict positivity of density and polymer density at every
     snapshot and exposes centered-difference time derivatives of the
-    quantities the remainder needs (u~, H'(rho~), G'(eta~))."""
+    quantities the remainder needs (u~, H'(rho~), G'(eta~)). The quantities
+    of the last three snapshots evaluated are kept, so a sweep over the
+    snapshots evaluates each once."""
 
     traj: Trajectory
+    _recent: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.traj) < 2:
@@ -113,25 +116,37 @@ class RefTrajectory:
     def state(self, i: int) -> State:
         return self.traj.states[i]
 
+    def shares_time(self, i: int, t: float) -> bool:
+        """Whether snapshot i exists and lies at time t."""
+        return i < len(self) and abs(t - self.traj.times[i]) <= 1e-12
+
+    def _quantities(self, i: int, prm: ModelParams) -> tuple:
+        """(u~, H'(rho~), G'(eta~)) at snapshot i."""
+        q = self._recent.get((i, prm))
+        if q is None:
+            s = self.traj.states[i]
+            tux, tuy = s.velocity()
+            q = (tux, tuy, potential_H_prime(s.rho, prm),
+                 polymer_potential_G_prime(s.eta, prm))
+            self._recent[(i, prm)] = q
+            if len(self._recent) > 3:
+                del self._recent[next(iter(self._recent))]
+        return q
+
     def time_derivs(self, i: int, prm: ModelParams) -> dict:
         """d/dt of (u~, H'(rho~), G'(eta~)) at snapshot i, second order."""
-        times, states = self.traj.times, self.traj.states
-        n = len(states)
-
-        def quantities(s: State):
-            tux, tuy = s.velocity()
-            return (tux, tuy, potential_H_prime(s.rho, prm),
-                    polymer_potential_G_prime(s.eta, prm))
+        times = self.traj.times
+        n = len(times)
 
         if n == 2:
-            q0, q1 = quantities(states[0]), quantities(states[1])
+            q0, q1 = self._quantities(0, prm), self._quantities(1, prm)
             dt = times[1] - times[0]
             d = tuple((b - a) / dt for a, b in zip(q0, q1))
             return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
         # the 3-snapshot window: centered at i, shifted inward at the ends
         lo = min(max(i - 1, 0), n - 3)
         t0, t1, t2 = times[lo:lo + 3]
-        q0, q1, q2 = (quantities(s) for s in states[lo:lo + 3])
+        q0, q1, q2 = (self._quantities(j, prm) for j in range(lo, lo + 3))
         h1, h2 = t1 - t0, t2 - t1
         if 0 < i < n - 1:
             # centered over a possibly nonuniform stencil
@@ -316,29 +331,40 @@ def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
     return integrate_array(visc + 2.0 * prm.eps * bracket, state.grid)
 
 
-def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
-                                prm: ModelParams, force_fn=None) -> np.ndarray:
+def entropy_inequality_terms(state: State, ref: RefTrajectory, j: int,
+                             prm: ModelParams, force_fn=None) -> tuple:
+    """(E1 + E2, relative dissipation, R_def total) of a candidate state
+    against reference snapshot j; see :func:`entropy_inequality_series`."""
+    r = ref.state(j)
+    f = force_fn(state.t) if force_fn else None
+    return (rel_entropy_E1(state, r, prm) + rel_entropy_E2(state, r, prm),
+            relative_dissipation(state, r, prm),
+            remainder_R_def(state, r, ref.time_derivs(j, prm), prm, f)["total"])
+
+
+def entropy_inequality_series(terms: list, times) -> np.ndarray:
     """residual(t_j) = [E1 + E2](t_j) + diss(0, t_j)
-                        - [E1 + E2](0) - int_0^{t_j} R dt.
+                        - [E1 + E2](0) - int_0^{t_j} R dt
+    from the :func:`entropy_inequality_terms` of each snapshot, the time
+    integrals by the trapezoidal rule.
 
     Exactly zero at j = 0; the continuous theorem asserts <= 0, discretely
-    the signed value is reported. Both trajectories must share snapshot
-    times and grid."""
-    _require_shared_times(traj, ref)
-    n = len(traj)
-    e12 = np.empty(n)
-    diss = np.empty(n)
-    rem = np.empty(n)
-    for j in range(n):
-        s, r = traj.states[j], ref.state(j)
-        e12[j] = rel_entropy_E1(s, r, prm) + rel_entropy_E2(s, r, prm)
-        diss[j] = relative_dissipation(s, r, prm)
-        f = force_fn(traj.times[j]) if force_fn else None
-        rem[j] = remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)["total"]
-    dts = np.diff(traj.times)
+    the signed value is reported."""
+    e12, diss, rem = (np.array([term[k] for term in terms]) for k in range(3))
+    dts = np.diff(times)
     diss_cum, rem_cum = (np.concatenate([[0.0], np.cumsum(0.5 * dts * (y[:-1] + y[1:]))])
                          for y in (diss, rem))
     return (e12 - e12[0]) + diss_cum - rem_cum
+
+
+def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
+                                prm: ModelParams, force_fn=None) -> np.ndarray:
+    """:func:`entropy_inequality_series` over the stored snapshots. Both
+    trajectories must share snapshot times and grid."""
+    require_shared_times(traj, ref)
+    return entropy_inequality_series(
+        [entropy_inequality_terms(s, ref, j, prm, force_fn)
+         for j, s in enumerate(traj.states)], traj.times)
 
 
 # --- stress distance balance ----------------------------------------------
@@ -348,7 +374,7 @@ def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
                             prm: ModelParams) -> np.ndarray:
     """Residual of the L2 balance of T - T~ (see diagnostics._stress_balance)
     along shared snapshot times."""
-    _require_shared_times(traj, ref)
+    require_shared_times(traj, ref)
     return _stress_balance(traj, ref.traj.states, prm)
 
 
@@ -379,7 +405,7 @@ def weak_strong_experiment(traj: Trajectory, ref: RefTrajectory,
     """Combined relative entropy E(t) = E1 + E2 + ET along shared snapshot
     times, with the fitted exponential growth constant C_hat such that
     E(t) <= E(0) exp(C_hat t) (least squares on log E where E > 0)."""
-    _require_shared_times(traj, ref)
+    require_shared_times(traj, ref)
     times = np.asarray(traj.times)
     series = np.array([combined_E(traj.states[j], ref.state(j), prm)
                        for j in range(len(traj))])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .grid import Grid
 
 class NumericalError(RuntimeError):
     """Raised when the solver produces invalid data (NaN/Inf, undershoots).
-    ``run_simulation`` attaches the trajectory stored before the failure."""
+    ``run_simulation`` attaches the trajectory filled before the failure."""
 
     trajectory: Trajectory | None = None
 
@@ -96,22 +97,31 @@ class Accumulators:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the accumulated balance integrals."""
+    """Time-ordered snapshots plus the accumulated balance integrals.
+
+    Without a ``sink`` every state is stored. With one, ``add`` hands each
+    snapshot to ``sink(state, acc)`` and holds only the latest state; the
+    times and accumulators are kept either way."""
 
     grid: Grid
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     accumulators: list = field(default_factory=list)  # Accumulators per snapshot
+    sink: Callable[[State, Accumulators], None] | None = None
 
     def add(self, state: State, acc: Accumulators) -> None:
         if self.times and state.t <= self.times[-1]:
             raise ValueError("snapshot times must be strictly increasing")
+        if self.sink is not None:
+            self.states.clear()
         self.times.append(state.t)
         self.states.append(state.copy())
         self.accumulators.append(acc.copy())
+        if self.sink is not None:
+            self.sink(self.states[-1], self.accumulators[-1])
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
 
     @property
     def final(self) -> State:

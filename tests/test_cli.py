@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from oldb2d import fields, grid, kernels
+from oldb2d import cli, dynamics, fields, grid, kernels
 from oldb2d.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         main)
 from oldb2d.snapshot_io import COMPARE_COLUMNS, read_snapshot
+from oldb2d.state import NumericalError, Trajectory
 from oldb2d.verify import ManufacturedSolution
 
 
@@ -204,6 +205,135 @@ def test_compare_zero_eta_reference_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("numerical failure: reference polymer density must be strictly "
             "positive") in err
+
+
+# the compressive force pushes sup rho past 1.3 near t = 0.08 (step ~163);
+# the automatic threshold, 1e3 max rho, is never reached
+FORCED = (BLOWUP.replace("t_end = 5.0", "t_end = 0.1")
+          .replace("sup_rho_threshold = 1.3", "sup_rho_threshold = auto"))
+FORCED_WEAK = FORCED.replace("preset = gaussian-bump\n",
+                             "preset = gaussian-bump\ndelta0 = 1e-3\nseed = 5\n")
+
+
+def _compare_outputs(out):
+    """(header, rows, snapshot paths) of a compare output directory."""
+    lines = (out / "compare.csv").read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]], \
+        sorted(out.glob("compare_*.bin"))
+
+
+def _assert_prefix_of_full_run(out, full):
+    """The partial outputs are the full run's first rows and snapshots: every
+    snapshot byte and every column, except the last row's one-sided
+    trace_residual; the last row lies at the last snapshot's time."""
+    cols, rows, snaps = _compare_outputs(out)
+    _, full_rows, full_snaps = _compare_outputs(full)
+    assert 1 < len(snaps) == len(rows) < len(full_rows)
+    assert [read_snapshot(p, "periodic").t for p in snaps] == \
+        [float(r[0]) for r in rows]
+    for p in snaps:
+        assert p.read_bytes() == (full / p.name).read_bytes()
+    assert rows[:-1] == full_rows[:len(rows) - 1]
+    itr = cols.index("trace_residual")
+    last = full_rows[len(rows) - 1]
+    assert rows[-1][:itr] + rows[-1][itr + 1:] == last[:itr] + last[itr + 1:]
+    return cols, rows
+
+
+@pytest.mark.parametrize("stride", ["1", "5"])
+def test_compare_candidate_blowup_keeps_partial_outputs(tmp_path, capsys, stride):
+    text = FORCED.replace("snapshot_stride = 5", f"snapshot_stride = {stride}")
+    weak = FORCED_WEAK.replace("snapshot_stride = 5", f"snapshot_stride = {stride}")
+    ref_cfg = _write(tmp_path, "ref.ini", text)
+    full_cfg = _write(tmp_path, "full.ini", weak)
+    weak_cfg = _write(tmp_path, "weak.ini", weak.replace(
+        "sup_rho_threshold = auto", "sup_rho_threshold = 1.3"))
+    full = tmp_path / "full"
+    assert main(["--out", str(full), "compare", ref_cfg, full_cfg]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref_cfg, weak_cfg]) == EXIT_BLOWUP
+    assert "blow-up abort: monitor sup_rho" in capsys.readouterr().err
+    cols, rows = _assert_prefix_of_full_run(out, full)
+    sup_rho = float(rows[-1][cols.index("sup_rho")])
+    if stride == "1":
+        # the aborting snapshot lies on a reference snapshot and has its row
+        assert sup_rho > 1.3
+    else:
+        # it lies between two reference snapshots, so no row pairs it
+        assert sup_rho <= 1.3
+
+
+def test_compare_candidate_numerical_failure_keeps_partial_outputs(
+        tmp_path, capsys, monkeypatch):
+    ref_cfg = _write(tmp_path, "ref.ini", FORCED)
+    weak_cfg = _write(tmp_path, "weak.ini", FORCED_WEAK)
+    full = tmp_path / "full"
+    assert main(["--out", str(full), "compare", ref_cfg, weak_cfg]) == EXIT_OK
+    count = {"runs": 0, "steps": 0}
+    run_simulation, step = cli.run_simulation, dynamics.step_ssprk2
+
+    def counted_run(*args, **kwargs):
+        count["runs"] += 1
+        count["steps"] = 0
+        return run_simulation(*args, **kwargs)
+
+    def failing_step(*args, **kwargs):
+        count["steps"] += 1
+        if count["runs"] == 2 and count["steps"] == 48:
+            raise NumericalError("forced failure on the candidate's step 48")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", counted_run)
+    monkeypatch.setattr(dynamics, "step_ssprk2", failing_step)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref_cfg, weak_cfg]) == EXIT_NUMERICAL
+    assert "numerical failure: forced failure" in capsys.readouterr().err
+    _, rows = _assert_prefix_of_full_run(out, full)
+    # snapshots at steps 0, 5, ..., 45
+    assert len(rows) == 10
+
+
+def test_compare_reference_failure_writes_nothing(tmp_path, capsys):
+    ref_cfg = _write(tmp_path, "ref.ini", FORCED.replace(
+        "sup_rho_threshold = auto", "sup_rho_threshold = 1.3"))
+    weak_cfg = _write(tmp_path, "weak.ini", FORCED_WEAK)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref_cfg, weak_cfg]) == EXIT_BLOWUP
+    assert "blow-up abort: monitor sup_rho" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_and_candidate_hold_one_snapshot(tmp_path, monkeypatch):
+    """``run`` and compare's candidate hold only the latest state after every
+    ``Trajectory.add``; the reference holds every snapshot."""
+    adds = []
+    add = Trajectory.add
+
+    def spy(traj, state, acc):
+        add(traj, state, acc)
+        assert traj.states[-1].t == state.t
+        adds.append((traj, len(traj.states)))
+
+    monkeypatch.setattr(Trajectory, "add", spy)
+    cfg = _write(tmp_path, "c.ini", BASE.replace("snapshot_stride = 5",
+                                                 "snapshot_stride = 1"))
+    weak = _write(tmp_path, "w.ini", BASE.replace("snapshot_stride = 5",
+                                                  "snapshot_stride = 1")
+                  + "[initial]\ndelta0 = 1e-3\nseed = 5\n")
+
+    def held(command, *configs):
+        adds.clear()
+        out = tmp_path / command
+        assert main(["--out", str(out), command, *configs]) == EXIT_OK
+        assert len((out / f"{command}.csv").read_text().splitlines()) == 22
+        trajs = {id(t): t for t, _ in adds}.values()
+        return [[n for t, n in adds if t is traj] for traj in trajs]
+
+    (run,) = held("run", cfg)
+    assert run == [1] * 21
+    ref, candidate = held("compare", cfg, weak)
+    assert ref == list(range(1, 22))
+    assert candidate == [1] * 21
 
 
 @pytest.mark.parametrize("extra,section,keys", [

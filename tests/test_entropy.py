@@ -16,7 +16,8 @@ from oldb2d.entropy import (GronwallReport, RefTrajectory, ReferenceError,
 from oldb2d.grid import GridError
 from oldb2d.state import Accumulators, State, Trajectory
 
-from conftest import periodic_grid, random_smooth_state, smooth_state
+from conftest import (periodic_grid, physical_grid, random_smooth_state,
+                      smooth_state)
 
 
 def steady_ref_traj(state, times=(0.0, 0.01, 0.02)):
@@ -187,6 +188,38 @@ def test_scaling_coherence_of_stress_terms(prm):
     r5_1 = remainder_R_def(s, rt.state(1), rt.time_derivs(1, prm), prm)["R5"]
     r5_3 = remainder_R_def(s2, rt2.state(1), rt2.time_derivs(1, prm), prm)["R5"]
     assert r5_3 == pytest.approx(3.0 * r5_1, rel=1e-12)
+
+
+def test_time_derivs_evaluate_each_snapshot_once(prm, monkeypatch):
+    """A sweep that asks for every snapshot's derivatives twice, as compare
+    does, evaluates each snapshot's quantities once, and every derivative
+    has the bits of a fresh reference's."""
+    g = physical_grid(16)
+    traj = run_simulation(smooth_state(g, prm), prm, 0.004,
+                          SolverOptions(dt=2e-4, snapshot_stride=2))
+    n = len(traj)
+    want = [RefTrajectory(traj).time_derivs(i, prm) for i in range(n)]
+    calls = []
+    g_prime = entropy.polymer_potential_G_prime
+    monkeypatch.setattr(entropy, "polymer_potential_G_prime",
+                        lambda eta, p: calls.append(1) or g_prime(eta, p))
+    ref = RefTrajectory(traj)
+    for i in range(n):
+        for _ in range(2):
+            got = ref.time_derivs(i, prm)
+            assert got.keys() == want[i].keys()
+            for k in got:
+                assert got[k].tobytes() == want[i][k].tobytes(), (i, k)
+    assert n > 3 and len(calls) == n
+    # two-snapshot references take both quantities from the cache
+    short = Trajectory(g)
+    for s in traj.states[:2]:
+        short.add(s, Accumulators())
+    calls.clear()
+    two = RefTrajectory(short)
+    assert two.time_derivs(0, prm)["dGp"].tobytes() == \
+        two.time_derivs(1, prm)["dGp"].tobytes()
+    assert len(calls) == 2
 
 
 def test_entropy_residual_zero_at_t0_and_for_coincident_runs(prm):
