@@ -101,7 +101,7 @@ class _Rows:
         self.rows = []
         self.trace, self.entropy = [], []   # the *_terms of each row
 
-    def __call__(self, s, acc) -> None:
+    def __call__(self, s, acc, grad_u) -> None:
         j, cfg, ref = len(self.rows), self.cfg, self.ref
         prm = cfg.params
         if ref is not None and not ref.shares_time(j, s.t):
@@ -110,7 +110,7 @@ class _Rows:
             self.e0 = diagnostics.total_energy(s, prm).total
         eb = diagnostics.total_energy(s, prm)
         e_res = diagnostics.energy_residual(s, acc, self.e0, prm)
-        self.trace.append(diagnostics.trace_identity_terms(s, prm))
+        self.trace.append(diagnostics.trace_identity_terms(s, prm, grad_u))
         self.report = diagnostics.blowup_monitor(s, self.report, alpha=cfg.alpha)
         row = {"t": s.t, **vars(eb), **vars(self.report), **acc.as_dict(),
                "energy_residual": e_res}

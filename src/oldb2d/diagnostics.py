@@ -59,9 +59,10 @@ def energy_inequality_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray
     signed discrete value is returned."""
     if not traj.accumulators:
         raise ValueError("trajectory carries no accumulators")
-    e0 = total_energy(traj.states[0], prm).total
+    states = traj.stored_states()
+    e0 = total_energy(states[0], prm).total
     return np.array([energy_residual(s, acc, e0, prm)
-                     for s, acc in zip(traj.states, traj.accumulators)])
+                     for s, acc in zip(states, traj.accumulators)])
 
 
 def _ddt(series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -71,12 +72,16 @@ def _ddt(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.gradient(series, times, edge_order=2 if len(times) > 2 else 1)
 
 
-def trace_identity_terms(state: State, prm: ModelParams) -> tuple[float, float]:
+def trace_identity_terms(state: State, prm: ModelParams,
+                         grad_u: tuple | None = None) -> tuple[float, float]:
     """int 1/2 tr T and int [(k/2 lambda) eta + T : grad u] - (1/4 lambda)
-    int tr T at one state; see :func:`trace_identity_series`."""
+    int tr T at one state, given or computing the gradient of
+    ``state.velocity()``; see :func:`trace_identity_series`."""
     grid = state.grid
     tr = state.t11 + state.t22
-    gxx, gxy, gyx, gyy = velocity_gradient(*state.velocity(), grid)
+    if grad_u is None:
+        grad_u = velocity_gradient(*state.velocity(), grid)
+    gxx, gxy, gyx, gyy = grad_u
     t_gradu = state.t11 * gxx + state.t12 * (gxy + gyx) + state.t22 * gyy
     return (integrate_array(0.5 * tr, grid),
             integrate_array(prm.k / (2.0 * prm.lam) * state.eta + t_gradu, grid)
@@ -93,8 +98,8 @@ def trace_identity_series(terms: list, times) -> np.ndarray:
 
 def trace_identity_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
     """:func:`trace_identity_series` over the stored snapshots."""
-    return trace_identity_series([trace_identity_terms(s, prm) for s in traj.states],
-                                 traj.times)
+    return trace_identity_series(
+        [trace_identity_terms(s, prm) for s in traj.stored_states()], traj.times)
 
 
 def _stress_balance(traj: Trajectory, refs, prm: ModelParams) -> np.ndarray:
@@ -111,7 +116,7 @@ def _stress_balance(traj: Trajectory, refs, prm: ModelParams) -> np.ndarray:
     n = len(traj)
     half_d2 = np.empty(n)
     rhs = np.empty(n)
-    for j, (s, r) in enumerate(zip(traj.states, refs)):
+    for j, (s, r) in enumerate(zip(traj.stored_states(), refs)):
         d11, d12, d22 = s.t11 - r.t11, s.t12 - r.t12, s.t22 - r.t22
         d2 = frob_ip(d11, d12, d22, d11, d12, d22)
         half_d2[j] = integrate_array(0.5 * d2, grid)

@@ -18,7 +18,7 @@ from . import kernels
 from .constitutive import ModelParams, polymer_pressure_q, pressure
 from .fields import (advective_div_array, dissipation_density,
                      face_velocities, integrate_array, laplacian_array, pad1,
-                     upper_convected_source)
+                     upper_convected_source, velocity_gradient)
 from .grid import extend
 from .state import Accumulators, NumericalError, State, Trajectory
 
@@ -208,12 +208,14 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
 
 
 def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
-                  force: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
-    """Instantaneous integrands of the energy-balance accumulators."""
+                  force: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
+    """Instantaneous integrands of the energy-balance accumulators, and the
+    velocity gradient they were computed from (see :func:`_own_gradient`)."""
     grid = state.grid
     ux, uy = state.velocity(opts.rho_floor)
     eta = np.maximum(state.eta, 0.0)
-    visc, bracket = dissipation_density(ux, uy, np.sqrt(eta), eta, grid, prm)
+    grad_u = velocity_gradient(ux, uy, grid)
+    visc, bracket = dissipation_density(grad_u, np.sqrt(eta), eta, grid, prm)
     visc = integrate_array(visc, grid)
     poly = 2.0 * prm.eps * integrate_array(bracket, grid)
 
@@ -223,7 +225,16 @@ def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
     if force is not None:
         src_f = integrate_array(state.rho * (force[0] * ux + force[1] * uy), grid)
     return {"visc": visc, "poly": poly, "relax": relax,
-            "src_f": src_f, "src_eta": src_eta}
+            "src_f": src_f, "src_eta": src_eta}, grad_u
+
+
+def _own_gradient(state: State, grad_u: tuple, opts: SolverOptions):
+    """``grad_u`` from :func:`balance_rates` if it is the gradient of
+    ``state.velocity()``, else None. The balance divides by the density
+    floored at ``opts.rho_floor``, which is the density itself unless a
+    cell lies below the floor; after a step none does, as the step floors
+    the density."""
+    return grad_u if float(np.min(state.rho)) >= opts.rho_floor else None
 
 
 # every non-finite value a step makes is caught by check_finite or
@@ -237,7 +248,9 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
                    trajectory: Trajectory | None = None) -> Trajectory:
     """Integrate to t_end, accumulating energy-balance integrals with the
     trapezoidal rule and adding snapshots at the configured stride to
-    ``trajectory`` (a new storing one by default), which is returned.
+    ``trajectory`` (a new storing one by default), which is returned. Each
+    snapshot is added with the velocity gradient its energy balance used,
+    so a sink need not recompute it.
 
     Raises :class:`BlowupAbort` when sup rho crosses the configured
     threshold, and :class:`NumericalError` when a step fails; either way the
@@ -248,14 +261,14 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
     acc = Accumulators()
     state = init.copy()
     state.check_finite()
-    traj.add(state, acc)
-
-    rates = balance_rates(state, prm, opts,
-                          force_fn(state.t) if force_fn else None)
+    rates, grad_u = balance_rates(state, prm, opts,
+                                  force_fn(state.t) if force_fn else None)
+    traj.add(state, acc, grad_u=_own_gradient(state, grad_u, opts))
     t_stop = t_end - 1e-14 * max(t_end, 1.0)
     nstep = 0
     try:
         while state.t < t_stop:
+            grad_u = None  # not held through the step
             dt = opts.dt if opts.dt is not None else cfl_dt(state, prm, opts.cfl,
                                                             opts.rho_floor)
             dt = min(dt, t_end - state.t)
@@ -264,8 +277,8 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
             state, clipped = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
             acc.clipped_eta += clipped
 
-            new_rates = balance_rates(state, prm, opts,
-                                      force_fn(state.t) if force_fn else None)
+            new_rates, grad_u = balance_rates(state, prm, opts,
+                                              force_fn(state.t) if force_fn else None)
             for key in ("visc", "poly", "relax", "src_f", "src_eta"):
                 val = getattr(acc, key) + 0.5 * dt * (rates[key] + new_rates[key])
                 setattr(acc, key, val)
@@ -273,12 +286,12 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
 
             sup_rho = float(np.max(state.rho))
             if sup_rho > opts.sup_rho_threshold:
-                traj.add(state, acc)
+                traj.add(state, acc, grad_u=_own_gradient(state, grad_u, opts))
                 raise BlowupAbort("sup_rho", sup_rho, opts.sup_rho_threshold, traj)
 
             nstep += 1
             if nstep % opts.snapshot_stride == 0 or state.t >= t_stop:
-                traj.add(state, acc)
+                traj.add(state, acc, grad_u=_own_gradient(state, grad_u, opts))
             if step_callback is not None:
                 step_callback(state, acc)
             if nstep >= MAX_STEPS:

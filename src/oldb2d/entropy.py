@@ -29,8 +29,8 @@ class ReferenceError(ValueError):
 
 
 def require_shared_times(traj: Trajectory, ref: RefTrajectory) -> None:
-    if len(traj) != len(ref) or not np.allclose(traj.times, ref.traj.times,
-                                                rtol=0, atol=1e-12):
+    if len(traj) != len(ref) or not all(ref.shares_time(i, t)
+                                        for i, t in enumerate(traj.times)):
         raise ReferenceError("trajectories must share snapshot times")
 
 
@@ -99,7 +99,7 @@ class RefTrajectory:
     def __post_init__(self):
         if len(self.traj) < 2:
             raise ReferenceError("reference needs at least two snapshots")
-        for s in self.traj.states:
+        for s in self.traj.stored_states():
             _check_positive_ref(s)
         dts = np.diff(self.traj.times)
         if np.min(dts) <= 0:
@@ -326,7 +326,8 @@ def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
     ux, uy = state.velocity()
     tux, tuy = ref.velocity()
     visc, bracket = dissipation_density(
-        ux - tux, uy - tuy, np.sqrt(np.maximum(state.eta, 0.0)) - np.sqrt(ref.eta),
+        velocity_gradient(ux - tux, uy - tuy, state.grid),
+        np.sqrt(np.maximum(state.eta, 0.0)) - np.sqrt(ref.eta),
         state.eta - ref.eta, state.grid, prm)
     return integrate_array(visc + 2.0 * prm.eps * bracket, state.grid)
 
@@ -364,7 +365,7 @@ def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
     require_shared_times(traj, ref)
     return entropy_inequality_series(
         [entropy_inequality_terms(s, ref, j, prm, force_fn)
-         for j, s in enumerate(traj.states)], traj.times)
+         for j, s in enumerate(traj.stored_states())], traj.times)
 
 
 # --- stress distance balance ----------------------------------------------
@@ -407,8 +408,8 @@ def weak_strong_experiment(traj: Trajectory, ref: RefTrajectory,
     E(t) <= E(0) exp(C_hat t) (least squares on log E where E > 0)."""
     require_shared_times(traj, ref)
     times = np.asarray(traj.times)
-    series = np.array([combined_E(traj.states[j], ref.state(j), prm)
-                       for j in range(len(traj))])
+    series = np.array([combined_E(s, ref.state(j), prm)
+                       for j, s in enumerate(traj.stored_states())])
     e0 = float(series[0])
     c_hat = None
     if e0 > 0 and np.all(series > 0) and len(series) > 1:

@@ -36,14 +36,15 @@ def velocity_gradient(ux: np.ndarray, uy: np.ndarray,
     return (*grad_array(ux, grid, "odd"), *grad_array(uy, grid, "odd"))
 
 
-def dissipation_density(ux: np.ndarray, uy: np.ndarray, sq_eta: np.ndarray,
+def dissipation_density(grad_u: tuple[np.ndarray, ...], sq_eta: np.ndarray,
                         eta: np.ndarray, grid: Grid,
                         prm: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Viscous density mu |grad u|^2 + nu (div u)^2 and polymer bracket
-    2 kL |grad sqrt(eta)|^2 + z |grad eta|^2; the polymer dissipation is
-    2 eps times the bracket. The relative dissipation passes differences
-    for u, sqrt(eta) and eta."""
-    gxx, gxy, gyx, gyy = velocity_gradient(ux, uy, grid)
+    2 kL |grad sqrt(eta)|^2 + z |grad eta|^2 from the
+    :func:`velocity_gradient` of u; the polymer dissipation is 2 eps times
+    the bracket. The relative dissipation passes differences for u,
+    sqrt(eta) and eta."""
+    gxx, gxy, gyx, gyy = grad_u
     visc = (prm.mu * (gxx ** 2 + gxy ** 2 + gyx ** 2 + gyy ** 2)
             + prm.nu * (gxx + gyy) ** 2)
     sx, sy = grad_array(sq_eta, grid, "even")

@@ -309,8 +309,8 @@ def test_run_and_candidate_hold_one_snapshot(tmp_path, monkeypatch):
     adds = []
     add = Trajectory.add
 
-    def spy(traj, state, acc):
-        add(traj, state, acc)
+    def spy(traj, state, acc, grad_u=None):
+        add(traj, state, acc, grad_u)
         assert traj.states[-1].t == state.t
         adds.append((traj, len(traj.states)))
 

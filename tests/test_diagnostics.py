@@ -8,7 +8,7 @@ from oldb2d.constitutive import ModelParams
 from oldb2d.diagnostics import (BlowupReport, blowup_monitor, min_eig_tau,
                                 total_energy, velocity_moment)
 from oldb2d.dynamics import SolverOptions, run_simulation
-from oldb2d.state import State
+from oldb2d.state import State, Trajectory
 
 from conftest import periodic_grid, random_smooth_state, smooth_state
 
@@ -64,6 +64,45 @@ def test_equilibrium_residuals_are_roundoff(prm):
     assert er[0] == 0.0
     assert np.max(np.abs(er)) <= 1e-12
     assert np.max(np.abs(tr)) <= 1e-12
+
+
+def test_streamed_trace_terms_have_the_stored_bits(prm):
+    """The velocity gradient run_simulation hands a sink gives the trace
+    terms of a fresh evaluation, bit for bit; at t = 0 it is handed only if
+    no density lies below the solver's floor."""
+    g = periodic_grid(16)
+    opts = SolverOptions(dt=2e-4, snapshot_stride=2)
+    init = smooth_state(g, prm)
+    stored = run_simulation(init, prm, 1e-3, opts)
+    streamed, handed = [], []
+
+    def sink(s, acc, grad_u):
+        handed.append(grad_u is not None)
+        streamed.append(diagnostics.trace_identity_terms(s, prm, grad_u))
+
+    run_simulation(init, prm, 1e-3, opts, trajectory=Trajectory(g, sink=sink))
+    assert all(handed) and len(streamed) == len(stored) == 4
+    assert streamed == [diagnostics.trace_identity_terms(s, prm)
+                        for s in stored.states]
+
+    init.rho[3, 4] = 1e-12  # below 1e-10 * mean(rho), at rest
+    init.mx[3, 4] = init.my[3, 4] = 0.0
+    handed.clear()
+    run_simulation(init, prm, 2e-4, SolverOptions(dt=2e-4, snapshot_stride=1),
+                   trajectory=Trajectory(g, sink=sink))
+    assert handed == [False, True]
+
+
+def test_storing_helpers_refuse_a_streamed_trajectory(prm):
+    g = periodic_grid(8)
+    traj = run_simulation(smooth_state(g, prm), prm, 1e-3,
+                          SolverOptions(dt=2e-4, snapshot_stride=1),
+                          trajectory=Trajectory(g, sink=lambda s, acc, grad_u: None))
+    assert len(traj) == 6 and len(traj.states) == 1
+    for helper in (diagnostics.energy_inequality_residual,
+                   diagnostics.trace_identity_residual):
+        with pytest.raises(ValueError, match="holds 1 of its 6 snapshots"):
+            helper(traj, prm)
 
 
 def test_stress_l2_balance_zero_stress(prm):
