@@ -22,7 +22,7 @@ from .config import (ConfigError, build_initial, manufactured_solution,
                      parse_config, section_values)
 from .dynamics import BlowupAbort, SolverOptions, cfl_dt, run_simulation
 from .snapshot_io import write_snapshot, write_timeseries
-from .state import NumericalError, Trajectory
+from .state import NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,12 +85,13 @@ _SHARED_SECTIONS = ("params", "forcing", "time")
 
 
 class _Rows:
-    """The sink of a streaming trajectory: evaluates each snapshot's CSV row
-    when the snapshot is added and writes its snapshot file, holding only
-    scalars. The energy, monitor and accumulator columns are named by the
-    fields of the objects that compute them. With a reference, the rows
-    carry ``compare``'s relative-entropy columns; a snapshot between
-    reference snapshots (a blow-up abort off the stride) gets no row."""
+    """The sink of ``run`` and of compare's candidate: evaluates each
+    snapshot's CSV row when the snapshot is added and writes its snapshot
+    file, holding only scalars. The energy, monitor and accumulator columns
+    are named by the fields of the objects that compute them. With a
+    reference, the rows carry ``compare``'s relative-entropy columns; a
+    snapshot between reference snapshots (a blow-up abort off the stride)
+    gets no row."""
 
     def __init__(self, cfg, ref: entropy.RefTrajectory | None = None,
                  force_fn=None):
@@ -160,8 +161,7 @@ def cmd_run(args) -> int:
     rows = _Rows(cfg)
     try:
         run_simulation(init, cfg.params, cfg.t_end, opts,
-                       force_fn=force_fn, source_fn=source_fn,
-                       trajectory=Trajectory(init.grid, sink=rows))
+                       force_fn=force_fn, source_fn=source_fn, sink=rows)
     finally:
         rows.write_csv()
     return EXIT_OK
@@ -205,18 +205,17 @@ def cmd_compare(args) -> int:
     opts_ref = _solver_options(cfg_ref, init_ref)
     opts_weak = _solver_options(cfg_weak, init_weak)
     opts_ref.dt = opts_weak.dt = dt
-    # the reference is stored whole: row j needs its snapshots j-1..j+1
-    ref = entropy.RefTrajectory(run_simulation(init_ref, prm, cfg_ref.t_end,
-                                               opts_ref, force_fn=force_fn,
-                                               source_fn=src))
+    # the reference keeps every snapshot: row j needs its snapshots j-1..j+1
+    ref = entropy.RefTrajectory()
+    run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref, force_fn=force_fn,
+                   source_fn=src, sink=ref)
     rows = _Rows(cfg_weak, ref, force_fn)
     try:
         traj = run_simulation(init_weak, prm, cfg_ref.t_end, opts_weak,
-                              force_fn=force_fn, source_fn=src,
-                              trajectory=Trajectory(init_weak.grid, sink=rows))
+                              force_fn=force_fn, source_fn=src, sink=rows)
     finally:
         rows.write_csv()
-    entropy.require_shared_times(traj, ref)
+    entropy.require_shared_times(traj.times, ref)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from .constitutive import ModelParams, ParameterError
+from .dynamics import MAX_STEPS
 from .grid import Grid, GridError
 from .state import State
 from .verify import MMS_NAMES, SOBOL_POINTS, make_ms
@@ -147,6 +148,8 @@ def parse_config(text: str) -> RunConfig:
     v = {name: val for sec, fields in vals.items() if sec not in ("grid", "params")
          for name, val in fields.items()}
     preset, thr, levels = v["preset"], v["sup_rho_threshold"], v["verify_levels"]
+    levels_ok = (len(levels) >= 3 and levels[0] >= 8
+                 and all(b == 2 * a for a, b in zip(levels, levels[1:])))
     errors += [msg for bad, msg in (
         (not (preset in _PRESETS
               or preset.startswith("mms:") and preset[4:] in MMS_NAMES),
@@ -174,8 +177,7 @@ def parse_config(text: str) -> RunConfig:
          f"samples in [lemma] must be in [1, {SOBOL_POINTS}]"),
         (v["seed"] < 0, "seed in [initial] must be nonnegative"),
         (v["lemma_seed"] < 0, "seed in [lemma] must be nonnegative"),
-        (len(levels) < 3 or levels[0] < 8
-         or any(b != 2 * a for a, b in zip(levels, levels[1:])),
+        (not levels_ok,
          f"levels in [verify] must be 3 or more grid sizes from 8 up, each "
          f"twice the previous, got '{','.join(map(str, levels))}'"),
         (not v["verify_t_end"] > 0, "t_end in [verify] must be positive"),
@@ -183,10 +185,34 @@ def parse_config(text: str) -> RunConfig:
     ) if bad]
     errors += [f"unknown output format '{f}'" for f in v["formats"]
                if f not in ("csv", "snapshots")]
+    # only verify reads [verify], and it needs a manufactured solution
+    if (grid is not None and preset.startswith("mms:") and levels_ok
+            and v["verify_t_end"] > 0 and v["verify_dt_over_dx2"] > 0):
+        errors += _finest_level_errors(grid, levels[-1], v["verify_t_end"],
+                                       v["verify_dt_over_dx2"])
 
     if errors:
         raise ConfigError(errors)
     return RunConfig(grid=grid, params=params, **v)
+
+
+def _finest_level_errors(grid: Grid, n: int, t_end: float,
+                         dt_over_dx2: float) -> list:
+    """What would stop ``convergence_study`` on its finest level, n x n
+    cells on the extents of ``grid``: a grid that ``Grid`` refuses, or a
+    step dt_over_dx2 * dx ** 2 that cannot reach t_end within the solver's
+    ``MAX_STEPS`` (one that underflows to 0 never does). Coarser levels
+    have larger cells and steps."""
+    try:
+        dx = Grid(n, n, grid.lx, grid.ly).dx
+    except GridError as e:
+        return [f"levels in [verify]: the finest level, {n}, fails: {e}"]
+    dt = dt_over_dx2 * dx ** 2
+    if not (dt > 0 and t_end / dt < MAX_STEPS):
+        return [f"dt_over_dx2 in [verify] gives a step of {dt:g} on the finest "
+                f"level, {n}, too small to reach t_end = {t_end:g} within "
+                f"{MAX_STEPS} steps"]
+    return []
 
 
 # --- initial conditions ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""A-priori diagnostics over states and trajectories: energy breakdown,
+"""A-priori diagnostics over states and runs: energy breakdown,
 energy-inequality residual, trace and stress-L2 balance residuals,
 blow-up monitors, velocity moments and stress positivity."""
 
@@ -12,7 +12,7 @@ from .constitutive import ModelParams, _xlogx, potential_H
 from .fields import (advective_div_array, face_velocities, frob_ip,
                      integrate_array, stress_grad_sq, upper_convected_source,
                      velocity_gradient)
-from .state import Accumulators, State, Trajectory
+from .state import Accumulators, State
 
 
 @dataclass
@@ -51,18 +51,16 @@ def energy_residual(state: State, acc: Accumulators, e0: float,
     return (e + acc.visc + acc.poly + acc.relax) - (e0 + acc.src_f + acc.src_eta)
 
 
-def energy_inequality_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
-    """:func:`energy_residual` at every stored snapshot, with the cumulative
-    terms taken from the trajectory's accumulators.
+def energy_inequality_residual(states: list, accumulators: list,
+                               prm: ModelParams) -> np.ndarray:
+    """:func:`energy_residual` at each of a run's snapshots ``states``, with
+    the cumulative terms taken from the accumulators added with them.
 
     Exactly zero at j = 0; the continuous statement is residual <= 0, the
     signed discrete value is returned."""
-    if not traj.accumulators:
-        raise ValueError("trajectory carries no accumulators")
-    states = traj.stored_states()
     e0 = total_energy(states[0], prm).total
     return np.array([energy_residual(s, acc, e0, prm)
-                     for s, acc in zip(states, traj.accumulators)])
+                     for s, acc in zip(states, accumulators)])
 
 
 def _ddt(series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -96,15 +94,15 @@ def trace_identity_series(terms: list, times) -> np.ndarray:
     return _ddt(half_tr, np.asarray(times)) - rhs
 
 
-def trace_identity_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
-    """:func:`trace_identity_series` over the stored snapshots."""
-    return trace_identity_series(
-        [trace_identity_terms(s, prm) for s in traj.stored_states()], traj.times)
+def trace_identity_residual(states: list, prm: ModelParams) -> np.ndarray:
+    """:func:`trace_identity_series` over a run's snapshots ``states``."""
+    return trace_identity_series([trace_identity_terms(s, prm) for s in states],
+                                 [s.t for s in states])
 
 
-def _stress_balance(traj: Trajectory, refs, prm: ModelParams) -> np.ndarray:
+def _stress_balance(states: list, refs, prm: ModelParams) -> np.ndarray:
     """Residual of the L2 balance of D = T - T~ against one reference state
-    per snapshot of ``traj``:
+    per snapshot of a run's ``states``:
 
     d/dt int 1/2|D|^2 + eps int |grad D|^2 + (1/2 lambda) int |D|^2
       = -int [Div(uT) - Div(u~T~)] : D
@@ -112,11 +110,11 @@ def _stress_balance(traj: Trajectory, refs, prm: ModelParams) -> np.ndarray:
         + (k/2 lambda) int (eta - eta~) tr D.
 
     Time derivative by centered differences (one-sided at the ends)."""
-    grid = traj.grid
-    n = len(traj)
+    grid = states[0].grid
+    n = len(states)
     half_d2 = np.empty(n)
     rhs = np.empty(n)
-    for j, (s, r) in enumerate(zip(traj.stored_states(), refs)):
+    for j, (s, r) in enumerate(zip(states, refs)):
         d11, d12, d22 = s.t11 - r.t11, s.t12 - r.t12, s.t22 - r.t22
         d2 = frob_ip(d11, d12, d22, d11, d12, d22)
         half_d2[j] = integrate_array(0.5 * d2, grid)
@@ -144,15 +142,15 @@ def _stress_balance(traj: Trajectory, refs, prm: ModelParams) -> np.ndarray:
             (s.eta - r.eta) * (d11 + d22), grid)
         rhs[j] = -adv + deform + relaxsrc - decay
 
-    return _ddt(half_d2, np.asarray(traj.times)) - rhs
+    return _ddt(half_d2, np.array([s.t for s in states])) - rhs
 
 
-def stress_l2_balance_residual(traj: Trajectory, prm: ModelParams) -> np.ndarray:
+def stress_l2_balance_residual(states: list, prm: ModelParams) -> np.ndarray:
     """The a-priori stress L2 estimate: the stress-distance balance against
     the state at rest with zero stress and zero polymer density, where
     every subtraction of the reference is exact."""
-    rest = State.uniform(traj.grid, 1.0, 0.0)
-    return _stress_balance(traj, [rest] * len(traj), prm)
+    rest = State.uniform(states[0].grid, 1.0, 0.0)
+    return _stress_balance(states, [rest] * len(states), prm)
 
 
 # --- blow-up monitors ------------------------------------------------------

@@ -244,20 +244,19 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
                    opts: SolverOptions | None = None,
                    force_fn: ForceFn | None = None,
                    source_fn: SourceFn | None = None,
-                   step_callback=None, *,
-                   trajectory: Trajectory | None = None) -> Trajectory:
+                   step_callback=None, *, sink=None) -> Trajectory:
     """Integrate to t_end, accumulating energy-balance integrals with the
-    trapezoidal rule and adding snapshots at the configured stride to
-    ``trajectory`` (a new storing one by default), which is returned. Each
-    snapshot is added with the velocity gradient its energy balance used,
-    so a sink need not recompute it.
+    trapezoidal rule and adding snapshots at the configured stride to a
+    trajectory with ``sink`` (see :class:`Trajectory`), which is returned.
+    Each snapshot is added with the velocity gradient its energy balance
+    used, so a sink need not recompute it.
 
     Raises :class:`BlowupAbort` when sup rho crosses the configured
     threshold, and :class:`NumericalError` when a step fails; either way the
     trajectory so far is attached to the exception.
     """
     opts = (opts or SolverOptions()).resolved(init)
-    traj = trajectory if trajectory is not None else Trajectory(init.grid)
+    traj = Trajectory(init.grid, sink)
     acc = Accumulators()
     state = init.copy()
     state.check_finite()

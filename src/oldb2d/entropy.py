@@ -21,16 +21,17 @@ from .diagnostics import _stress_balance
 from .fields import (dissipation_density, frob_ip, grad_array, integrate_array,
                      laplacian_array, velocity_gradient)
 from .grid import Grid, require_same_grid
-from .state import State, Trajectory
+from .state import State
 
 
 class ReferenceError(ValueError):
     pass
 
 
-def require_shared_times(traj: Trajectory, ref: RefTrajectory) -> None:
-    if len(traj) != len(ref) or not all(ref.shares_time(i, t)
-                                        for i, t in enumerate(traj.times)):
+def require_shared_times(times, ref: RefTrajectory) -> None:
+    """Raise unless snapshot times ``times`` are the reference's."""
+    if len(times) != len(ref) or not all(ref.shares_time(i, t)
+                                         for i, t in enumerate(times)):
         raise ReferenceError("trajectories must share snapshot times")
 
 
@@ -85,46 +86,38 @@ def spacing_exceeds_dx(spacing: float, grid: Grid) -> bool:
 
 @dataclass
 class RefTrajectory:
-    """A trajectory designated as the strong reference solution.
+    """The strong reference solution: the sink its run streams into.
 
-    Validates strict positivity of density and polymer density at every
-    snapshot and exposes centered-difference time derivatives of the
-    quantities the remainder needs (u~, H'(rho~), G'(eta~)). The quantities
-    of the last three snapshots evaluated are kept, so a sweep over the
-    snapshots evaluates each once."""
+    Keeps every snapshot it is given, after checking strict positivity of
+    density and polymer density, so a non-positive reference stops its run
+    at the first bad snapshot. Exposes centered-difference time derivatives
+    of the quantities the remainder needs (u~, H'(rho~), G'(eta~)). The
+    quantities of the last three snapshots evaluated are kept, so a sweep
+    over the snapshots evaluates each once."""
 
-    traj: Trajectory
+    states: list = field(default_factory=list, init=False)
     _recent: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.traj) < 2:
-            raise ReferenceError("reference needs at least two snapshots")
-        for s in self.traj.stored_states():
-            _check_positive_ref(s)
-        dts = np.diff(self.traj.times)
-        if np.min(dts) <= 0:
-            raise ReferenceError("reference snapshot times must increase")
-
-    def check_stride(self, grid: Grid) -> None:
-        if spacing_exceeds_dx(np.max(np.diff(self.traj.times)), grid):
-            raise ReferenceError(
-                "reference snapshot spacing exceeds dx; store snapshots more often")
+    def __call__(self, state: State, acc=None, grad_u=None) -> None:
+        """Keep one snapshot; the accumulators and gradient go unused."""
+        _check_positive_ref(state)
+        self.states.append(state)
 
     def __len__(self) -> int:
-        return len(self.traj)
+        return len(self.states)
 
     def state(self, i: int) -> State:
-        return self.traj.states[i]
+        return self.states[i]
 
     def shares_time(self, i: int, t: float) -> bool:
         """Whether snapshot i exists and lies at time t."""
-        return i < len(self) and abs(t - self.traj.times[i]) <= 1e-12
+        return i < len(self) and abs(t - self.states[i].t) <= 1e-12
 
     def _quantities(self, i: int, prm: ModelParams) -> tuple:
         """(u~, H'(rho~), G'(eta~)) at snapshot i."""
         q = self._recent.get((i, prm))
         if q is None:
-            s = self.traj.states[i]
+            s = self.states[i]
             tux, tuy = s.velocity()
             q = (tux, tuy, potential_H_prime(s.rho, prm),
                  polymer_potential_G_prime(s.eta, prm))
@@ -135,17 +128,17 @@ class RefTrajectory:
 
     def time_derivs(self, i: int, prm: ModelParams) -> dict:
         """d/dt of (u~, H'(rho~), G'(eta~)) at snapshot i, second order."""
-        times = self.traj.times
-        n = len(times)
-
+        n = len(self)
+        if n < 2:
+            raise ReferenceError("reference needs at least two snapshots")
         if n == 2:
             q0, q1 = self._quantities(0, prm), self._quantities(1, prm)
-            dt = times[1] - times[0]
+            dt = self.states[1].t - self.states[0].t
             d = tuple((b - a) / dt for a, b in zip(q0, q1))
             return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
         # the 3-snapshot window: centered at i, shifted inward at the ends
         lo = min(max(i - 1, 0), n - 3)
-        t0, t1, t2 = times[lo:lo + 3]
+        t0, t1, t2 = (s.t for s in self.states[lo:lo + 3])
         q0, q1, q2 = (self._quantities(j, prm) for j in range(lo, lo + 3))
         h1, h2 = t1 - t0, t2 - t1
         if 0 < i < n - 1:
@@ -358,25 +351,26 @@ def entropy_inequality_series(terms: list, times) -> np.ndarray:
     return (e12 - e12[0]) + diss_cum - rem_cum
 
 
-def entropy_inequality_residual(traj: Trajectory, ref: RefTrajectory,
+def entropy_inequality_residual(states: list, ref: RefTrajectory,
                                 prm: ModelParams, force_fn=None) -> np.ndarray:
-    """:func:`entropy_inequality_series` over the stored snapshots. Both
-    trajectories must share snapshot times and grid."""
-    require_shared_times(traj, ref)
+    """:func:`entropy_inequality_series` over a run's snapshots ``states``,
+    which must share snapshot times and grid with the reference."""
+    times = [s.t for s in states]
+    require_shared_times(times, ref)
     return entropy_inequality_series(
         [entropy_inequality_terms(s, ref, j, prm, force_fn)
-         for j, s in enumerate(traj.stored_states())], traj.times)
+         for j, s in enumerate(states)], times)
 
 
 # --- stress distance balance ----------------------------------------------
 
 
-def stress_distance_balance(traj: Trajectory, ref: RefTrajectory,
+def stress_distance_balance(states: list, ref: RefTrajectory,
                             prm: ModelParams) -> np.ndarray:
     """Residual of the L2 balance of T - T~ (see diagnostics._stress_balance)
-    along shared snapshot times."""
-    require_shared_times(traj, ref)
-    return _stress_balance(traj, ref.traj.states, prm)
+    over a run's snapshots ``states`` at the reference's times."""
+    require_shared_times([s.t for s in states], ref)
+    return _stress_balance(states, ref.states, prm)
 
 
 # --- Gronwall decay experiment --------------------------------------------
@@ -401,15 +395,16 @@ def restrict_state(state: State, coarse: Grid) -> State:
     return State(coarse, state.t, *(down(a) for a in state.arrays()))
 
 
-def weak_strong_experiment(traj: Trajectory, ref: RefTrajectory,
+def weak_strong_experiment(states: list, ref: RefTrajectory,
                            prm: ModelParams) -> GronwallReport:
-    """Combined relative entropy E(t) = E1 + E2 + ET along shared snapshot
-    times, with the fitted exponential growth constant C_hat such that
-    E(t) <= E(0) exp(C_hat t) (least squares on log E where E > 0)."""
-    require_shared_times(traj, ref)
-    times = np.asarray(traj.times)
+    """Combined relative entropy E(t) = E1 + E2 + ET over a run's snapshots
+    ``states`` at the reference's times, with the fitted exponential growth
+    constant C_hat such that E(t) <= E(0) exp(C_hat t) (least squares on
+    log E where E > 0)."""
+    times = np.array([s.t for s in states])
+    require_shared_times(times, ref)
     series = np.array([combined_E(s, ref.state(j), prm)
-                       for j, s in enumerate(traj.stored_states())])
+                       for j, s in enumerate(states)])
     e0 = float(series[0])
     c_hat = None
     if e0 > 0 and np.all(series > 0) and len(series) > 1:

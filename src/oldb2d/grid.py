@@ -42,8 +42,15 @@ class Grid:
                             "with finite squares (below 1.3e154)")
         if self.boundary_mode not in (PERIODIC, PHYSICAL):
             raise GridError(f"unknown boundary mode {self.boundary_mode!r}")
-        object.__setattr__(self, "dx", self.lx / self.nx)
-        object.__setattr__(self, "dy", self.ly / self.ny)
+        dx, dy = self.lx / self.nx, self.ly / self.ny
+        # the stencils divide by dx * dx; with nx >= 8 this also bounds the
+        # squared wavenumbers (2 pi / lx) ** 2 of the manufactured solutions
+        if not all(d * d > 0 and 1.0 / (d * d) < np.inf for d in (dx, dy)):
+            raise GridError(f"lx / nx and ly / ny must be above about 7.5e-155, so "
+                            f"that 1/dx^2 and 1/dy^2 are finite; got lx = "
+                            f"{self.lx:g}, ly = {self.ly:g} on {self.nx}x{self.ny}")
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dy", dy)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -97,41 +97,29 @@ class Accumulators:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the accumulated balance integrals.
-
-    Without a ``sink`` every state is stored. With one, ``add`` hands each
-    snapshot to ``sink(state, acc, grad_u)`` and holds only the latest
-    state; the times and accumulators are kept either way."""
+    """Snapshot times and accumulated balance integrals of a run, and its
+    latest state. ``add`` holds only the snapshot it is given and hands it
+    to ``sink(state, acc, grad_u)``, which keeps what it needs."""
 
     grid: Grid
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    accumulators: list = field(default_factory=list)  # Accumulators per snapshot
     sink: Callable[[State, Accumulators, tuple | None], None] | None = None
+    times: list = field(default_factory=list)
+    states: list = field(default_factory=list)  # the latest state alone
+    accumulators: list = field(default_factory=list)  # Accumulators per snapshot
 
     def add(self, state: State, acc: Accumulators, grad_u: tuple | None = None) -> None:
         """Add a snapshot. ``grad_u`` is the velocity gradient of ``state``
         when the caller has it (only a sink uses it)."""
         if self.times and state.t <= self.times[-1]:
             raise ValueError("snapshot times must be strictly increasing")
-        if self.sink is not None:
-            self.states.clear()
         self.times.append(state.t)
-        self.states.append(state.copy())
+        self.states[:] = [state.copy()]
         self.accumulators.append(acc.copy())
         if self.sink is not None:
             self.sink(self.states[-1], self.accumulators[-1], grad_u)
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def stored_states(self) -> list:
-        """Every snapshot's state; refuses a trajectory that streamed them
-        to a sink, which holds only the latest."""
-        if len(self.states) != len(self.times):
-            raise ValueError(f"trajectory holds {len(self.states)} of its "
-                             f"{len(self.times)} snapshots; it streamed them to a sink")
-        return self.states
 
     @property
     def final(self) -> State:

@@ -1,9 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import configuration, settings
 
 from oldb2d.constitutive import ModelParams
 from oldb2d.grid import Grid
 from oldb2d.state import State
+
+# the same examples on every run, and no example database; each test's own
+# max_examples and deadline still apply
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hypothesis_caches_outside_the_checkout(tmp_path_factory):
+    """Hypothesis also caches the constants of the source files it reads,
+    by default under ./.hypothesis; keep them with pytest's temporaries."""
+    configuration.set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+
+
+class Keep:
+    """A ``run_simulation`` sink that keeps every snapshot it is handed and
+    the accumulators added with it."""
+
+    def __init__(self):
+        self.states, self.accumulators = [], []
+
+    def __call__(self, state, acc, grad_u):
+        self.states.append(state)
+        self.accumulators.append(acc)
 
 
 @pytest.fixture

@@ -20,12 +20,12 @@ from oldb2d.entropy import (RefTrajectory, combined_E,
                             entropy_inequality_residual, remainder_R_def,
                             remainder_R_new, restrict_state,
                             weak_strong_experiment)
-from oldb2d.state import Accumulators, State, Trajectory
+from oldb2d.state import State
 from oldb2d.verify import (convergence_study, make_ms, ode_oracle_relaxation,
                            oracle_lemma_scan)
 from oldb2d.config import perturb_state
 
-from conftest import periodic_grid, random_smooth_state, smooth_state
+from conftest import Keep, periodic_grid, random_smooth_state, smooth_state
 
 
 _PRM_SETS = [
@@ -66,12 +66,16 @@ def test_criterion_03_equilibrium_fixed_point(prm):
     g = periodic_grid(32)
     s = State.uniform(g, 1.3, 0.7, k=prm.k)
     dt = 5e-4
-    traj = run_simulation(s, prm, 100 * dt, SolverOptions(dt=dt, snapshot_stride=20))
-    for a, b in zip(traj.final.arrays(), traj.states[0].arrays()):
+    kept = Keep()
+    run_simulation(s, prm, 100 * dt, SolverOptions(dt=dt, snapshot_stride=20),
+                   sink=kept)
+    states = kept.states
+    for a, b in zip(states[-1].arrays(), states[0].arrays()):
         scale = max(np.max(np.abs(b)), 1.0)
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
-    assert np.max(np.abs(diagnostics.energy_inequality_residual(traj, prm))) <= 1e-12
-    assert np.max(np.abs(diagnostics.trace_identity_residual(traj, prm))) <= 1e-12
+    assert np.max(np.abs(diagnostics.energy_inequality_residual(
+        states, kept.accumulators, prm))) <= 1e-12
+    assert np.max(np.abs(diagnostics.trace_identity_residual(states, prm))) <= 1e-12
 
 
 def test_criterion_04_relaxation_ode_order():
@@ -108,16 +112,19 @@ def _smooth_run(n, prm, t_end=0.02):
     g = periodic_grid(n)
     dt = 0.25 * g.dx ** 2
     nsteps = max(1, round(t_end / dt))
-    return run_simulation(smooth_state(g, prm), prm, t_end,
-                          SolverOptions(dt=t_end / nsteps,
-                                        snapshot_stride=max(1, n // 8)))
+    kept = Keep()
+    run_simulation(smooth_state(g, prm), prm, t_end,
+                   SolverOptions(dt=t_end / nsteps, snapshot_stride=max(1, n // 8)),
+                   sink=kept)
+    return kept
 
 
 def test_criterion_06_energy_inequality_refinement(prm):
     finals = []
     for n in (32, 64):
-        traj = _smooth_run(n, prm)
-        res = diagnostics.energy_inequality_residual(traj, prm)
+        kept = _smooth_run(n, prm)
+        res = diagnostics.energy_inequality_residual(kept.states, kept.accumulators,
+                                                     prm)
         assert res[0] == 0.0
         finals.append(abs(res[-1]))
     assert finals[0] / finals[1] >= 3.0
@@ -126,21 +133,21 @@ def test_criterion_06_energy_inequality_refinement(prm):
 def test_criterion_07_trace_and_stress_balance_orders(prm):
     tr, l2 = [], []
     for n in (32, 64, 128):
-        traj = _smooth_run(n, prm)
-        tr.append(np.max(np.abs(diagnostics.trace_identity_residual(traj, prm))))
-        l2.append(np.max(np.abs(diagnostics.stress_l2_balance_residual(traj, prm))))
+        states = _smooth_run(n, prm).states
+        tr.append(np.max(np.abs(diagnostics.trace_identity_residual(states, prm))))
+        l2.append(np.max(np.abs(diagnostics.stress_l2_balance_residual(states, prm))))
     for errs in (tr, l2):
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8, (errs, orders)
 
 
 def _steady_ref(state, spacing=0.01):
-    traj = Trajectory(state.grid)
+    ref = RefTrajectory()
     for i in range(3):
         s = state.copy()
         s.t = state.t + i * spacing
-        traj.add(s, Accumulators())
-    return RefTrajectory(traj)
+        ref(s)
+    return ref
 
 
 def test_criterion_08_remainder_coincidence(prm):
@@ -172,11 +179,11 @@ def test_criterion_09_remainder_form_equivalence(prm):
     assert min(orders) >= 1.8, (diffs, orders)
 
 
-def _run_grid(init, prm, t_end, n):
+def _run_grid(init, prm, t_end, n, sink=None):
     dt = 0.25 * init.grid.dx ** 2
     nsteps = max(1, round(t_end / dt))
     opts = SolverOptions(dt=t_end / nsteps, snapshot_stride=max(1, n // 8))
-    return run_simulation(init, prm, t_end, opts)
+    return run_simulation(init, prm, t_end, opts, sink=sink)
 
 
 def test_criterion_10a_weak_strong_resolution_decay(prm):
@@ -196,14 +203,16 @@ def test_criterion_10b_perturbation_scaling_and_gronwall(prm):
     n, t_end = 32, 0.02
     g = periodic_grid(n)
     base = smooth_state(g, prm)
-    ref_traj = _run_grid(base, prm, t_end, n)
-    ref = RefTrajectory(ref_traj)
-    ref.check_stride(g)
+    ref = RefTrajectory()
+    _run_grid(base, prm, t_end, n, sink=ref)
+    assert not entropy.spacing_exceeds_dx(
+        np.max(np.diff([s.t for s in ref.states])), g)
     ratios, chats = [], []
     for d0 in (1e-2, 1e-3, 1e-4):
         pert = perturb_state(base, d0, seed=77, k=prm.k)
-        traj = _run_grid(pert, prm, t_end, n)
-        rep = weak_strong_experiment(traj, ref, prm)
+        kept = Keep()
+        _run_grid(pert, prm, t_end, n, sink=kept)
+        rep = weak_strong_experiment(kept.states, ref, prm)
         assert rep.E0 > 0
         ratios.append(rep.E0 / d0 ** 2)
         chats.append(rep.C_hat)
@@ -222,10 +231,12 @@ def test_criterion_10c_entropy_residual_refinement(prm):
     maxres = []
     for n in (32, 64):
         base = smooth_state(periodic_grid(n), prm)
-        ref = RefTrajectory(_run_grid(base, prm, t_end, n))
+        ref = RefTrajectory()
+        _run_grid(base, prm, t_end, n, sink=ref)
         pert = perturb_state(base, 1e-3, seed=77, k=prm.k)
-        traj = _run_grid(pert, prm, t_end, n)
-        res = entropy_inequality_residual(traj, ref, prm)
+        kept = Keep()
+        _run_grid(pert, prm, t_end, n, sink=kept)
+        res = entropy_inequality_residual(kept.states, ref, prm)
         assert res[0] == 0.0
         maxres.append(np.max(np.abs(res)))
     assert maxres[0] / maxres[1] >= 2.0, maxres

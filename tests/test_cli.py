@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from oldb2d import cli, dynamics, fields, grid, kernels
+from oldb2d import cli, dynamics, entropy, fields, grid, kernels
 from oldb2d.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         main)
 from oldb2d.snapshot_io import COMPARE_COLUMNS, read_snapshot
@@ -146,31 +146,52 @@ def test_failure_outside_the_step_prints_no_numpy_warnings(tmp_path, capsys,
         assert "inf" in (out / "run.csv").read_text()
 
 
-@pytest.mark.parametrize("text,code,named", [
+MMS_TINY = ("[grid]\nnx = 8\nny = 8\nlx = {l}\nly = {l}\n"
+            "[initial]\npreset = mms:periodic-smooth\n"
+            "[time]\ndt = 1e-4\nt_end = 1e-4\n[verify]\nlevels = 8,16,32\n")
+
+
+@pytest.mark.parametrize("command,text,code,named", [
     # gamma = 1000 shrinks the CFL step below ulp(t) within ten steps
-    ("[grid]\nnx = 16\nny = 16\n[initial]\npreset = gaussian-bump\n"
+    ("run", "[grid]\nnx = 16\nny = 16\n[initial]\npreset = gaussian-bump\n"
      "[params]\ngamma = 1000\n[time]\nt_end = 0.01\n",
      EXIT_NUMERICAL, "does not advance t="),
     # |T|_Linf ~ 1e300: its square overflows after the run
-    ("[grid]\nnx = 8\nny = 8\n[initial]\npreset = gaussian-bump\n"
+    ("run", "[grid]\nnx = 8\nny = 8\n[initial]\npreset = gaussian-bump\n"
      "[params]\nk = 1e300\n[time]\nt_end = 0.002\n", EXIT_OK, ""),
     # the bump width squared overflows in the initial state
-    ("[grid]\nnx = 8\nny = 8\nlx = 1e200\nly = 1e200\n"
+    ("run", "[grid]\nnx = 8\nny = 8\nlx = 1e200\nly = 1e200\n"
      "[initial]\npreset = gaussian-bump\n", EXIT_CONFIG, "finite squares"),
     # c_s overflows to inf, so both advective limits are dx / inf = 0
-    (TINY + "rho0 = 1e300\n", EXIT_NUMERICAL,
+    ("run", TINY + "rho0 = 1e300\n", EXIT_NUMERICAL,
      "numerical failure: nonpositive time step 0 at t=0: "
      "advective x limit is 0 (max |u| + c_s = inf); "
      "advective y limit is 0 (max |v| + c_s = inf)\n"),
     # the perturbation halves rho = 5e-324 to 0 in some cells
-    (TINY + "rho0 = 5e-324\ndelta0 = 0.5\nseed = 3\n", EXIT_NUMERICAL,
+    ("run", TINY + "rho0 = 5e-324\ndelta0 = 0.5\nseed = 3\n", EXIT_NUMERICAL,
      "diffusive x limit is 0 (max(eps, mu/rho_min, (mu+nu)/rho_min) = inf)"),
+    # 1/dx^2 overflows, and so would the squared wavenumber of the source
+    ("run", MMS_TINY.format(l="1e-200"), EXIT_CONFIG, "got lx = 1e-200, ly = 1e-200"),
+    # so does [grid]'s, and dt_over_dx2 * dx ** 2 would underflow to 0
+    ("verify", MMS_TINY.format(l="1e-200"), EXIT_CONFIG,
+     "got lx = 1e-200, ly = 1e-200"),
+    # [grid] has finite 1/dx^2, the finest level, 32 x 32, does not
+    ("verify", MMS_TINY.format(l="1e-153"), EXIT_CONFIG,
+     "levels in [verify]: the finest level, 32, fails"),
+    ("verify", MMS_TINY.format(l="1") + "dt_over_dx2 = 5e-324\n", EXIT_CONFIG,
+     "dt_over_dx2 in [verify] gives a step of 0 on the finest level, 32"),
+    # a step of 4.9e-304 would take about 1e302 steps
+    ("verify", MMS_TINY.format(l="1e-150"), EXIT_CONFIG,
+     "too small to reach t_end = 0.05 within 10000000 steps"),
 ], ids=["stalled-t", "tau-square-overflow", "length-square-overflow",
-        "sound-speed-overflow", "zero-density"])
-def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, text, code, named):
+        "sound-speed-overflow", "zero-density", "mms-inverse-square-overflow",
+        "verify-inverse-square-overflow", "verify-finest-level-overflow",
+        "verify-zero-step", "verify-step-count-above-limit"])
+def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
+                                         named):
     cfg = _write(tmp_path, "x.ini", text)
     out = tmp_path / "out"
-    assert main(["--out", str(out), "run", cfg]) == code
+    assert main(["--out", str(out), command, cfg]) == code
     assert named in capsys.readouterr().err
     if code != EXIT_CONFIG:
         assert (out / "run.csv").exists()
@@ -198,13 +219,20 @@ def test_compare_blowup_exit_3_names_monitor(tmp_path, capsys):
     assert "blow-up abort" in err and "sup_rho" in err
 
 
-def test_compare_zero_eta_reference_exit_4(tmp_path, capsys):
+def test_compare_zero_eta_reference_exit_4(tmp_path, capsys, monkeypatch):
     ref = _write(tmp_path, "ref.ini", BASE + "[initial]\neta0 = 0\n")
     weak = _write(tmp_path, "weak.ini", BASE)
-    assert main(["--out", str(tmp_path / "out"), "compare", ref, weak]) == EXIT_NUMERICAL
+    steps = []
+    step = dynamics.step_ssprk2
+    monkeypatch.setattr(dynamics, "step_ssprk2",
+                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref, weak]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert ("numerical failure: reference polymer density must be strictly "
             "positive") in err
+    # the reference stops at its first snapshot, before any step
+    assert steps == [] and not out.exists()
 
 
 # the compressive force pushes sup rho past 1.3 near t = 0.08 (step ~163);
@@ -304,36 +332,45 @@ def test_compare_reference_failure_writes_nothing(tmp_path, capsys):
 
 
 def test_run_and_candidate_hold_one_snapshot(tmp_path, monkeypatch):
-    """``run`` and compare's candidate hold only the latest state after every
-    ``Trajectory.add``; the reference holds every snapshot."""
-    adds = []
-    add = Trajectory.add
+    """Every ``Trajectory`` of ``run``, of both runs of ``compare`` and of
+    ``verify`` holds only the latest state after each ``add``; compare's
+    ``RefTrajectory`` keeps every reference snapshot."""
+    adds, kept = [], []
+    add, keep = Trajectory.add, entropy.RefTrajectory.__call__
 
     def spy(traj, state, acc, grad_u=None):
         add(traj, state, acc, grad_u)
         assert traj.states[-1].t == state.t
         adds.append((traj, len(traj.states)))
 
+    def spy_ref(ref, state, acc=None, grad_u=None):
+        keep(ref, state, acc, grad_u)
+        kept.append(len(ref.states))
+
     monkeypatch.setattr(Trajectory, "add", spy)
+    monkeypatch.setattr(entropy.RefTrajectory, "__call__", spy_ref)
     cfg = _write(tmp_path, "c.ini", BASE.replace("snapshot_stride = 5",
                                                  "snapshot_stride = 1"))
     weak = _write(tmp_path, "w.ini", BASE.replace("snapshot_stride = 5",
                                                   "snapshot_stride = 1")
                   + "[initial]\ndelta0 = 1e-3\nseed = 5\n")
+    mms = _write(tmp_path, "v.ini", BASE + "[initial]\npreset = mms:diffusion-eta\n"
+                 "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
 
     def held(command, *configs):
         adds.clear()
+        kept.clear()
         out = tmp_path / command
         assert main(["--out", str(out), command, *configs]) == EXIT_OK
-        assert len((out / f"{command}.csv").read_text().splitlines()) == 22
         trajs = {id(t): t for t, _ in adds}.values()
         return [[n for t, n in adds if t is traj] for traj in trajs]
 
-    (run,) = held("run", cfg)
-    assert run == [1] * 21
-    ref, candidate = held("compare", cfg, weak)
-    assert ref == list(range(1, 22))
-    assert candidate == [1] * 21
+    assert held("run", cfg) == [[1] * 21] and kept == []
+    assert held("compare", cfg, weak) == [[1] * 21] * 2
+    assert kept == list(range(1, 22))
+    assert len((tmp_path / "compare" / "compare.csv").read_text().splitlines()) == 22
+    # one run per level, adding its initial and its final state
+    assert held("verify", mms) == [[1, 1]] * 3 and kept == []
 
 
 @pytest.mark.parametrize("extra,section,keys", [

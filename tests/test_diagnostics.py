@@ -8,9 +8,9 @@ from oldb2d.constitutive import ModelParams
 from oldb2d.diagnostics import (BlowupReport, blowup_monitor, min_eig_tau,
                                 total_energy, velocity_moment)
 from oldb2d.dynamics import SolverOptions, run_simulation
-from oldb2d.state import State, Trajectory
+from oldb2d.state import State
 
-from conftest import periodic_grid, random_smooth_state, smooth_state
+from conftest import Keep, periodic_grid, random_smooth_state, smooth_state
 
 
 def test_total_energy_reference_point():
@@ -58,9 +58,10 @@ def test_total_energy_matches_naive_loop(prm):
 def test_equilibrium_residuals_are_roundoff(prm):
     g = periodic_grid(16)
     s = State.uniform(g, 1.0, 1.0, k=prm.k)
-    traj = run_simulation(s, prm, 0.05, SolverOptions(dt=1e-3, snapshot_stride=5))
-    er = diagnostics.energy_inequality_residual(traj, prm)
-    tr = diagnostics.trace_identity_residual(traj, prm)
+    kept = Keep()
+    run_simulation(s, prm, 0.05, SolverOptions(dt=1e-3, snapshot_stride=5), sink=kept)
+    er = diagnostics.energy_inequality_residual(kept.states, kept.accumulators, prm)
+    tr = diagnostics.trace_identity_residual(kept.states, prm)
     assert er[0] == 0.0
     assert np.max(np.abs(er)) <= 1e-12
     assert np.max(np.abs(tr)) <= 1e-12
@@ -73,15 +74,16 @@ def test_streamed_trace_terms_have_the_stored_bits(prm):
     g = periodic_grid(16)
     opts = SolverOptions(dt=2e-4, snapshot_stride=2)
     init = smooth_state(g, prm)
-    stored = run_simulation(init, prm, 1e-3, opts)
+    stored = Keep()
+    run_simulation(init, prm, 1e-3, opts, sink=stored)
     streamed, handed = [], []
 
     def sink(s, acc, grad_u):
         handed.append(grad_u is not None)
         streamed.append(diagnostics.trace_identity_terms(s, prm, grad_u))
 
-    run_simulation(init, prm, 1e-3, opts, trajectory=Trajectory(g, sink=sink))
-    assert all(handed) and len(streamed) == len(stored) == 4
+    run_simulation(init, prm, 1e-3, opts, sink=sink)
+    assert all(handed) and len(streamed) == len(stored.states) == 4
     assert streamed == [diagnostics.trace_identity_terms(s, prm)
                         for s in stored.states]
 
@@ -89,27 +91,16 @@ def test_streamed_trace_terms_have_the_stored_bits(prm):
     init.mx[3, 4] = init.my[3, 4] = 0.0
     handed.clear()
     run_simulation(init, prm, 2e-4, SolverOptions(dt=2e-4, snapshot_stride=1),
-                   trajectory=Trajectory(g, sink=sink))
+                   sink=sink)
     assert handed == [False, True]
-
-
-def test_storing_helpers_refuse_a_streamed_trajectory(prm):
-    g = periodic_grid(8)
-    traj = run_simulation(smooth_state(g, prm), prm, 1e-3,
-                          SolverOptions(dt=2e-4, snapshot_stride=1),
-                          trajectory=Trajectory(g, sink=lambda s, acc, grad_u: None))
-    assert len(traj) == 6 and len(traj.states) == 1
-    for helper in (diagnostics.energy_inequality_residual,
-                   diagnostics.trace_identity_residual):
-        with pytest.raises(ValueError, match="holds 1 of its 6 snapshots"):
-            helper(traj, prm)
 
 
 def test_stress_l2_balance_zero_stress(prm):
     g = periodic_grid(16)
     s = State.uniform(g, 1.0, 0.0, tau0=np.zeros((2, 2)))
-    traj = run_simulation(s, prm, 0.02, SolverOptions(dt=1e-3, snapshot_stride=5))
-    res = diagnostics.stress_l2_balance_residual(traj, prm)
+    kept = Keep()
+    run_simulation(s, prm, 0.02, SolverOptions(dt=1e-3, snapshot_stride=5), sink=kept)
+    res = diagnostics.stress_l2_balance_residual(kept.states, prm)
     assert np.max(np.abs(res)) <= 1e-12
 
 
@@ -118,11 +109,12 @@ def test_relaxation_identities_match_ode(prm):
     g = periodic_grid(8)
     T0 = np.array([[3.0, 0.0], [0.0, 1.0]])
     s = State.uniform(g, 1.0, 0.0, tau0=T0)
-    traj = run_simulation(s, prm, 0.2, SolverOptions(dt=2e-3, snapshot_stride=10))
-    tr_res = diagnostics.trace_identity_residual(traj, prm)
-    l2_res = diagnostics.stress_l2_balance_residual(traj, prm)
-    # residual limited by the centered differencing of stored snapshots
-    spacing = traj.times[1] - traj.times[0]
+    kept = Keep()
+    run_simulation(s, prm, 0.2, SolverOptions(dt=2e-3, snapshot_stride=10), sink=kept)
+    tr_res = diagnostics.trace_identity_residual(kept.states, prm)
+    l2_res = diagnostics.stress_l2_balance_residual(kept.states, prm)
+    # residual limited by the centered differencing of kept snapshots
+    spacing = kept.states[1].t - kept.states[0].t
     assert np.max(np.abs(tr_res)) <= 2.0 * spacing ** 2
     assert np.max(np.abs(l2_res)) <= 20.0 * spacing ** 2
 

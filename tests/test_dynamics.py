@@ -19,7 +19,7 @@ def test_uniform_equilibrium_is_fixed_point(mode, prm):
     g = periodic_grid(16) if mode == "periodic" else physical_grid(16)
     s = State.uniform(g, 1.2, 0.8, k=prm.k)
     traj = run_simulation(s, prm, 0.05, SolverOptions(dt=1e-3))
-    for a, b in zip(traj.final.arrays(), traj.states[0].arrays()):
+    for a, b in zip(traj.final.arrays(), s.arrays()):
         assert np.array_equal(a, b)
 
 

@@ -14,19 +14,34 @@ from oldb2d.entropy import (GronwallReport, RefTrajectory, ReferenceError,
                             stress_distance_ET, stress_distance_balance,
                             weak_strong_experiment)
 from oldb2d.grid import GridError
-from oldb2d.state import Accumulators, State, Trajectory
+from oldb2d.state import State
 
-from conftest import (periodic_grid, physical_grid, random_smooth_state,
+from conftest import (Keep, periodic_grid, physical_grid, random_smooth_state,
                       smooth_state)
 
 
+def fed_ref(states):
+    """A reference fed ``states`` one snapshot at a time."""
+    ref = RefTrajectory()
+    for s in states:
+        ref(s)
+    return ref
+
+
 def steady_ref_traj(state, times=(0.0, 0.01, 0.02)):
-    traj = Trajectory(state.grid)
+    ref = RefTrajectory()
     for t in times:
         s = state.copy()
         s.t = t
-        traj.add(s, Accumulators())
-    return RefTrajectory(traj)
+        ref(s)
+    return ref
+
+
+def ref_run(init, prm, t_end, opts):
+    """The reference that a run of ``init`` streams into."""
+    ref = RefTrajectory()
+    run_simulation(init, prm, t_end, opts, sink=ref)
+    return ref
 
 
 def test_E1_trivial_examples(prm):
@@ -100,22 +115,15 @@ def test_nonnegativity_random_pairs(prm):
 def test_ref_trajectory_rejects_nonpositive(prm):
     g = periodic_grid(8)
     s = State.uniform(g, 1.0, 1.0, k=prm.k)
-    bad = s.copy()
-    bad.rho[0, 0] = 0.0
-    traj = Trajectory(g)
-    traj.add(s, Accumulators())
-    bad.t = 0.01
-    with pytest.raises(ReferenceError):
-        traj.add(bad, Accumulators())
-        RefTrajectory(traj)
-    bad2 = s.copy()
-    bad2.eta[0, 0] = -1.0
-    traj2 = Trajectory(g)
-    traj2.add(s, Accumulators())
-    bad2.t = 0.01
-    traj2.add(bad2, Accumulators())
-    with pytest.raises(ReferenceError):
-        RefTrajectory(traj2)
+    for name, msg in (("rho", "reference density"),
+                      ("eta", "reference polymer density")):
+        bad = s.copy()
+        getattr(bad, name)[0, 0] = 0.0 if name == "rho" else -1.0
+        bad.t = 0.01
+        ref = fed_ref([s])
+        with pytest.raises(ReferenceError, match=msg):
+            ref(bad)
+        assert len(ref) == 1
 
 
 def test_remainders_vanish_at_coincidence(prm):
@@ -195,15 +203,16 @@ def test_time_derivs_evaluate_each_snapshot_once(prm, monkeypatch):
     does, evaluates each snapshot's quantities once, and every derivative
     has the bits of a fresh reference's."""
     g = physical_grid(16)
-    traj = run_simulation(smooth_state(g, prm), prm, 0.004,
-                          SolverOptions(dt=2e-4, snapshot_stride=2))
-    n = len(traj)
-    want = [RefTrajectory(traj).time_derivs(i, prm) for i in range(n)]
+    kept = Keep()
+    run_simulation(smooth_state(g, prm), prm, 0.004,
+                   SolverOptions(dt=2e-4, snapshot_stride=2), sink=kept)
+    n = len(kept.states)
+    want = [fed_ref(kept.states).time_derivs(i, prm) for i in range(n)]
     calls = []
     g_prime = entropy.polymer_potential_G_prime
     monkeypatch.setattr(entropy, "polymer_potential_G_prime",
                         lambda eta, p: calls.append(1) or g_prime(eta, p))
-    ref = RefTrajectory(traj)
+    ref = fed_ref(kept.states)
     for i in range(n):
         for _ in range(2):
             got = ref.time_derivs(i, prm)
@@ -212,11 +221,8 @@ def test_time_derivs_evaluate_each_snapshot_once(prm, monkeypatch):
                 assert got[k].tobytes() == want[i][k].tobytes(), (i, k)
     assert n > 3 and len(calls) == n
     # two-snapshot references take both quantities from the cache
-    short = Trajectory(g)
-    for s in traj.states[:2]:
-        short.add(s, Accumulators())
     calls.clear()
-    two = RefTrajectory(short)
+    two = fed_ref(kept.states[:2])
     assert two.time_derivs(0, prm)["dGp"].tobytes() == \
         two.time_derivs(1, prm)["dGp"].tobytes()
     assert len(calls) == 2
@@ -225,9 +231,8 @@ def test_time_derivs_evaluate_each_snapshot_once(prm, monkeypatch):
 def test_entropy_residual_zero_at_t0_and_for_coincident_runs(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)
-    traj = run_simulation(s, prm, 0.01, SolverOptions(dt=2e-4, snapshot_stride=10))
-    ref = RefTrajectory(traj)
-    res = entropy_inequality_residual(traj, ref, prm)
+    ref = ref_run(s, prm, 0.01, SolverOptions(dt=2e-4, snapshot_stride=10))
+    res = entropy_inequality_residual(ref.states, ref, prm)
     assert res[0] == 0.0
     assert np.max(np.abs(res)) == 0.0
 
@@ -235,9 +240,8 @@ def test_entropy_residual_zero_at_t0_and_for_coincident_runs(prm):
 def test_stress_distance_balance_coincidence(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)
-    traj = run_simulation(s, prm, 0.01, SolverOptions(dt=2e-4, snapshot_stride=10))
-    ref = RefTrajectory(traj)
-    res = stress_distance_balance(traj, ref, prm)
+    ref = ref_run(s, prm, 0.01, SolverOptions(dt=2e-4, snapshot_stride=10))
+    res = stress_distance_balance(ref.states, ref, prm)
     assert np.max(np.abs(res)) == 0.0
 
 
@@ -248,10 +252,10 @@ def test_stress_distance_balance_relaxation_ode(prm):
     s = State.uniform(g, 1.0, 1.0, tau0=np.array([[2.0, 0.3], [0.3, 1.0]]))
     r = State.uniform(g, 1.0, 1.0, tau0=np.array([[1.0, 0.0], [0.0, 1.0]]))
     opts = SolverOptions(dt=1e-3, snapshot_stride=10)
-    traj = run_simulation(s, prm, 0.2, opts)
-    rtraj = run_simulation(r, prm, 0.2, opts)
-    res = stress_distance_balance(traj, RefTrajectory(rtraj), prm)
-    spacing = traj.times[1] - traj.times[0]
+    kept = Keep()
+    run_simulation(s, prm, 0.2, opts, sink=kept)
+    res = stress_distance_balance(kept.states, ref_run(r, prm, 0.2, opts), prm)
+    spacing = kept.states[1].t - kept.states[0].t
     assert np.max(np.abs(res)) <= 10.0 * spacing ** 2
 
 
@@ -268,7 +272,7 @@ def test_restrict_state_block_average(prm):
 def test_weak_strong_identical_runs(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)
-    traj = run_simulation(s, prm, 0.01, SolverOptions(dt=2e-4, snapshot_stride=10))
-    rep = weak_strong_experiment(traj, RefTrajectory(traj), prm)
+    ref = ref_run(s, prm, 0.01, SolverOptions(dt=2e-4, snapshot_stride=10))
+    rep = weak_strong_experiment(ref.states, ref, prm)
     assert isinstance(rep, GronwallReport)
     assert np.all(rep.E_series == 0.0)
