@@ -26,14 +26,12 @@ from .state import Accumulators, NumericalError, State, Trajectory
 class BlowupAbort(RuntimeError):
     """Raised when a blow-up monitor crosses its configured threshold."""
 
-    def __init__(self, monitor: str, value: float, threshold: float,
-                 trajectory: Trajectory):
+    def __init__(self, monitor: str, value: float, threshold: float):
         super().__init__(f"blow-up monitor {monitor} crossed threshold: "
                          f"{value:g} > {threshold:g}")
         self.monitor = monitor
         self.value = value
         self.threshold = threshold
-        self.trajectory = trajectory
 
 
 #: guard against a run that never reaches t_end
@@ -42,11 +40,18 @@ MAX_STEPS = 10_000_000
 
 @dataclass
 class SolverOptions:
+    """Step control, the blow-up threshold and the snapshot stride of a run.
+
+    ``resolved`` sets the absolute floors from the initial state: the
+    density floor, 1e-10 times the mean initial density, which
+    ``run_simulation`` applies to the initial state and ``_apply_floors``
+    after each RK stage, and the tolerance of ``eta`` undershoot clipping.
+    """
+
     cfl: float = 0.4
     dt: float | None = None            # fixed step; None = CFL-adaptive
     sup_rho_threshold: float = np.inf
     snapshot_stride: int = 10
-    # absolute floors, set by resolved() from the initial state
     rho_floor: float = field(default=0.0, init=False)
     eta_clip_tol: float = field(default=0.0, init=False)
 
@@ -66,7 +71,7 @@ def _pad(a: np.ndarray, mode: str) -> np.ndarray:
     return extend(a, mode, mode, width=1)
 
 
-def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
+def compute_rhs(state: State, prm: ModelParams,
                 force: tuple[np.ndarray, np.ndarray] | None = None,
                 sources: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """Semi-discrete RHS of the full system at the state's own time."""
@@ -75,7 +80,7 @@ def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
 
     rho, mx, my, eta = state.rho, state.mx, state.my, state.eta
     t11, t12, t22 = state.t11, state.t12, state.t22
-    ux, uy = state.velocity(opts.rho_floor)
+    ux, uy = state.velocity()
     uf, vf = face_velocities(ux, uy, grid)
 
     # continuity and polymer density
@@ -130,8 +135,7 @@ def compute_rhs(state: State, prm: ModelParams, opts: SolverOptions,
     return out
 
 
-def cfl_dt(state: State, prm: ModelParams, cfl: float,
-           rho_floor: float = 0.0) -> float:
+def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
     """Advective and diffusive step limits combined.
 
     dt = cfl * min( dx/(|u|+c_s), dy/(|v|+c_s),
@@ -139,9 +143,9 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float,
     with sound speed c_s = sqrt(gamma p / rho).
     """
     grid = state.grid
-    rho = np.maximum(state.rho, rho_floor) if rho_floor > 0 else state.rho
-    ux, uy = state.velocity(rho_floor)
-    cs = np.sqrt(prm.gamma * pressure(np.maximum(state.rho, 0.0), prm) / rho)
+    rho = state.rho
+    ux, uy = state.velocity()
+    cs = np.sqrt(prm.gamma * pressure(np.maximum(rho, 0.0), prm) / rho)
     speed_x = np.max(np.abs(ux) + cs)
     speed_y = np.max(np.abs(uy) + cs)
     adv_x = grid.dx / speed_x
@@ -187,13 +191,10 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
     grid = state.grid
 
     def rhs(s: State) -> tuple[np.ndarray, ...]:
-        return compute_rhs(s, prm, opts, force_fn(s.t) if force_fn else None,
+        return compute_rhs(s, prm, force_fn(s.t) if force_fn else None,
                            source_fn(s.t) if source_fn else None)
 
-    # k0 lives until the step ends: freed before stage 2, its arrays leave the
-    # heap in a layout that costs ~40 minor page faults per warm 256^2 step
-    k0 = rhs(state)
-    stage1 = [a + dt * da for a, da in zip(state.arrays(), k0)]
+    stage1 = [a + dt * da for a, da in zip(state.arrays(), rhs(state))]
     clipped = _apply_floors(stage1, opts)
     s1 = State(grid, state.t + dt, *stage1)
     s1.check_finite()
@@ -207,12 +208,12 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
     return out, clipped * grid.cell_area
 
 
-def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
+def balance_rates(state: State, prm: ModelParams,
                   force: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
     """Instantaneous integrands of the energy-balance accumulators, and the
-    velocity gradient they were computed from (see :func:`_own_gradient`)."""
+    velocity gradient they were computed from, that of ``state.velocity()``."""
     grid = state.grid
-    ux, uy = state.velocity(opts.rho_floor)
+    ux, uy = state.velocity()
     eta = np.maximum(state.eta, 0.0)
     grad_u = velocity_gradient(ux, uy, grid)
     visc, bracket = dissipation_density(grad_u, np.sqrt(eta), eta, grid, prm)
@@ -228,15 +229,6 @@ def balance_rates(state: State, prm: ModelParams, opts: SolverOptions,
             "src_f": src_f, "src_eta": src_eta}, grad_u
 
 
-def _own_gradient(state: State, grad_u: tuple, opts: SolverOptions):
-    """``grad_u`` from :func:`balance_rates` if it is the gradient of
-    ``state.velocity()``, else None. The balance divides by the density
-    floored at ``opts.rho_floor``, which is the density itself unless a
-    cell lies below the floor; after a step none does, as the step floors
-    the density."""
-    return grad_u if float(np.min(state.rho)) >= opts.rho_floor else None
-
-
 # every non-finite value a step makes is caught by check_finite or
 # _apply_floors, which name the field; numpy's warnings would only precede them
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -245,57 +237,56 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
                    force_fn: ForceFn | None = None,
                    source_fn: SourceFn | None = None,
                    step_callback=None, *, sink=None) -> Trajectory:
-    """Integrate to t_end, accumulating energy-balance integrals with the
-    trapezoidal rule and adding snapshots at the configured stride to a
-    trajectory with ``sink`` (see :class:`Trajectory`), which is returned.
-    Each snapshot is added with the velocity gradient its energy balance
-    used, so a sink need not recompute it.
+    """Integrate a copy of ``init`` to t_end, accumulating energy-balance
+    integrals with the trapezoidal rule and adding snapshots at the
+    configured stride to a trajectory with ``sink`` (see
+    :class:`Trajectory`), which is returned. The copy's density is floored
+    at ``opts.rho_floor`` as every RK stage's is, so every state the solver
+    holds lies on the floor or above it. Each snapshot, t = 0 included, is
+    added with the velocity gradient its energy balance used, so a sink
+    need not recompute it.
 
     Raises :class:`BlowupAbort` when sup rho crosses the configured
-    threshold, and :class:`NumericalError` when a step fails; either way the
-    trajectory so far is attached to the exception.
+    threshold, after adding the crossing state, and :class:`NumericalError`
+    when a step fails; either way the sink already holds the run so far.
     """
     opts = (opts or SolverOptions()).resolved(init)
     traj = Trajectory(init.grid, sink)
     acc = Accumulators()
     state = init.copy()
+    np.maximum(state.rho, opts.rho_floor, out=state.rho)
     state.check_finite()
-    rates, grad_u = balance_rates(state, prm, opts,
+    rates, grad_u = balance_rates(state, prm,
                                   force_fn(state.t) if force_fn else None)
-    traj.add(state, acc, grad_u=_own_gradient(state, grad_u, opts))
+    traj.add(state, acc, grad_u=grad_u)
     t_stop = t_end - 1e-14 * max(t_end, 1.0)
     nstep = 0
-    try:
-        while state.t < t_stop:
-            grad_u = None  # not held through the step
-            dt = opts.dt if opts.dt is not None else cfl_dt(state, prm, opts.cfl,
-                                                            opts.rho_floor)
-            dt = min(dt, t_end - state.t)
-            if not state.t + dt > state.t:
-                raise NumericalError(f"time step dt={dt:g} does not advance t={state.t:g}")
-            state, clipped = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
-            acc.clipped_eta += clipped
+    while state.t < t_stop:
+        grad_u = None  # not held through the step
+        dt = opts.dt if opts.dt is not None else cfl_dt(state, prm, opts.cfl)
+        dt = min(dt, t_end - state.t)
+        if not state.t + dt > state.t:
+            raise NumericalError(f"time step dt={dt:g} does not advance t={state.t:g}")
+        state, clipped = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
+        acc.clipped_eta += clipped
 
-            new_rates, grad_u = balance_rates(state, prm, opts,
-                                              force_fn(state.t) if force_fn else None)
-            for key in ("visc", "poly", "relax", "src_f", "src_eta"):
-                val = getattr(acc, key) + 0.5 * dt * (rates[key] + new_rates[key])
-                setattr(acc, key, val)
-            rates = new_rates
+        new_rates, grad_u = balance_rates(state, prm,
+                                          force_fn(state.t) if force_fn else None)
+        for key in ("visc", "poly", "relax", "src_f", "src_eta"):
+            val = getattr(acc, key) + 0.5 * dt * (rates[key] + new_rates[key])
+            setattr(acc, key, val)
+        rates = new_rates
 
-            sup_rho = float(np.max(state.rho))
-            if sup_rho > opts.sup_rho_threshold:
-                traj.add(state, acc, grad_u=_own_gradient(state, grad_u, opts))
-                raise BlowupAbort("sup_rho", sup_rho, opts.sup_rho_threshold, traj)
+        sup_rho = float(np.max(state.rho))
+        if sup_rho > opts.sup_rho_threshold:
+            traj.add(state, acc, grad_u=grad_u)
+            raise BlowupAbort("sup_rho", sup_rho, opts.sup_rho_threshold)
 
-            nstep += 1
-            if nstep % opts.snapshot_stride == 0 or state.t >= t_stop:
-                traj.add(state, acc, grad_u=_own_gradient(state, grad_u, opts))
-            if step_callback is not None:
-                step_callback(state, acc)
-            if nstep >= MAX_STEPS:
-                raise NumericalError(f"exceeded max_steps={MAX_STEPS} before t_end")
-    except NumericalError as e:
-        e.trajectory = traj
-        raise
+        nstep += 1
+        if nstep % opts.snapshot_stride == 0 or state.t >= t_stop:
+            traj.add(state, acc, grad_u=grad_u)
+        if step_callback is not None:
+            step_callback(state, acc)
+        if nstep >= MAX_STEPS:
+            raise NumericalError(f"exceeded max_steps={MAX_STEPS} before t_end")
     return traj

@@ -12,9 +12,8 @@ from .grid import Grid
 
 class NumericalError(RuntimeError):
     """Raised when the solver produces invalid data (NaN/Inf, undershoots).
-    ``run_simulation`` attaches the trajectory filled before the failure."""
-
-    trajectory: Trajectory | None = None
+    It carries no trajectory: a run's sink already holds the snapshots
+    added before the failure."""
 
 
 @dataclass
@@ -97,26 +96,28 @@ class Accumulators:
 
 @dataclass
 class Trajectory:
-    """Snapshot times and accumulated balance integrals of a run, and its
-    latest state. ``add`` holds only the snapshot it is given and hands it
-    to ``sink(state, acc, grad_u)``, which keeps what it needs."""
+    """Snapshot times of a run, and its latest state and accumulated
+    balance integrals. ``add`` holds the state it is given, not a copy, and
+    hands it to ``sink(state, acc, grad_u)``, which keeps what it needs and
+    must not mutate the state: it is the run's own."""
 
     grid: Grid
     sink: Callable[[State, Accumulators, tuple | None], None] | None = None
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)  # the latest state alone
-    accumulators: list = field(default_factory=list)  # Accumulators per snapshot
+    accumulators: list = field(default_factory=list)  # the latest alone
 
     def add(self, state: State, acc: Accumulators, grad_u: tuple | None = None) -> None:
-        """Add a snapshot. ``grad_u`` is the velocity gradient of ``state``
+        """Add a snapshot with a copy of ``acc``, which the run goes on
+        accumulating into. ``grad_u`` is the velocity gradient of ``state``
         when the caller has it (only a sink uses it)."""
         if self.times and state.t <= self.times[-1]:
             raise ValueError("snapshot times must be strictly increasing")
         self.times.append(state.t)
-        self.states[:] = [state.copy()]
-        self.accumulators.append(acc.copy())
+        self.states[:] = [state]
+        self.accumulators[:] = [acc.copy()]
         if self.sink is not None:
-            self.sink(self.states[-1], self.accumulators[-1], grad_u)
+            self.sink(state, self.accumulators[-1], grad_u)
 
     def __len__(self) -> int:
         return len(self.times)

@@ -1,18 +1,24 @@
 """End-to-end CLI behavior, driven in process through main() and once
 through ``python -m oldb2d.cli``."""
 
+import contextlib
 import ctypes
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
-from oldb2d import cli, dynamics, entropy, fields, grid, kernels
+from oldb2d import cli, config, dynamics, entropy, fields, grid, kernels
 from oldb2d.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         main)
 from oldb2d.snapshot_io import COMPARE_COLUMNS, read_snapshot
@@ -195,6 +201,90 @@ def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
     assert named in capsys.readouterr().err
     if code != EXIT_CONFIG:
         assert (out / "run.csv").exists()
+
+
+#: extreme but parseable values, by the parser of a config.SCHEMA key;
+#: [grid] sizes stay at most 16 and [output] directory is left to --out
+_EXTREMES = {
+    "int": ["0", "1", "3"],
+    "_float": ["0", "0.5", "3", "1e-8", "0.99999999999", "1e-300", "5e-324",
+               "1e300"],
+    "_threshold": ["auto", "inf", "1.0001", "1e-300", "1e300"],
+    "_formats": ["csv", "snapshots"],
+    "_bool": ["true", "false"],
+    "_levels": ["8,16,32"],
+}
+_KEY_EXTREMES = {
+    ("grid", "nx"): ["8", "16"], ("grid", "ny"): ["8", "16"],
+    ("grid", "boundary_mode"): ["physical"],
+    ("initial", "preset"): ["uniform", "gaussian-bump", "shear-layer"]
+    + [f"mms:{name}" for name in config.MMS_NAMES],
+    ("forcing", "preset"): ["compress"],
+}
+_KEYS = [(sec, key) for sec, keys in config.SCHEMA.items() for key in keys
+         if (sec, key) != ("output", "directory")]
+
+
+@st.composite
+def _sections(draw, base, keys=_KEYS, max_size=3):
+    """``base`` with up to ``max_size`` of ``keys`` set to extreme values."""
+    out = {sec: dict(kv) for sec, kv in base.items()}
+    for sec, key in draw(st.lists(st.sampled_from(keys), max_size=max_size,
+                                  unique=True)):
+        conv = config.SCHEMA[sec][key][1]
+        out.setdefault(sec, {})[key] = draw(st.sampled_from(
+            _KEY_EXTREMES.get((sec, key), _EXTREMES.get(conv.__name__))))
+    return out
+
+
+def _ini(sections):
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for sec, kv in sections.items())
+
+
+_BASE = {"grid": {"nx": "8", "ny": "8"},
+         "time": {"t_end": "0.002", "snapshot_stride": "2"}}
+#: the bump's density, 1.2 at most, crosses the threshold in the first step
+_BLOWUP_BASE = {**_BASE, "initial": {"preset": "gaussian-bump"},
+                "diagnostics": {"sup_rho_threshold": "1.0001"}}
+_VERIFY_BASE = {**_BASE, "initial": {"preset": "mms:periodic-smooth"},
+                "verify": {"levels": "8,16,32", "t_end": "0.001"}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["run", "compare", "verify"]))
+def test_any_extreme_config_exits_with_a_documented_code(data, command):
+    """``main`` returns 0, 2, 3 or 4 and never raises; a non-zero exit
+    prints a message; on exit 3/4 the rows written so far match the
+    snapshot files written so far. Steps are capped, so a long run ends
+    in exit 4."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "MAX_STEPS", 30)
+        tmp = Path(tmp)
+        base = _VERIFY_BASE if command == "verify" else \
+            data.draw(st.sampled_from([_BASE, _BLOWUP_BASE]))
+        sections = data.draw(_sections(base))
+        configs = [tmp / "a.ini"]
+        configs[0].write_text(_ini(sections))
+        if command == "compare":
+            weak = data.draw(_sections(sections, [k for k in _KEYS
+                                                  if k[0] == "initial"], 2))
+            configs.append(tmp / "b.ini")
+            configs[1].write_text(_ini(weak))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--out", str(tmp / "out"), command, *map(str, configs)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_NUMERICAL)
+        assert code == EXIT_OK or err.getvalue().strip()
+        formats = sections.get("output", {}).get("formats", "csv,snapshots")
+        if code in (EXIT_BLOWUP, EXIT_NUMERICAL) and formats == "csv,snapshots":
+            stem = "compare" if command == "compare" else "run"
+            csv = tmp / "out" / f"{stem}.csv"
+            rows = csv.read_text().splitlines()[1:] if csv.exists() else []
+            snaps = sorted((tmp / "out").glob(f"{stem}_*.bin"))
+            times = [read_snapshot(p).t for p in snaps]
+            # so the last row lies at the last snapshot's time
+            assert [float(r.split(",")[0]) for r in rows] == times
 
 
 def test_compare_identical_configs_zero_entropy(tmp_path, capsys):
@@ -505,6 +595,16 @@ t_end = 0.02
     lines = (out / "convergence.csv").read_text().splitlines()
     assert lines[0] == "field,n,l2_error,linf_error,l2_order"
     assert len(lines) == 1 + 7 * 3
+
+
+def test_verify_with_zero_errors_exit_4(tmp_path, capsys):
+    # a step of 1e-300 leaves L2 errors of exactly 0, whose orders are nan
+    cfg = _write(tmp_path, "v.ini", MMS_TINY.format(l="1") + "t_end = 1e-300\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "verify", cfg]) == EXIT_NUMERICAL
+    assert "convergence study invalid: non-monotone L2 errors" in \
+        capsys.readouterr().err
+    assert (out / "convergence.csv").exists()
 
 
 def test_verify_samples_no_initial_state(tmp_path, monkeypatch):

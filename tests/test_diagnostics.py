@@ -69,18 +69,19 @@ def test_equilibrium_residuals_are_roundoff(prm):
 
 def test_streamed_trace_terms_have_the_stored_bits(prm):
     """The velocity gradient run_simulation hands a sink gives the trace
-    terms of a fresh evaluation, bit for bit; at t = 0 it is handed only if
-    no density lies below the solver's floor."""
+    terms of a fresh evaluation, bit for bit, at t = 0 too; a density below
+    the solver's floor reads the floor in the first state the sink gets."""
     g = periodic_grid(16)
     opts = SolverOptions(dt=2e-4, snapshot_stride=2)
     init = smooth_state(g, prm)
     stored = Keep()
     run_simulation(init, prm, 1e-3, opts, sink=stored)
-    streamed, handed = [], []
+    streamed, handed, states = [], [], []
 
     def sink(s, acc, grad_u):
         handed.append(grad_u is not None)
         streamed.append(diagnostics.trace_identity_terms(s, prm, grad_u))
+        states.append(s)
 
     run_simulation(init, prm, 1e-3, opts, sink=sink)
     assert all(handed) and len(streamed) == len(stored.states) == 4
@@ -90,9 +91,14 @@ def test_streamed_trace_terms_have_the_stored_bits(prm):
     init.rho[3, 4] = 1e-12  # below 1e-10 * mean(rho), at rest
     init.mx[3, 4] = init.my[3, 4] = 0.0
     handed.clear()
+    streamed.clear()
+    states.clear()
     run_simulation(init, prm, 2e-4, SolverOptions(dt=2e-4, snapshot_stride=1),
                    sink=sink)
-    assert handed == [False, True]
+    assert init.rho[3, 4] == 1e-12
+    assert states[0].rho[3, 4] == 1e-10 * float(np.mean(init.rho))
+    assert handed == [True, True]
+    assert streamed == [diagnostics.trace_identity_terms(s, prm) for s in states]
 
 
 def test_stress_l2_balance_zero_stress(prm):

@@ -4,6 +4,7 @@ blow-up handling."""
 import numpy as np
 import pytest
 
+from oldb2d import dynamics
 from oldb2d.constitutive import ModelParams
 from oldb2d.dynamics import (BlowupAbort, SolverOptions, _apply_floors, cfl_dt,
                              run_simulation, step_ssprk2)
@@ -11,7 +12,7 @@ from oldb2d.fields import integrate_array
 from oldb2d.state import NumericalError, State
 from oldb2d.verify import ode_oracle_relaxation
 
-from conftest import periodic_grid, physical_grid, smooth_state
+from conftest import Keep, periodic_grid, physical_grid, smooth_state
 
 
 @pytest.mark.parametrize("mode", ["periodic", "physical"])
@@ -134,12 +135,13 @@ def test_blowup_abort_carries_partial_trajectory(prm):
     fy = -3.0 * np.sin(2 * np.pi * (Y - 0.5))
     opts = SolverOptions(dt=5e-4, sup_rho_threshold=1.2 * float(np.max(s.rho)),
                          snapshot_stride=5)
+    kept = Keep()
     with pytest.raises(BlowupAbort) as ei:
-        run_simulation(s, prm, 5.0, opts, force_fn=lambda t: (fx, fy))
+        run_simulation(s, prm, 5.0, opts, force_fn=lambda t: (fx, fy), sink=kept)
     exc = ei.value
     assert exc.monitor == "sup_rho"
-    assert len(exc.trajectory) >= 2
-    assert float(np.max(exc.trajectory.final.rho)) == exc.value
+    assert len(kept.states) >= 2
+    assert float(np.max(kept.states[-1].rho)) == exc.value
     assert exc.value > exc.threshold
 
 
@@ -163,9 +165,36 @@ def test_step_is_deterministic(prm):
 def test_trapezoidal_accumulators_monotone(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)
-    traj = run_simulation(s, prm, 0.02, SolverOptions(dt=2e-4, snapshot_stride=10))
-    accs = traj.accumulators
+    kept = Keep()
+    run_simulation(s, prm, 0.02, SolverOptions(dt=2e-4, snapshot_stride=10), sink=kept)
+    accs = kept.accumulators
     for key in ("visc", "poly", "relax"):
         vals = [getattr(a, key) for a in accs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0
+
+
+def test_sink_gets_the_states_the_steps_return(prm, monkeypatch):
+    """A run copies only its initial state; every later snapshot is the
+    very state ``step_ssprk2`` returned."""
+    g = periodic_grid(8)
+    stepped, copies = [], []
+    step, copy = dynamics.step_ssprk2, State.copy
+
+    def spy_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        stepped.append(out[0])
+        return out
+
+    def spy_copy(state):
+        copies.append(copy(state))
+        return copies[-1]
+
+    monkeypatch.setattr(dynamics, "step_ssprk2", spy_step)
+    monkeypatch.setattr(State, "copy", spy_copy)
+    kept = Keep()
+    run_simulation(smooth_state(g, prm), prm, 1e-3,
+                   SolverOptions(dt=2.5e-4, snapshot_stride=1), sink=kept)
+    assert len(copies) == 1 and len(stepped) == 4 and len(kept.states) == 5
+    assert kept.states[0] is copies[0]
+    assert all(a is b for a, b in zip(kept.states[1:], stepped))
