@@ -20,7 +20,8 @@ import numpy as np
 from . import diagnostics, entropy
 from .config import (ConfigError, build_initial, manufactured_solution,
                      parse_config, section_values)
-from .dynamics import BlowupAbort, SolverOptions, cfl_dt, run_simulation
+from .dynamics import (BlowupAbort, SolverOptions, cfl_dt, run_simulation,
+                       start_state)
 from .snapshot_io import write_snapshot, write_timeseries
 from .state import NumericalError
 
@@ -35,11 +36,11 @@ def keep_freed_memory() -> None:
 
     By default glibc serves large arrays with mmap, or trims freed heap
     tops, and hands the pages back to the kernel; each SSP-RK2 step then
-    faults its ~20 MB of numpy temporaries back in (thousands of minor
-    faults per step at 256^2). Both thresholds are set: fixing the trim
-    threshold alone also pins glibc's adaptive mmap threshold at its
-    128 KiB default, which faults more than before. Does nothing where
-    the C library has no ``mallopt``."""
+    faults its numpy temporaries back in (at 256^2 a step holds up to
+    ~12 MB of them at once, and takes thousands of minor faults). Both
+    thresholds are set: fixing the trim threshold alone also pins glibc's
+    adaptive mmap threshold at its 128 KiB default, which faults more
+    than before. Does nothing where the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -190,11 +191,14 @@ def cmd_compare(args) -> int:
     if args.out:
         cfg_weak.out_dir = args.out
     prm = cfg_ref.params
-    # fixed shared step so both trajectories sample identical times
+    opts_ref = _solver_options(cfg_ref, init_ref).resolved(init_ref)
+    opts_weak = _solver_options(cfg_weak, init_weak).resolved(init_weak)
+    # fixed shared step so both trajectories sample identical times, the
+    # CFL step of the floored states both runs start from
     dt = cfg_ref.dt
     if dt is None:
-        dt = min(cfl_dt(init_ref, prm, cfg_ref.cfl),
-                 cfl_dt(init_weak, prm, cfg_ref.cfl))
+        dt = min(cfl_dt(start_state(init_ref, opts_ref), prm, cfg_ref.cfl),
+                 cfl_dt(start_state(init_weak, opts_weak), prm, cfg_ref.cfl))
     # the reference stores every snapshot_stride steps and at t_end
     spacing = min(cfg_ref.snapshot_stride * dt, cfg_ref.t_end)
     if entropy.spacing_exceeds_dx(spacing, cfg_ref.grid):
@@ -202,8 +206,6 @@ def cmd_compare(args) -> int:
             f"compare needs reference snapshots at most min(dx, dy) = "
             f"{min(cfg_ref.grid.dx, cfg_ref.grid.dy):g} apart, but snapshot_stride "
             f"* dt in [time] spaces them {spacing:g} apart; lower snapshot_stride"])
-    opts_ref = _solver_options(cfg_ref, init_ref)
-    opts_weak = _solver_options(cfg_weak, init_weak)
     opts_ref.dt = opts_weak.dt = dt
     # the reference keeps every snapshot: row j needs its snapshots j-1..j+1
     ref = entropy.RefTrajectory()

@@ -74,10 +74,10 @@ def advective_div_array(phi: np.ndarray, uf: np.ndarray, vf: np.ndarray, grid: G
     """div(u phi) with MUSCL/minmod upwind fluxes and interpolated face
     velocities; ``kind`` sets the ghost rule for the advected quantity."""
     mode = extension_mode(grid, kind)
-    phix = _extend_axis(phi, 0, mode, width=2)
-    phiy = _extend_axis(phi, 1, mode, width=2)
-    return (kernels.muscl_div_x(phix, uf, grid.dx)
-            + kernels.muscl_div_y(phiy, vf, grid.dy))
+    # each padded copy is freed once its part is taken
+    out = kernels.muscl_div_x(_extend_axis(phi, 0, mode, width=2), uf, grid.dx)
+    out += kernels.muscl_div_y(_extend_axis(phi, 1, mode, width=2), vf, grid.dy)
+    return out
 
 
 def upper_convected_source(gxx, gxy, gyx, gyy, t11, t12, t22):

@@ -83,26 +83,36 @@ def laplacian(p: np.ndarray, dx: float, dy: float) -> np.ndarray:
 
 def ddx(p: np.ndarray, dx: float) -> np.ndarray:
     """Central x-derivative of a (nx+2, ny+2) ghost-padded array."""
-    return (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * dx)
+    d = p[2:, 1:-1] - p[:-2, 1:-1]
+    d /= 2.0 * dx
+    return d
 
 
 def ddy(p: np.ndarray, dy: float) -> np.ndarray:
     """Central y-derivative of a (nx+2, ny+2) ghost-padded array."""
-    return (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * dy)
+    d = p[1:-1, 2:] - p[1:-1, :-2]
+    d /= 2.0 * dy
+    return d
+
+
+def _half_slopes(phi: np.ndarray) -> np.ndarray:
+    """Half the minmod slope in cells 1..nx+2 of the axis-0 padded ``phi``:
+    0 where the two one-sided differences differ in sign, else the smaller
+    in magnitude. The product of the differences reuses the buffer of
+    their magnitudes, and both are freed on return."""
+    dphi = phi[1:] - phi[:-1]  # (nx+3, ny)
+    a, b = dphi[:-1], dphi[1:]
+    mag = np.abs(dphi)
+    hs = np.where(mag[:-1] < mag[1:], a, b)
+    hs[np.multiply(a, b, out=mag[:-1]) <= 0.0] = 0.0
+    return np.multiply(0.5, hs, out=hs)
 
 
 def _muscl_div(phi: np.ndarray, uf: np.ndarray, d: float) -> np.ndarray:
     """Axis-0 MUSCL/minmod flux divergence; see muscl_div_x. Both public
     kernels call this rather than each other, because perfbench counts the
     calls of each."""
-    dphi = phi[1:] - phi[:-1]  # (nx+3, ny)
-    a, b = dphi[:-1], dphi[1:]
-    mag = np.abs(dphi)
-    # half the minmod slope in cells 1..nx+2: 0 where a and b differ in
-    # sign, else the smaller in magnitude
-    hs = np.where(mag[:-1] < mag[1:], a, b)
-    hs[a * b <= 0.0] = 0.0
-    np.multiply(0.5, hs, out=hs)
+    hs = _half_slopes(phi)
     # face i+1/2 between padded cells (i+1, i+2): the right reconstruction,
     # replaced by the left one where the face velocity is nonnegative
     flux = phi[2:-1] - hs[1:]

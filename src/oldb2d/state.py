@@ -96,15 +96,17 @@ class Accumulators:
 
 @dataclass
 class Trajectory:
-    """Snapshot times of a run, and its latest state and accumulated
-    balance integrals. ``add`` holds the state it is given, not a copy, and
-    hands it to ``sink(state, acc, grad_u)``, which keeps what it needs and
-    must not mutate the state: it is the run's own."""
+    """Snapshot times of a run, its latest accumulated balance integrals,
+    and its latest snapshot state, which ``run_simulation`` lets go once it
+    steps past it (so ``final`` is the last state once the run returns).
+    ``add`` holds the state it is given, not a copy, and hands it to
+    ``sink(state, acc, grad_u)``, which keeps what it needs and must not
+    mutate the state: it is the run's own."""
 
     grid: Grid
     sink: Callable[[State, Accumulators, tuple | None], None] | None = None
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)  # the latest state alone
+    states: list = field(default_factory=list)  # the latest state, or none
     accumulators: list = field(default_factory=list)  # the latest alone
 
     def add(self, state: State, acc: Accumulators, grad_u: tuple | None = None) -> None:

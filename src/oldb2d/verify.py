@@ -298,10 +298,14 @@ def convergence_study(ms: ManufacturedSolution, prm: ModelParams,
     valid, reason = True, None
     for f in fields:
         e = l2[f]
-        if any(e[i + 1] >= e[i] for i in range(len(e) - 1)):
+        if 0.0 in e:
+            valid, reason = False, (f"L2 errors of exactly 0 for field {f}: "
+                                    f"t_end = {t_end:g} is too short to "
+                                    f"measure an order")
+        elif any(e[i + 1] >= e[i] for i in range(len(e) - 1)):
             valid, reason = False, f"non-monotone L2 errors for field {f}"
-        # an error of exactly 0 (a t_end too short to move a field) gives
-        # an order of nan or inf, not a ZeroDivisionError
+        # an error of exactly 0 gives an order of nan or inf, not a
+        # ZeroDivisionError
         orders[f] = [float(np.log2(np.divide(e[i], e[i + 1])))
                      for i in range(len(e) - 1)]
     return ConvergenceReport(ms.name, list(levels), l2, linf, orders,

@@ -302,6 +302,48 @@ def test_compare_identical_configs_zero_entropy(tmp_path, capsys):
         assert float(vals[ires]) == 0.0
 
 
+BUMP = """
+[grid]
+nx = 16
+ny = 16
+
+[initial]
+preset = gaussian-bump
+{extra}
+[time]
+t_end = 1e-12
+snapshot_stride = 1
+"""
+
+
+def test_compare_steps_at_the_cfl_step_of_the_floored_starts(tmp_path, monkeypatch):
+    """compare's shared CFL step is chosen on the states both runs start
+    from, whose densities are floored: a candidate cell below the floor
+    does not shrink it."""
+    steps = []
+    run = cli.run_simulation
+
+    def spy(init, prm, t_end, opts, **kwargs):
+        steps.append(opts.dt)
+        return run(init, prm, t_end, opts, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", spy)
+    ref = _write(tmp_path, "ref.ini", BUMP.format(extra=""))
+    weak = _write(tmp_path, "weak.ini", BUMP.format(
+        extra="delta0 = 0.99999999999\nseed = 3"))
+    assert main(["--out", str(tmp_path / "out"), "compare", ref, weak]) == EXIT_OK
+    cfgs = [config.parse_config(Path(p).read_text()) for p in (ref, weak)]
+    starts = [config.build_initial(c)[0] for c in cfgs]
+    prm, cfl = cfgs[0].params, cfgs[0].cfl
+    raw = min(dynamics.cfl_dt(s, prm, cfl) for s in starts)
+    for s in starts:
+        s.rho = np.maximum(s.rho, 1e-10 * np.mean(s.rho))
+    floored = min(dynamics.cfl_dt(s, prm, cfl) for s in starts)
+    # the candidate's min rho is about 1e-11, a tenth of its floor
+    assert floored > 5 * raw
+    assert steps == [floored, floored]
+
+
 def test_compare_blowup_exit_3_names_monitor(tmp_path, capsys):
     cfg = _write(tmp_path, "blow.ini", BLOWUP)
     assert main(["--out", str(tmp_path / "out"), "compare", cfg, cfg]) == EXIT_BLOWUP
@@ -602,8 +644,9 @@ def test_verify_with_zero_errors_exit_4(tmp_path, capsys):
     cfg = _write(tmp_path, "v.ini", MMS_TINY.format(l="1") + "t_end = 1e-300\n")
     out = tmp_path / "out"
     assert main(["--out", str(out), "verify", cfg]) == EXIT_NUMERICAL
-    assert "convergence study invalid: non-monotone L2 errors" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "convergence study invalid: L2 errors of exactly 0 for field" in err
+    assert "t_end = 1e-300 is too short to measure an order" in err
     assert (out / "convergence.csv").exists()
 
 

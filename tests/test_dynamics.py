@@ -1,13 +1,16 @@
 """Time integration: fixed points, conservation, relaxation, floors and
 blow-up handling."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from oldb2d import dynamics
 from oldb2d.constitutive import ModelParams
 from oldb2d.dynamics import (BlowupAbort, SolverOptions, _apply_floors, cfl_dt,
-                             run_simulation, step_ssprk2)
+                             compute_rhs, run_simulation, step_ssprk2)
 from oldb2d.fields import integrate_array
 from oldb2d.state import NumericalError, State
 from oldb2d.verify import ode_oracle_relaxation
@@ -198,3 +201,52 @@ def test_sink_gets_the_states_the_steps_return(prm, monkeypatch):
     assert len(copies) == 1 and len(stepped) == 4 and len(kept.states) == 5
     assert kept.states[0] is copies[0]
     assert all(a is b for a, b in zip(kept.states[1:], stepped))
+
+
+def _peak_planes(fn, grid) -> float:
+    """Peak of the memory ``fn()`` allocates, in planes of ``grid``, with
+    its result dropped."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (grid.nx * grid.ny * 8)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make_grid", [periodic_grid, physical_grid])
+def test_rhs_and_step_stay_within_their_working_set(make_grid, prm):
+    """The RHS builds its 7 outputs in place and frees each padded plane
+    after its last use, and a step writes its final stage over the first
+    stage's planes; each stays within its budget of grid planes above the
+    input state, with room for the ghost layers of a small grid."""
+    g = make_grid(64)
+    s = smooth_state(g, prm)
+    opts = SolverOptions(dt=1e-5).resolved(s)
+    step_ssprk2(s, 1e-5, prm, opts)  # warm
+    assert _peak_planes(lambda: compute_rhs(s, prm), g) <= 24
+    assert _peak_planes(lambda: step_ssprk2(s, 1e-5, prm, opts), g) <= 30
+
+
+def test_strided_run_lets_each_snapshot_go_once_past_it(prm):
+    """With a snapshot stride above 1 the run holds no snapshot it has
+    stepped past, and the returned trajectory's final state is the last."""
+    refs, held = [], []
+
+    def sink(state, acc, grad_u):
+        refs.append(weakref.ref(state))
+
+    def alive(state, acc):
+        held.append([r() is not None for r in refs])
+
+    dt = 2.0 ** -12
+    traj = run_simulation(smooth_state(periodic_grid(8), prm), prm, 8 * dt,
+                          SolverOptions(dt=dt, snapshot_stride=3),
+                          step_callback=alive, sink=sink)
+    # snapshots at steps 0, 3, 6 and 8; after each step only the one just
+    # added, if any, is alive
+    no, yes = False, True
+    assert held == [[no], [no], [no, yes], [no, no], [no, no], [no, no, yes],
+                    [no, no, no], [no, no, no, yes]]
+    assert traj.final is refs[-1]() and traj.final.t == 8 * dt
