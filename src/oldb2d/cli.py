@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import ctypes
+import errno
 import functools
 import gc
 import os
@@ -70,6 +71,22 @@ def _load_config(path: str):
     except OSError as e:
         raise ConfigError([f"cannot read config {path}: {e}"]) from e
     return parse_config(text)
+
+
+def _require_out_dir(path: str) -> None:
+    """Raise a ConfigError, before any step runs, if ``path`` is not a
+    writable directory and cannot be made one. Creates nothing: the outputs
+    create it when they are first written."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        reason = errno.ENOTDIR
+    elif not os.access(probe, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ConfigError([f"cannot write outputs to {path}: {os.strerror(reason)}"])
 
 
 def _solver_options(cfg, init) -> SolverOptions:
@@ -158,6 +175,7 @@ def cmd_run(args) -> int:
     init, force_fn, source_fn = build_initial(cfg)
     if args.out:
         cfg.out_dir = args.out
+    _require_out_dir(cfg.out_dir)
     opts = _solver_options(cfg, init)
     rows = _Rows(cfg)
     try:
@@ -207,6 +225,7 @@ def cmd_compare(args) -> int:
             f"{min(cfg_ref.grid.dx, cfg_ref.grid.dy):g} apart, but snapshot_stride "
             f"* dt in [time] spaces them {spacing:g} apart; lower snapshot_stride"])
     opts_ref.dt = opts_weak.dt = dt
+    _require_out_dir(cfg_weak.out_dir)
     # the reference keeps every snapshot: row j needs its snapshots j-1..j+1
     ref = entropy.RefTrajectory()
     run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref, force_fn=force_fn,
@@ -228,6 +247,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(["verify requires an mms:<name> initial preset"])
     if args.out:
         cfg.out_dir = args.out
+    _require_out_dir(cfg.out_dir)
     from .verify import convergence_study
     rep = convergence_study(ms, cfg.params, levels=cfg.verify_levels,
                             t_end=cfg.verify_t_end,

@@ -12,6 +12,7 @@ import numpy as np
 from .constitutive import ModelParams, ParameterError
 from .dynamics import MAX_STEPS
 from .grid import Grid, GridError
+from .rng import Generator, default_rng
 from .state import State
 from .verify import MMS_NAMES, SOBOL_POINTS, make_ms
 
@@ -218,10 +219,12 @@ def _finest_level_errors(grid: Grid, n: int, t_end: float,
 # --- initial conditions ----------------------------------------------------
 
 
-def smooth_noise(grid: Grid, rng: np.random.Generator,
+def smooth_noise(grid: Grid, rng: Generator,
                  vanish_on_walls: bool = False) -> np.ndarray:
     """Smooth random field of three low modes with sup norm about 1,
-    deterministic for a given generator state."""
+    deterministic for a given generator state. ``rng`` is an
+    :class:`oldb2d.rng.Generator` or a ``numpy.random.Generator``: both
+    draw the same bits from the same seed."""
     X, Y = grid.cell_centers()
     out = np.zeros(grid.shape)
     for _ in range(3):
@@ -284,7 +287,7 @@ def perturb_state(state: State, delta0: float, seed: int, k: float) -> State:
     """Multiplicative smooth perturbations of size delta0 on rho and eta,
     additive on velocity and stress; deterministic in the seed."""
     grid = state.grid
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     walls = not grid.periodic
     out = state.copy()
     n_rho = smooth_noise(grid, rng)

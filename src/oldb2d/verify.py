@@ -19,6 +19,7 @@ from .constitutive import (ModelParams, bregman_G, bregman_H,
                            calibrate_H_constants, lower_bound_G, lower_bound_H)
 from .fields import upper_convected_source
 from .grid import Grid
+from .rng import default_rng
 from .state import State
 
 
@@ -362,12 +363,13 @@ def _sobol_directions() -> np.ndarray:
 def _sobol_scramble(seed: int) -> tuple:
     """(shift, directions) of scipy's ``qmc.Sobol(d=4, scramble=True,
     seed=seed)``: Matoušek's linear matrix scramble (J. Complexity 1998)
-    plus a digital shift, drawn from ``default_rng(seed)`` in scipy's order.
+    plus a digital shift, drawn from ``default_rng(seed)`` (numpy's bits,
+    from :mod:`oldb2d.rng`) in scipy's order.
 
     Bit 29 - p of scrambled column j is the parity of row p of the unit
     lower triangular matrix dotted with the bits of column j."""
     bits = _SOBOL_BITS
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     shift = rng.integers(0, 2, size=(4, bits), dtype=np.uint32) @ (
         np.uint32(1) << np.arange(bits, dtype=np.uint32))
     ltm = np.tril(rng.integers(0, 2, size=(4, bits, bits), dtype=np.uint32))

@@ -680,6 +680,58 @@ def test_study_settings_checked_before_running(tmp_path, capsys, command, extra,
     assert "config error" in err and key in err
 
 
+def test_verify_ignores_grid_nx_ny(tmp_path):
+    """verify's grids come from [verify] levels: configs that differ only in
+    [grid] nx and ny write the same convergence table."""
+    tables = []
+    for nx, ny in ((16, 16), (8, 64)):
+        cfg = _write(tmp_path, f"v{nx}.ini", f"[grid]\nnx = {nx}\nny = {ny}\n"
+                     "[initial]\npreset = mms:diffusion-eta\n"
+                     "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+        out = tmp_path / f"out{nx}"
+        assert main(["--out", str(out), "verify", cfg]) == EXIT_OK
+        tables.append((out / "convergence.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "verify"])
+@pytest.mark.parametrize("via", ["--out", "[output]"])
+def test_unwritable_output_directory_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch, command, via):
+    """An output directory that is a file, or lies under one, is a config
+    error named with its path and the OS reason, before any step runs; the
+    check creates nothing."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    path = blocker if via == "--out" else blocker / "sub"
+    text = BASE
+    if command == "verify":
+        text += ("[initial]\npreset = mms:diffusion-eta\n"
+                 "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+    if via == "[output]":
+        text += f"[output]\ndirectory = {path}\n"
+    cfg = _write(tmp_path, "c.ini", text)
+    steps = []
+    step = dynamics.step_ssprk2
+    monkeypatch.setattr(dynamics, "step_ssprk2",
+                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    out = ["--out", str(path)] if via == "--out" else []
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    assert main([*out, command, *files]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot write outputs to {path}: Not a directory" in err
+    assert steps == [] and blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "file"]
+
+
+def test_lemma_check_writes_no_file_and_ignores_out(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    cfg = _write(tmp_path, "l.ini", BASE + "[lemma]\nsamples = 1024\n")
+    assert main(["--out", str(blocker), "lemma-check", cfg]) == EXIT_OK
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_lemma_check_pass_and_fail(tmp_path, capsys):
     ok = _write(tmp_path, "ok.ini", BASE + "[lemma]\nsamples = 4096\n")
     assert main(["lemma-check", ok]) == EXIT_OK

@@ -375,3 +375,24 @@ def test_commands_leave_scipy_unloaded(tmp_path, command, text):
     args = [str(cfg)] * (2 if command == "compare" else 1)
     assert not _loaded_after(_MAIN, "scipy", "--out", str(tmp_path / "out"),
                              command, *args)
+
+
+_SEEDED = "[time]\nt_end = 0.001\ndt = 5e-4\n[initial]\ndelta0 = 1e-3\nseed = 5\n"
+#: numpy.random's bit generators import secrets, hashlib and OpenSSL's libcrypto
+_RANDOM_CHAIN = ("numpy.random", "secrets", "_hashlib")
+
+
+@pytest.mark.parametrize("command,text", [
+    ("run", _SEEDED),
+    ("run", "boundary_mode = physical\n" + _SEEDED),
+    ("compare", _SEEDED),
+    ("lemma-check", "[lemma]\nsamples = 1024\n"),
+], ids=["run", "run-walled", "compare", "lemma-check"])
+def test_seeded_commands_leave_numpy_random_unloaded(tmp_path, command, text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(_TINY + text)
+    args = [str(cfg)] * (2 if command == "compare" else 1)
+    code = (f"import sys\n{_MAIN}\n"
+            f"print([m for m in {_RANDOM_CHAIN!r} if m in sys.modules])")
+    out = _python(code, "--out", str(tmp_path / "out"), command, *args)
+    assert out.splitlines()[-1] == "[]"
