@@ -238,7 +238,12 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
         return compute_rhs(s, prm, force_fn(s.t) if force_fn else None,
                            source_fn(s.t) if source_fn else None)
 
-    stage1 = [a + dt * da for a, da in zip(state.arrays(), rhs(state))]
+    # the first stage a + dt da is written into the planes of its RHS, so
+    # a step allocates no state planes of its own
+    stage1 = list(rhs(state))
+    for a, da in zip(state.arrays(), stage1):
+        _scaled(dt, da)
+        da += a
     clipped = _apply_floors(stage1, opts)
     s1 = State(grid, state.t + dt, *stage1)
     s1.check_finite()

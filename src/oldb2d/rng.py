@@ -93,11 +93,9 @@ class Generator:
         return x & _M32
 
     def _bounded(self, span: int) -> int:
-        """Uniform on [0, span] with span < 2^32, by Lemire's method."""
+        """Uniform on [0, span] with span < 2^32 - 1, by Lemire's method."""
         if span == 0:
             return 0
-        if span == _M32:
-            return self._next32()
         excl = span + 1
         m = self._next32() * excl
         if m & _M32 < excl:
@@ -108,7 +106,7 @@ class Generator:
 
     def integers(self, low: int, high: int, size, dtype=np.int64) -> np.ndarray:
         """Integers in [low, high) of an int64 or uint32 ``dtype``, in an
-        array of shape ``size``; the range may be at most 2^32 wide."""
+        array of shape ``size``; the range must be narrower than 2^32."""
         dtype = np.dtype(dtype)
         if dtype not in _INT_TYPES:
             raise TypeError(f"unsupported dtype {dtype}")
@@ -117,8 +115,8 @@ class Generator:
         if not info.min <= low < high <= info.max + 1:
             raise ValueError(f"need {info.min} <= low < high <= {info.max + 1}, "
                              f"got {low}, {high}")
-        if high - low > 1 << 32:
-            raise ValueError(f"range {high - low} wider than 2^32")
+        if high - low >= 1 << 32:
+            raise ValueError(f"range {high - low} not narrower than 2^32")
         out = np.empty(size, dtype=dtype)
         out.flat = [low + self._bounded(high - 1 - low) for _ in range(out.size)]
         return out

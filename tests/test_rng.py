@@ -16,8 +16,8 @@ from conftest import periodic_grid, physical_grid
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**200 + 7]
 
 # the calls of smooth_noise and of the Sobol scramble; a range of 3 * 2^30,
-# whose Lemire threshold rejects a quarter of the 32-bit draws; a range of
-# 2^32 from a negative low; and a range of one value, which draws nothing
+# whose Lemire threshold rejects a quarter of the 32-bit draws; a range
+# from a negative low; and a range of one value, which draws nothing
 CALLS = [
     ("integers", (1, 4), {"size": 2}),
     ("uniform", (0.0, 2.0 * np.pi), {"size": 2}),
@@ -25,7 +25,7 @@ CALLS = [
     ("integers", (0, 2), {"size": (4, 30), "dtype": np.uint32}),
     ("integers", (0, 2), {"size": (4, 30, 30), "dtype": np.uint32}),
     ("integers", (0, 3 << 30), {"size": 40}),
-    ("integers", (-7, 2**32 - 7), {"size": 3}),
+    ("integers", (-7, 1_000_003), {"size": 3}),
     ("integers", (5, 6), {"size": 3}),
 ]
 
@@ -77,7 +77,7 @@ def test_bounded_integers_take_the_rejection_branch():
     lambda g: g.integers(0, 2, size=3, dtype=np.int32),
     lambda g: g.integers(3, 3, size=3),
     lambda g: g.integers(-1, 2, size=3, dtype=np.uint32),
-    lambda g: g.integers(0, 2**33, size=3),
+    lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
     lambda g: g.uniform(1.0, 0.0),
     lambda g: g.uniform(0.0, np.inf),
     lambda g: g.uniform(np.zeros(2), 1.0),

@@ -360,6 +360,10 @@ def test_manufactured_solution_leaves_numpy_f2py_unloaded():
 
 
 _TINY = "[grid]\nnx = 16\nny = 16\n"
+_SEEDED = "[time]\nt_end = 0.001\ndt = 5e-4\n[initial]\ndelta0 = 1e-3\nseed = 5\n"
+#: scipy, and numpy.random, whose bit generators import secrets, hashlib and
+#: OpenSSL's libcrypto
+_TEST_ONLY = ("scipy", "numpy.random", "secrets", "_hashlib")
 
 
 @pytest.mark.parametrize("command,text", [
@@ -368,31 +372,17 @@ _TINY = "[grid]\nnx = 16\nny = 16\n"
     ("compare", "[time]\nt_end = 0.001\ndt = 5e-4\n"),
     ("verify", "[initial]\npreset = mms:diffusion-eta\n"
                "[verify]\nlevels = 8,16,32\nt_end = 0.002\n"),
-], ids=["lemma-check", "run", "compare", "verify"])
-def test_commands_leave_scipy_unloaded(tmp_path, command, text):
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(_TINY + text)
-    args = [str(cfg)] * (2 if command == "compare" else 1)
-    assert not _loaded_after(_MAIN, "scipy", "--out", str(tmp_path / "out"),
-                             command, *args)
-
-
-_SEEDED = "[time]\nt_end = 0.001\ndt = 5e-4\n[initial]\ndelta0 = 1e-3\nseed = 5\n"
-#: numpy.random's bit generators import secrets, hashlib and OpenSSL's libcrypto
-_RANDOM_CHAIN = ("numpy.random", "secrets", "_hashlib")
-
-
-@pytest.mark.parametrize("command,text", [
     ("run", _SEEDED),
     ("run", "boundary_mode = physical\n" + _SEEDED),
     ("compare", _SEEDED),
-    ("lemma-check", "[lemma]\nsamples = 1024\n"),
-], ids=["run", "run-walled", "compare", "lemma-check"])
-def test_seeded_commands_leave_numpy_random_unloaded(tmp_path, command, text):
+], ids=["lemma-check", "run", "compare", "verify", "run-seeded",
+        "run-seeded-walled", "compare-seeded"])
+def test_commands_leave_scipy_unloaded(tmp_path, command, text):
+    """No command loads scipy or numpy.random, the tests' references."""
     cfg = tmp_path / "c.ini"
     cfg.write_text(_TINY + text)
     args = [str(cfg)] * (2 if command == "compare" else 1)
     code = (f"import sys\n{_MAIN}\n"
-            f"print([m for m in {_RANDOM_CHAIN!r} if m in sys.modules])")
+            f"print([m for m in {_TEST_ONLY!r} if m in sys.modules])")
     out = _python(code, "--out", str(tmp_path / "out"), command, *args)
     assert out.splitlines()[-1] == "[]"
