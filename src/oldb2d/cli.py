@@ -1,7 +1,7 @@
 """Command-line entry points: run, compare, verify, lemma-check.
 
-Exit codes: 0 success, 2 configuration error, 3 blow-up abort (the
-triggering monitor is named on stderr), 4 numerical failure. The commands
+Exit codes: 0 success, 2 configuration error or failed output write, 3
+blow-up abort (monitor named on stderr), 4 numerical failure. The commands
 raise; ``main`` alone maps the exceptions to codes and messages.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import ctypes
 import errno
 import functools
@@ -80,13 +81,21 @@ def _require_out_dir(path: str) -> None:
     probe = os.path.abspath(path)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
-    if not os.path.isdir(probe):
-        reason = errno.ENOTDIR
-    elif not os.access(probe, os.W_OK | os.X_OK):
-        reason = errno.EACCES
-    else:
-        return
-    raise ConfigError([f"cannot write outputs to {path}: {os.strerror(reason)}"])
+    with _writing(path):
+        if not os.path.isdir(probe):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(probe, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Raise an OSError of the ``with`` block, which writes into output
+    directory ``path`` or checks it, as a ConfigError naming ``path``."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError([f"cannot write outputs to {path}: {e.strerror or e}"]) from e
 
 
 def _solver_options(cfg, init) -> SolverOptions:
@@ -148,8 +157,9 @@ class _Rows:
                 s, ref, j, prm, force_fn=self.force_fn))
         self.rows.append(row)
         if "snapshots" in cfg.formats:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            write_snapshot(os.path.join(cfg.out_dir, f"{self.stem}_{j:06d}.bin"), s)
+            with _writing(cfg.out_dir):
+                os.makedirs(cfg.out_dir, exist_ok=True)
+                write_snapshot(os.path.join(cfg.out_dir, f"{self.stem}_{j:06d}.bin"), s)
 
     def write_csv(self) -> None:
         """Write the rows so far; nothing if no snapshot got a row."""
@@ -164,10 +174,27 @@ class _Rows:
                 self.entropy, times)
         for j, row in enumerate(self.rows):
             row.update({k: v[j] for k, v in residuals.items()})
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        if "csv" in cfg.formats:
-            write_timeseries(os.path.join(cfg.out_dir, f"{self.stem}.csv"),
-                             self.rows, compare=self.ref is not None)
+        with _writing(cfg.out_dir):
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            if "csv" in cfg.formats:
+                write_timeseries(os.path.join(cfg.out_dir, f"{self.stem}.csv"),
+                                 self.rows, compare=self.ref is not None)
+
+
+def _stream(rows: _Rows, init, prm, t_end, opts, force_fn, source_fn) -> None:
+    """Run ``init`` into the sink ``rows`` and write the rows' CSV, also
+    when the run fails; then a failed write is only printed, and the run's
+    own error stands."""
+    try:
+        run_simulation(init, prm, t_end, opts, force_fn=force_fn,
+                       source_fn=source_fn, sink=rows)
+    except (BlowupAbort, NumericalError, entropy.ReferenceError):
+        try:
+            rows.write_csv()
+        except ConfigError as e:
+            print(e.errors[0], file=sys.stderr)
+        raise
+    rows.write_csv()
 
 
 def cmd_run(args) -> int:
@@ -176,13 +203,8 @@ def cmd_run(args) -> int:
     if args.out:
         cfg.out_dir = args.out
     _require_out_dir(cfg.out_dir)
-    opts = _solver_options(cfg, init)
-    rows = _Rows(cfg)
-    try:
-        run_simulation(init, cfg.params, cfg.t_end, opts,
-                       force_fn=force_fn, source_fn=source_fn, sink=rows)
-    finally:
-        rows.write_csv()
+    _stream(_Rows(cfg), init, cfg.params, cfg.t_end,
+            _solver_options(cfg, init), force_fn, source_fn)
     return EXIT_OK
 
 
@@ -230,13 +252,8 @@ def cmd_compare(args) -> int:
     ref = entropy.RefTrajectory()
     run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref, force_fn=force_fn,
                    source_fn=src, sink=ref)
-    rows = _Rows(cfg_weak, ref, force_fn)
-    try:
-        traj = run_simulation(init_weak, prm, cfg_ref.t_end, opts_weak,
-                              force_fn=force_fn, source_fn=src, sink=rows)
-    finally:
-        rows.write_csv()
-    entropy.require_shared_times(traj.times, ref)
+    _stream(_Rows(cfg_weak, ref, force_fn), init_weak, prm, cfg_ref.t_end,
+            opts_weak, force_fn, src)
     return EXIT_OK
 
 

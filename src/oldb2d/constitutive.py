@@ -79,7 +79,7 @@ class ModelParams:
 def viscosity_coeffs(mu_s: float, mu_b: float) -> tuple[float, float]:
     """Lame-form coefficients (mu, nu) of div S = mu Lap u + nu grad div u
     in d = 2 dimensions."""
-    return mu_s / 2.0, mu_b + mu_s / 2.0 - mu_s / 2
+    return mu_s / 2.0, mu_b
 
 
 def _require_nonneg(x, name):

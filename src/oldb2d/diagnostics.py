@@ -31,12 +31,10 @@ class EnergyBreakdown:
 
 def total_energy(state: State, prm: ModelParams) -> EnergyBreakdown:
     grid = state.grid
-    rho = state.rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u2 = (state.mx ** 2 + state.my ** 2) / np.maximum(rho, 1e-300)
+    rho, eta = state.rho, state.eta
+    u2 = (state.mx ** 2 + state.my ** 2) / np.maximum(rho, 1e-300)
     kinetic = integrate_array(0.5 * u2, grid)
-    pressure_pot = integrate_array(potential_H(np.maximum(rho, 0.0), prm), grid)
-    eta = np.maximum(state.eta, 0.0)
+    pressure_pot = integrate_array(potential_H(rho, prm), grid)
     polymer_pot = integrate_array(prm.kL * (_xlogx(eta) + 1.0) + prm.zfrak * eta ** 2,
                                   grid)
     stress_tr = integrate_array(0.5 * (state.t11 + state.t22), grid)
@@ -202,13 +200,9 @@ def blowup_monitor(state: State, report: BlowupReport,
                    alpha: float) -> BlowupReport:
     """Update the running monitors with one state and return the report.
     Only sup_rho may stop a run, and ``run_simulation`` alone decides that."""
-    state.check_finite()
     report.sup_rho = max(report.sup_rho, float(np.max(state.rho)))
     report.sup_eta = max(report.sup_eta, float(np.max(state.eta)))
-    try:
-        linf_sq = linf_tau(state) ** 2
-    except OverflowError:  # a Python float ** raises where numpy gives inf
-        linf_sq = np.inf
+    linf_sq = float(np.float64(linf_tau(state)) ** 2)
     if report._last_t is not None:
         dt = state.t - report._last_t
         report.l2t_linf_tau += 0.5 * dt * (report._last_linf_sq + linf_sq)

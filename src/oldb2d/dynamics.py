@@ -10,7 +10,7 @@ velocity and zero-flux scalars).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,10 +42,9 @@ MAX_STEPS = 10_000_000
 class SolverOptions:
     """Step control, the blow-up threshold and the snapshot stride of a run.
 
-    ``resolved`` sets the absolute floors from the initial state: the
-    density floor, 1e-10 times the mean initial density, which
-    ``run_simulation`` applies to the initial state and ``_apply_floors``
-    after each RK stage, and the tolerance of ``eta`` undershoot clipping.
+    ``resolved`` sets, from the initial state, the floors ``_apply_floors``
+    applies to it and after each RK stage: the density floor, 1e-10 times
+    the mean initial density, and the tolerance of ``eta`` undershoot clipping.
     """
 
     cfl: float = 0.4
@@ -119,8 +118,7 @@ def compute_rhs(state: State, prm: ModelParams,
     # + elastic stress divergence
     dmx = _negated(advective_div_array(mx, uf, vf, grid, "odd"))
     dmy = _negated(advective_div_array(my, uf, vf, grid, "odd"))
-    pp = pad1(pressure(rho, prm) + polymer_pressure_q(np.maximum(eta, 0.0), prm),
-              grid, "even")
+    pp = pad1(pressure(rho, prm) + polymer_pressure_q(eta, prm), grid, "even")
     p11, p12, p22 = (pad1(t11, grid, "even"), pad1(t12, grid, "even"),
                      pad1(t22, grid, "even"))
     dmx -= kernels.ddx(pp, dx)
@@ -180,7 +178,7 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
     grid = state.grid
     rho = state.rho
     ux, uy = state.velocity()
-    cs = np.sqrt(prm.gamma * pressure(np.maximum(rho, 0.0), prm) / rho)
+    cs = np.sqrt(prm.gamma * pressure(rho, prm) / rho)
     speed_x = np.max(np.abs(ux) + cs)
     speed_y = np.max(np.abs(uy) + cs)
     adv_x = grid.dx / speed_x
@@ -205,15 +203,15 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
 
 
 def start_state(init: State, opts: SolverOptions) -> State:
-    """The state a run of ``init`` starts from: a copy whose density is
-    floored at ``opts.rho_floor`` (``opts`` resolved on ``init``), as every
-    RK stage's is."""
+    """The state a run of ``init`` starts from: a copy floored and
+    clipped by ``_apply_floors`` (``opts`` resolved on ``init``), as every
+    RK stage is."""
     state = init.copy()
-    np.maximum(state.rho, opts.rho_floor, out=state.rho)
+    _apply_floors(state.arrays(), opts)
     return state
 
 
-def _apply_floors(arrays: list[np.ndarray], opts: SolverOptions) -> float:
+def _apply_floors(arrays: Sequence[np.ndarray], opts: SolverOptions) -> float:
     """Floor rho, clip eta undershoots; returns clipped eta amount (cells)."""
     rho, eta = arrays[0], arrays[3]
     np.maximum(rho, opts.rho_floor, out=rho)
@@ -264,9 +262,8 @@ def balance_rates(state: State, prm: ModelParams,
                   force: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
     """Instantaneous integrands of the energy-balance accumulators, and the
     velocity gradient they were computed from, that of ``state.velocity()``."""
-    grid = state.grid
+    grid, eta = state.grid, state.eta
     ux, uy = state.velocity()
-    eta = np.maximum(state.eta, 0.0)
     grad_u = velocity_gradient(ux, uy, grid)
     visc, bracket = dissipation_density(grad_u, np.sqrt(eta), eta, grid, prm)
     visc = integrate_array(visc, grid)
@@ -292,11 +289,11 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
     """Integrate a copy of ``init`` to t_end, accumulating energy-balance
     integrals with the trapezoidal rule and adding snapshots at the
     configured stride to a trajectory with ``sink`` (see
-    :class:`Trajectory`), which is returned. The copy's density is floored
-    at ``opts.rho_floor`` as every RK stage's is, so every state the solver
-    holds lies on the floor or above it. Each snapshot, t = 0 included, is
-    added with the velocity gradient its energy balance used, so a sink
-    need not recompute it.
+    :class:`Trajectory`), which is returned. Every state a sink is handed
+    is finite, has rho >= ``opts.rho_floor`` and eta >= 0 (``start_state``
+    and every RK stage apply ``_apply_floors``) and a time above the last
+    snapshot's; each, t = 0 included, comes with the velocity gradient its
+    energy balance used, so a sink need not recompute it.
 
     Raises :class:`BlowupAbort` when sup rho crosses the configured
     threshold, after adding the crossing state, and :class:`NumericalError`

@@ -2,9 +2,10 @@
 ("strong") trajectory, the two equivalent forms of the remainder functional,
 the relative-entropy inequality residual, and the Gronwall decay experiment.
 
-The reference must be strictly positive in density and polymer density;
-its time derivatives are formed by centered differences of adjacent
-snapshots (one-sided second order at the ends).
+The reference must be strictly positive in density and polymer density,
+the candidate nonnegative (as every state a run hands its sink is); the
+reference's time derivatives are formed by centered differences of
+adjacent snapshots (one-sided second order at the ends).
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _remainder_inputs(state: State, ref: State) -> tuple:
     g, gt = velocity_gradient(ux, uy, grid), velocity_gradient(tux, tuy, grid)
     (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy) = g, gt
     sym_du = (gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)), gtyy - gyy)
-    sq, tsq = np.sqrt(np.maximum(state.eta, 0.0)), np.sqrt(ref.eta)
+    sq, tsq = np.sqrt(state.eta), np.sqrt(ref.eta)
     return ((ux, uy), (tux, tuy), (tux - ux, tuy - uy), g, gt, gtxx + gtyy, sym_du,
             (sq, *grad_array(sq, grid, "even")), (tsq, *grad_array(tsq, grid, "even")))
 
@@ -215,9 +216,8 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
     r2 = integrate_array(
         (teta - eta) * ref_derivs["dGp"]
         + (teta * tux - eta * ux) * gp_x + (teta * tuy - eta * uy) * gp_y, grid)
-    r2 += integrate_array(
-        div_tu * (polymer_pressure_q(teta, prm)
-                  - polymer_pressure_q(np.maximum(eta, 0.0), prm)), grid)
+    r2 += integrate_array(div_tu * (polymer_pressure_q(teta, prm)
+                                    - polymer_pressure_q(eta, prm)), grid)
 
     # R3/R4: cross terms of the eta dissipation
     cross = (gtsx * (gsx - gtsx) + gtsy * (gsy - gtsy)
@@ -273,8 +273,7 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
     t3 = integrate_array(div_tu * p_breg, grid)
 
     # 4) div u~ * Bregman of the polymer pressure
-    q_breg = (polymer_pressure_q(teta, prm)
-              - polymer_pressure_q(np.maximum(eta, 0.0), prm)
+    q_breg = (polymer_pressure_q(teta, prm) - polymer_pressure_q(eta, prm)
               - polymer_pressure_q_prime(teta, prm) * (teta - eta))
     t4 = integrate_array(div_tu * q_breg, grid)
 
@@ -320,7 +319,7 @@ def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
     tux, tuy = ref.velocity()
     visc, bracket = dissipation_density(
         velocity_gradient(ux - tux, uy - tuy, state.grid),
-        np.sqrt(np.maximum(state.eta, 0.0)) - np.sqrt(ref.eta),
+        np.sqrt(state.eta) - np.sqrt(ref.eta),
         state.eta - ref.eta, state.grid, prm)
     return integrate_array(visc + 2.0 * prm.eps * bracket, state.grid)
 

@@ -40,14 +40,14 @@ class State:
 
     @classmethod
     def uniform(cls, grid: Grid, rho0: float, eta0: float, tau0: np.ndarray | None = None,
-                k: float | None = None, t: float = 0.0) -> "State":
+                k: float | None = None) -> "State":
         """Spatially uniform state; stress defaults to the relaxation
         equilibrium k*eta0*I when k is given, else zero."""
         if tau0 is None:
             d = k * eta0 if k is not None else 0.0
             tau0 = np.array([[d, 0.0], [0.0, d]])
         full = np.full(grid.shape, 1.0)
-        return cls(grid, t, rho0 * full, 0.0 * full, 0.0 * full, eta0 * full,
+        return cls(grid, 0.0, rho0 * full, 0.0 * full, 0.0 * full, eta0 * full,
                    tau0[0, 0] * full, tau0[0, 1] * full, tau0[1, 1] * full)
 
     def velocity(self, rho_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -96,33 +96,25 @@ class Accumulators:
 
 @dataclass
 class Trajectory:
-    """Snapshot times of a run, its latest accumulated balance integrals,
-    and its latest snapshot state, which ``run_simulation`` lets go once it
-    steps past it (so ``final`` is the last state once the run returns).
-    ``add`` holds the state it is given, not a copy, and hands it to
-    ``sink(state, acc, grad_u)``, which keeps what it needs and must not
-    mutate the state: it is the run's own."""
+    """The latest snapshot state of a run, which ``run_simulation`` lets
+    go once it steps past it (so ``final`` is the last state once the run
+    returns). ``add`` holds the state it is given, not a copy, and hands it
+    to ``sink(state, acc, grad_u)``, which keeps what it needs and must not
+    mutate the state: it is the run's own. The class stays for ``final``,
+    and for ``add`` and ``states[-1]``, which ``perfbench/tracer.py`` hooks
+    to count the snapshot bytes a run holds."""
 
     grid: Grid
     sink: Callable[[State, Accumulators, tuple | None], None] | None = None
-    times: list = field(default_factory=list)
     states: list = field(default_factory=list)  # the latest state, or none
-    accumulators: list = field(default_factory=list)  # the latest alone
 
     def add(self, state: State, acc: Accumulators, grad_u: tuple | None = None) -> None:
-        """Add a snapshot with a copy of ``acc``, which the run goes on
-        accumulating into. ``grad_u`` is the velocity gradient of ``state``
-        when the caller has it (only a sink uses it)."""
-        if self.times and state.t <= self.times[-1]:
-            raise ValueError("snapshot times must be strictly increasing")
-        self.times.append(state.t)
+        """Add a snapshot, handing the sink a copy of ``acc``, which the
+        run goes on accumulating into. ``grad_u`` is the velocity gradient
+        of ``state`` when the caller has it (only a sink uses it)."""
         self.states[:] = [state]
-        self.accumulators[:] = [acc.copy()]
         if self.sink is not None:
-            self.sink(state, self.accumulators[-1], grad_u)
-
-    def __len__(self) -> int:
-        return len(self.times)
+            self.sink(state, acc.copy(), grad_u)
 
     @property
     def final(self) -> State:

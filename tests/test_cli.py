@@ -5,6 +5,7 @@ import contextlib
 import ctypes
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -207,8 +208,8 @@ def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
 #: [grid] sizes stay at most 16 and [output] directory is left to --out
 _EXTREMES = {
     "int": ["0", "1", "3"],
-    "_float": ["0", "0.5", "3", "1e-8", "0.99999999999", "1e-300", "5e-324",
-               "1e300"],
+    "_float": ["0", "-0.0", "0.5", "3", "1e-8", "0.99999999999", "1e-300",
+               "5e-324", "1e300"],
     "_threshold": ["auto", "inf", "1.0001", "1e-300", "1e300"],
     "_formats": ["csv", "snapshots"],
     "_bool": ["true", "false"],
@@ -257,9 +258,20 @@ def test_any_extreme_config_exits_with_a_documented_code(data, command):
     """``main`` returns 0, 2, 3 or 4 and never raises; a non-zero exit
     prints a message; on exit 3/4 the rows written so far match the
     snapshot files written so far. Steps are capped, so a long run ends
-    in exit 4."""
+    in exit 4. Every state a run adds to its trajectory is finite, has
+    rho >= 0 and eta >= 0, and lies after the previous one it added."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "MAX_STEPS", 30)
+        add, last = Trajectory.add, {}  # id -> (trajectory, its last t)
+
+        def checked_add(traj, state, acc, grad_u=None):
+            assert all(np.all(np.isfinite(a)) for a in state.arrays())
+            assert np.all(state.rho >= 0) and np.all(state.eta >= 0)
+            assert id(traj) not in last or state.t > last[id(traj)][1]
+            last[id(traj)] = (traj, state.t)  # holding traj keeps its id
+            add(traj, state, acc, grad_u)
+
+        mp.setattr(Trajectory, "add", checked_add)
         tmp = Path(tmp)
         base = _VERIFY_BASE if command == "verify" else \
             data.draw(st.sampled_from([_BASE, _BLOWUP_BASE]))
@@ -722,6 +734,38 @@ def test_unwritable_output_directory_exit_2_before_any_step(
     assert f"config error: cannot write outputs to {path}: Not a directory" in err
     assert steps == [] and blocker.read_text() == "kept"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "file"]
+
+
+@pytest.mark.parametrize("command,text,code", [
+    ("run", BASE, EXIT_CONFIG), ("compare", BASE, EXIT_CONFIG),
+    ("run", BLOWUP + "[output]\nformats = csv\n", EXIT_BLOWUP)],
+    ids=["run", "compare", "run-blowup-csv"])
+def test_output_directory_replaced_mid_run(tmp_path, capsys, monkeypatch,
+                                           command, text, code):
+    """An output directory replaced by a file after the second row fails the
+    next write: exit 2 with the start-up check's message; if the run has
+    failed by then, its own code and message stand and stderr also names
+    the failed write."""
+    out = tmp_path / "out"
+    call = cli._Rows.__call__
+
+    def replace_after_second_row(rows, *args):
+        call(rows, *args)
+        if len(rows.rows) == 2:
+            shutil.rmtree(out, ignore_errors=True)
+            out.write_text("kept")
+
+    monkeypatch.setattr(cli._Rows, "__call__", replace_after_second_row)
+    cfg = _write(tmp_path, "c.ini", text)
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(out), command, *files]) == code
+    err = capsys.readouterr().err
+    assert f"cannot write outputs to {out}: File exists" in err
+    if code == EXIT_CONFIG:
+        assert err.startswith("config error: ")
+    else:
+        assert "blow-up abort: monitor sup_rho" in err
+    assert out.read_text() == "kept"
 
 
 def test_lemma_check_writes_no_file_and_ignores_out(tmp_path, capsys):

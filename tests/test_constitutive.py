@@ -21,6 +21,8 @@ def test_derived_viscosities_in_2d():
     assert prm.mu == pytest.approx(0.2)
     assert prm.nu == pytest.approx(0.3)
     assert viscosity_coeffs(0.4, 0.3) == (0.2, 0.3)
+    # exactly mu_b, which mu_b + mu_s/2 - mu_s/2 would round away
+    assert ModelParams(mu_b=1e-20).nu == 1e-20
 
 
 def test_parameter_validation_collects_all_errors():

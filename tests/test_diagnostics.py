@@ -179,6 +179,13 @@ def test_blowup_monitor_tracks_sup_and_integral(prm):
     s3.rho = s3.rho * 0.5
     rep = blowup_monitor(s3, rep, alpha=3.0)
     assert rep.sup_rho == 2.5
+    # a stress norm whose square overflows makes the integral inf
+    s4 = s.copy()
+    s4.t = 3.0
+    s4.t11 = s4.t22 = np.full(g.shape, 1e200)
+    with np.errstate(over="ignore"):
+        rep = blowup_monitor(s4, rep, alpha=3.0)
+    assert rep.l2t_linf_tau == np.inf
 
 
 def test_monitors_are_pure(prm):
