@@ -57,11 +57,11 @@ def freeze_at_exit() -> None:
     """Have the interpreter's exit-time collections skip every object
     alive at exit.
 
-    Those passes walk all of loaded sympy in a ``verify`` process, for
-    memory the process hands back when it ends anyway. Every file is
-    closed by a ``with`` block before ``main`` returns, and Python does
-    not promise finalizers at exit. Cached, so ``gc.freeze`` is
-    registered once per process."""
+    Those passes would walk, and free one by one, the objects of every
+    loaded module, numpy's above all, for memory the process hands back
+    when it ends anyway. Every file is closed by a ``with`` block before
+    ``main`` returns, and Python does not promise finalizers at exit.
+    Cached, so ``gc.freeze`` is registered once per process."""
     atexit.register(gc.freeze)
 
 

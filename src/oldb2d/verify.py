@@ -1,15 +1,18 @@
 """Manufactured solutions, convergence-order estimation, and the
 brute-force oracles backing the certified inequalities.
 
-Manufactured fields are sympy expressions in (x, y, t); their equation
-residuals are differentiated symbolically and added as source terms, so
-the closed forms solve the forced system exactly. The oracles here are
+A manufactured solution is seven closed-form fields whose equation
+residuals, added as source terms, make them an exact solution of the
+forced system. The fields and residuals are differentiated symbolically
+once, by ``scripts/gen_mms.py``, into the numpy functions of
+:mod:`oldb2d.mms_sources`; no command imports sympy. The oracles here are
 deliberately independent of the production stencils (naive loops and
-symbolic derivatives only).
+closed forms only).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -17,7 +20,6 @@ import numpy as np
 
 from .constitutive import (ModelParams, bregman_G, bregman_H,
                            calibrate_H_constants, lower_bound_G, lower_bound_H)
-from .fields import upper_convected_source
 from .grid import Grid
 from .rng import default_rng
 from .state import State
@@ -27,113 +29,30 @@ _FIELD_NAMES = ("rho", "ux", "uy", "eta", "t11", "t12", "t22")
 _STATE_NAMES = ("rho", "mx", "my", "eta", "t11", "t12", "t22")
 
 
-@functools.cache
-def _sympy():
-    """sympy and the real symbols x, y, t of every manufactured field.
-
-    Imported on the first manufactured solution, so ``lemma-check``, and
-    ``run`` and ``compare`` without an ``mms:`` preset, never load sympy."""
-    import sympy as sp
-    return (sp, *sp.symbols("x y t", real=True))
-
-
-def _compile(exprs) -> tuple:
-    """numpy closures of source expressions, with their common
-    subexpressions computed once per call.
-
-    ``docstring_limit=0`` skips printing each expression into the closure's
-    docstring, which would cost about as much set-up time as the CSE pass.
-    ``modules=np`` selects the same printer as ``"numpy"`` but takes the
-    namespace from the module object, skipping ``from numpy import *``
-    and the ~230 numpy submodules it loads.
-    """
-    sp, x, y, t = _sympy()
-    return tuple(sp.lambdify((x, y, t), e, modules=np, cse=True,
-                             docstring_limit=0)
-                 for e in exprs)
-
-
 class ManufacturedSolution:
-    """Closed-form (rho*, u*, eta*, T*) with machine-differentiated
-    equation residuals used as sources.
+    """Closed-form (rho*, u*, eta*, T*) with their equation residuals as
+    sources, and, for ``steady-ws``, the momentum residual as a body force.
 
-    ``exprs`` maps the seven field names (rho, ux, uy, eta, t11, t12, t22)
-    to sympy expressions in (x, y, t). All derivative bookkeeping is
-    symbolic; nothing here touches the finite-difference stencils.
+    ``fns`` is a solution's entry of ``mms_sources.SOLUTIONS``: its
+    constants function, then the functions of the fields, the sources and
+    the forces (or None), each of (x, y, t) and the constants, which are
+    computed here once.
     """
 
-    def __init__(self, name: str, exprs: dict, prm: ModelParams,
-                 lx: float, ly: float, force_from_momentum: bool = False):
+    def __init__(self, name: str, prm: ModelParams, lx: float, ly: float,
+                 fns: tuple):
         self.name = name
-        self.exprs = dict(exprs)
-        self.prm = prm
         self.lx = lx
         self.ly = ly
-        self.force_from_momentum = force_from_momentum
-        sp, x, y, t = _sympy()
-        self._field_fns = {k: sp.lambdify((x, y, t), v, modules=np)
-                           for k, v in self.exprs.items()}
-        self._source_exprs = self._build_source_exprs()
-        if force_from_momentum:
-            # momentum residual recast as a body force f = residual / rho,
-            # leaving the momentum *source* identically zero
-            rho = self.exprs["rho"]
-            self._force_exprs = (self._source_exprs[1] / rho,
-                                 self._source_exprs[2] / rho)
-            self._source_exprs = (self._source_exprs[0], sp.Integer(0),
-                                  sp.Integer(0)) + tuple(self._source_exprs[3:])
-            self._force_fns = _compile(self._force_exprs)
-        else:
-            self._force_exprs = None
-            self._force_fns = None
-        self._source_fns = _compile(self._source_exprs)
-
-    # -- symbolic residuals of the governing equations ----------------------
-
-    def _build_source_exprs(self) -> tuple:
-        sp, x, y, t = _sympy()
-        prm = self.prm
-        rho, ux, uy, eta = (self.exprs[k] for k in ("rho", "ux", "uy", "eta"))
-        t11, t12, t22 = (self.exprs[k] for k in ("t11", "t12", "t22"))
-
-        def dx(e):
-            return sp.diff(e, x)
-
-        def dy(e):
-            return sp.diff(e, y)
-
-        def dt(e):
-            return sp.diff(e, t)
-
-        def lap(e):
-            return sp.diff(e, x, 2) + sp.diff(e, y, 2)
-
-        div_u = dx(ux) + dy(uy)
-        # an exact exponent: with a float one (rho**2.0) the order of the
-        # residual's terms, and so its rounding, follows the hash seed
-        p = prm.a * rho ** sp.Rational(repr(prm.gamma))
-        q = prm.kL * eta + prm.zfrak * eta ** 2
-
-        f_rho = dt(rho) + dx(rho * ux) + dy(rho * uy)
-        f_eta = dt(eta) + dx(eta * ux) + dy(eta * uy) - prm.eps * lap(eta)
-
-        f_mx = (dt(rho * ux) + dx(rho * ux * ux) + dy(rho * ux * uy)
-                + dx(p + q) - prm.mu * lap(ux) - prm.nu * dx(div_u)
-                - dx(t11) - dy(t12))
-        f_my = (dt(rho * uy) + dx(rho * ux * uy) + dy(rho * uy * uy)
-                + dy(p + q) - prm.mu * lap(uy) - prm.nu * dy(div_u)
-                - dx(t12) - dy(t22))
-
-        uc11, uc12, uc22 = upper_convected_source(dx(ux), dy(ux), dx(uy), dy(uy),
-                                                  t11, t12, t22)
-        relax = 1 / (2 * prm.lam)
-        f_t11 = (dt(t11) + dx(ux * t11) + dy(uy * t11) - uc11
-                 - prm.eps * lap(t11) - relax * (prm.k * eta - t11))
-        f_t12 = (dt(t12) + dx(ux * t12) + dy(uy * t12) - uc12
-                 - prm.eps * lap(t12) + relax * t12)
-        f_t22 = (dt(t22) + dx(ux * t22) + dy(uy * t22) - uc22
-                 - prm.eps * lap(t22) - relax * (prm.k * eta - t22))
-        return (f_rho, f_mx, f_my, f_eta, f_t11, f_t12, f_t22)
+        constants, fields, sources, forces = fns
+        c = constants(**{f.name: getattr(prm, f.name)
+                         for f in dataclasses.fields(prm) if f.init},
+                      lx=lx, ly=ly)
+        self._field_fns = {k: functools.partial(f, c=c)
+                           for k, f in zip(_FIELD_NAMES, fields)}
+        self._source_fns = tuple(functools.partial(f, c=c) for f in sources)
+        self._force_fns = (None if forces is None else
+                           tuple(functools.partial(f, c=c) for f in forces))
 
     # -- grid sampling ------------------------------------------------------
 
@@ -157,25 +76,13 @@ class ManufacturedSolution:
         return fn
 
     def force_fn(self, grid: Grid):
-        """t -> (fx, fy) body force; only for force_from_momentum solutions."""
+        """t -> (fx, fy) body force; only for ``steady-ws``."""
         if self._force_fns is None:
             return None
 
         def fn(t: float):
             return tuple(self._eval(f, grid, t) for f in self._force_fns)
         return fn
-
-    def residual_is_zero(self, which: str, tol: float = 1e-12) -> bool:
-        """True if the named equation residual is symbolically zero (up to
-        floating-point dust from float-valued domain sizes)."""
-        sp = _sympy()[0]
-        idx = _STATE_NAMES.index(which)
-        expr = sp.expand(sp.simplify(self._source_exprs[idx]))
-        if expr == 0:
-            return True
-        terms = expr.as_ordered_terms()
-        coeffs = [abs(complex(t.as_coeff_Mul()[0])) for t in terms]
-        return max(coeffs) < tol
 
 
 # -- named manufactured solutions -------------------------------------------
@@ -196,51 +103,14 @@ def make_ms(name: str, prm: ModelParams, lx: float = 1.0, ly: float = 1.0) -> Ma
       stress; continuity and the eta equation hold unforced and the
       momentum residual is recast as a body force. Suitable as a strong
       reference for the remainder-equivalence checks.
+
+    Imports :mod:`oldb2d.mms_sources` on the first call, so ``lemma-check``,
+    and ``run`` and ``compare`` without an ``mms:`` preset, never load it.
     """
     if name not in MMS_NAMES:
         raise ValueError(f"unknown manufactured solution {name!r}")
-    sp, x, y, t = _sympy()
-    kx = 2 * sp.pi / lx
-    ky = 2 * sp.pi / ly
-    sx, cx_ = sp.sin(kx * x), sp.cos(kx * x)
-    sy, cy_ = sp.sin(ky * y), sp.cos(ky * y)
-
-    if name == "periodic-smooth":
-        wob = sp.cos(t)
-        rho = 1 + sp.Rational(3, 20) * sx * cy_ * wob
-        ux = sp.Rational(1, 20) * sx * cy_ * (1 + sp.Rational(1, 2) * sp.sin(t))
-        uy = sp.Rational(1, 20) * cx_ * sy * (1 - sp.Rational(1, 2) * sp.sin(t))
-        eta = 1 + sp.Rational(1, 10) * cx_ * sy * wob
-        t11 = prm.k * eta + sp.Rational(1, 20) * sx * sy * wob
-        t22 = prm.k * eta - sp.Rational(1, 20) * sx * sy * wob
-        t12 = sp.Rational(3, 100) * cx_ * cy_ * sp.sin(t)
-        exprs = dict(rho=rho, ux=ux, uy=uy, eta=eta, t11=t11, t12=t12, t22=t22)
-        return ManufacturedSolution(name, exprs, prm, lx, ly)
-
-    if name == "diffusion-eta":
-        decay = sp.exp(-prm.eps * (kx ** 2 + ky ** 2) * t)
-        eta = 1 + sp.Rational(1, 2) * cx_ * cy_ * decay
-        exprs = dict(rho=sp.Integer(1), ux=sp.Integer(0), uy=sp.Integer(0),
-                     eta=eta, t11=prm.k * eta, t12=sp.Integer(0),
-                     t22=prm.k * eta)
-        return ManufacturedSolution(name, exprs, prm, lx, ly)
-
-    # steady-ws
-    # psi = (amp/ky) sin sin; u = (psi_y, -psi_x) is divergence free and
-    # tangent to level sets of psi, so rho = R(psi) satisfies the
-    # unforced continuity equation; eta constant satisfies its equation
-    amp = sp.Rational(1, 10)
-    psi_hat = sx * sy
-    ux = amp * sx * cy_
-    uy = -amp * (kx / ky) * cx_ * sy
-    rho = 1 + sp.Rational(1, 5) * psi_hat
-    eta = sp.Integer(1)
-    t11 = prm.k + sp.Rational(1, 20) * sx * cy_
-    t22 = prm.k + sp.Rational(1, 20) * cx_ * sy
-    t12 = sp.Rational(3, 100) * sx * sy
-    exprs = dict(rho=rho, ux=ux, uy=uy, eta=eta, t11=t11, t12=t12, t22=t22)
-    return ManufacturedSolution(name, exprs, prm, lx, ly,
-                                force_from_momentum=True)
+    from .mms_sources import SOLUTIONS
+    return ManufacturedSolution(name, prm, lx, ly, SOLUTIONS[name])
 
 
 # -- convergence studies ----------------------------------------------------

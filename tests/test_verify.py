@@ -1,9 +1,10 @@
 """Manufactured solutions, their symbolic sources, and the scan oracles."""
 
-import inspect
+import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,22 +13,24 @@ import sympy as sp
 import oldb2d.verify as verify
 from oldb2d.constitutive import (ModelParams, calibrate_H_constants, bregman_G,
                                  lower_bound_G, lower_bound_H)
+from oldb2d.dynamics import SolverOptions, run_simulation
 from oldb2d.grid import Grid
-from oldb2d.verify import (MMS_NAMES, LemmaCertificate, ManufacturedSolution,
-                           convergence_study, make_ms, ode_oracle_relaxation,
-                           oracle_lemma_scan)
+from oldb2d.verify import (MMS_NAMES, LemmaCertificate, convergence_study,
+                           make_ms, ode_oracle_relaxation, oracle_lemma_scan)
 
 from conftest import periodic_grid
+from mms_symbolic import (FIELD_NAMES, X as _X, Y as _Y, T as _T,
+                          SymbolicParams, SymbolicSolution, closure,
+                          field_exprs, make_symbolic)
 
-# sympy caches symbols by name and assumptions: these are verify's x, y, t
-_X, _Y, _T = sp.symbols("x y t", real=True)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_constant_equilibrium_has_zero_sources(prm):
     exprs = dict(rho=sp.Integer(1), ux=sp.Integer(0), uy=sp.Integer(0),
                  eta=sp.Integer(1), t11=sp.Float(prm.k), t12=sp.Integer(0),
                  t22=sp.Float(prm.k))
-    ms = ManufacturedSolution("equilibrium", exprs, prm, 1.0, 1.0)
+    ms = SymbolicSolution("equilibrium", exprs, prm)
     for name in ("rho", "mx", "my", "eta", "t11", "t12", "t22"):
         assert ms.residual_is_zero(name)
     g = periodic_grid(8)
@@ -36,18 +39,18 @@ def test_constant_equilibrium_has_zero_sources(prm):
 
 
 def test_steady_ws_unforced_equations(prm):
-    ms = make_ms("steady-ws", prm)
+    ms = make_symbolic("steady-ws", prm)
     # continuity and the polymer-density equation hold without sources, and
     # the momentum residual has been recast as a body force
     for name in ("rho", "eta", "mx", "my"):
         assert ms.residual_is_zero(name)
-    assert ms.force_fn(periodic_grid(8)) is not None
+    assert make_ms("steady-ws", prm).force_fn(periodic_grid(8)) is not None
     # the stress equations do need their sources
     assert not ms.residual_is_zero("t12")
 
 
 def test_diffusion_eta_residuals(prm):
-    ms = make_ms("diffusion-eta", prm)
+    ms = make_symbolic("diffusion-eta", prm)
     for name in ("rho", "eta"):
         assert ms.residual_is_zero(name)
     # momentum does need a source: grad q(eta) + div T do not cancel
@@ -64,16 +67,16 @@ def test_time_independent_mass_source_is_divergence(prm):
                  ux=sp.Rational(1, 20) * sp.cos(2 * sp.pi * _Y),
                  uy=sp.Integer(0), eta=sp.Integer(1),
                  t11=sp.Integer(1), t12=sp.Integer(0), t22=sp.Integer(1))
-    ms = ManufacturedSolution("steady-check", exprs, prm, 1.0, 1.0)
+    ms = SymbolicSolution("steady-check", exprs, prm)
     want = sp.diff(exprs["rho"] * exprs["ux"], _X) \
         + sp.diff(exprs["rho"] * exprs["uy"], _Y)
-    assert sp.simplify(ms._source_exprs[0] - want) == 0
+    assert sp.simplify(ms.source_exprs[0] - want) == 0
 
 
 def test_symbolic_sources_match_fd_oracle(prm):
     # differentiate the closed-form fields numerically (4th-order central,
     # independent of both sympy's chain rule and the production stencils)
-    ms = make_ms("periodic-smooth", prm)
+    ms = make_symbolic("periodic-smooth", prm)
     pts = [(0.13, 0.41, 0.27), (0.71, 0.09, 0.61)]
     h = 1e-3
 
@@ -84,10 +87,10 @@ def test_symbolic_sources_match_fd_oracle(prm):
             return f(*a)
         return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
-    rho = ms._field_fns["rho"]
-    ux = ms._field_fns["ux"]
-    uy = ms._field_fns["uy"]
-    f_rho = sp.lambdify((_X, _Y, _T), ms._source_exprs[0], modules="numpy")
+    rho = ms.field_fns["rho"]
+    ux = ms.field_fns["ux"]
+    uy = ms.field_fns["uy"]
+    f_rho = sp.lambdify((_X, _Y, _T), ms.source_exprs[0], modules="numpy")
     for p in pts:
         num = (d4(lambda x, y, t: rho(x, y, t), p, 2)
                + d4(lambda x, y, t: rho(x, y, t) * ux(x, y, t), p, 0)
@@ -108,11 +111,12 @@ def test_sampled_state_is_positive_and_consistent(prm):
 def test_compiled_sources_match_plain_lambdify(prm, name):
     # non-square on purpose: swapped x/y axes cannot pass
     ms = make_ms(name, prm, lx=1.0, ly=1.5)
+    ref = make_symbolic(name, prm, lx=1.0, ly=1.5)
     g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
     xc, yc = g.cell_centers()
-    pairs = list(zip(ms._source_exprs, ms.source_fn(g)(0.3)))
+    pairs = list(zip(ref.source_exprs, ms.source_fn(g)(0.3)))
     if name == "steady-ws":
-        pairs += list(zip(ms._force_exprs, ms.force_fn(g)(0.3)))
+        pairs += list(zip(ref.force_exprs, ms.force_fn(g)(0.3)))
     for expr, got in pairs:
         want = sp.lambdify((_X, _Y, _T), expr, modules="numpy")(xc, yc, 0.3)
         assert got.shape == g.shape
@@ -120,25 +124,46 @@ def test_compiled_sources_match_plain_lambdify(prm, name):
                                    rtol=1e-13, atol=1e-13)
 
 
+_OTHER_PARAMS = dict(a=2.5, gamma=1.4, mu_s=0.35, mu_b=0.07, eps=0.013,
+                     k=1.7, lam=0.6, zfrak=0.3, L=2.0)
+
+
 @pytest.mark.parametrize("name", MMS_NAMES)
-def test_numpy_module_compiles_like_numpy_string(prm, name):
-    # lambdify(modules=np) must print the same closure source as
-    # modules="numpy" and evaluate it to the same bits
+@pytest.mark.parametrize("params", [{}, _OTHER_PARAMS], ids=["default", "other"])
+def test_generated_sources_match_sympy(params, name):
+    """The generated fields, sources and forces equal fresh sympy closures
+    of the derivation at the same numbers, to 4 ulp or 1e-14.
+
+    The numbers enter sympy as exact rationals: lambdify prints a float to
+    15 digits, which alone moves the sources of a 1.5-long box by 1e-14."""
+    prm = ModelParams(**params)
+    exact = SymbolicParams(**{f.name: sp.Rational(getattr(prm, f.name))
+                              for f in dataclasses.fields(prm) if f.init})
+    exprs, force = field_exprs(name, exact, sp.Integer(1), sp.Rational(3, 2))
+    ref = SymbolicSolution(name, exprs, exact, force)
+    # non-square on purpose: swapped x/y axes cannot pass
     ms = make_ms(name, prm, lx=1.0, ly=1.5)
     g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
-    xyt = (_X, _Y, _T)
-    compiled = list(zip(ms._source_exprs, ms._source_fns))
-    if name == "steady-ws":
-        compiled += zip(ms._force_exprs, ms._force_fns)
-    pairs = [(sp.lambdify(xyt, e, modules="numpy", cse=True, docstring_limit=0), f)
-             for e, f in compiled]
-    pairs += [(sp.lambdify(xyt, ms.exprs[k], modules="numpy"), ms._field_fns[k])
-              for k in ms.exprs]
-    assert len(pairs) == (16 if name == "steady-ws" else 14)
-    for want, got in pairs:
-        assert inspect.getsource(got) == inspect.getsource(want)
-        a, b = ms._eval(got, g, 0.3), ms._eval(want, g, 0.3)
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    got = [ms._eval(ms._field_fns[k], g, 0.3) for k in FIELD_NAMES]
+    got += ms.source_fn(g)(0.3)
+    want = [ref.exprs[k] for k in FIELD_NAMES] + list(ref.source_exprs)
+    if force:
+        got += ms.force_fn(g)(0.3)
+        want += ref.force_exprs
+    assert len(got) == len(want) == (16 if force else 14)
+    xc, yc = g.cell_centers()
+    for expr, a in zip(want, got):
+        b = np.broadcast_to(closure(expr)(xc, yc, 0.3), g.shape)
+        assert a.shape == g.shape
+        assert np.all(np.abs(a - b) <= np.maximum(4 * np.spacing(np.abs(b)), 1e-14))
+
+
+def test_generated_module_is_fresh(tmp_path):
+    """src/oldb2d/mms_sources.py is what scripts/gen_mms.py writes."""
+    out = tmp_path / "mms_sources.py"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "gen_mms.py"), str(out)],
+                   check=True)
+    assert out.read_bytes() == (ROOT / "src" / "oldb2d" / "mms_sources.py").read_bytes()
 
 
 _SOURCE_DIGEST = """
@@ -189,6 +214,30 @@ def test_convergence_study_small_diffusion(prm):
     assert rep.l2_orders["eta"][-1] == pytest.approx(2.0, abs=0.35)
     rows = rep.table_rows()
     assert len(rows) == 3 and rows[0][0] == "eta"
+
+
+def test_ssprk2_is_second_order_in_time(prm):
+    """On one 16^2 grid the spatial error is common to every run, so the
+    differences to a dt/64 run measure the time error alone: SSP-RK2
+    (Gottlieb, Shu & Tadmor, SIAM Review 43, 2001) halves it twice over
+    per halving of dt. Also runs the generated time-dependent sources."""
+    ms = make_ms("periodic-smooth", prm)
+    g = periodic_grid(16)
+    t_end, dt = 0.04, 4e-3
+
+    def final(step):
+        opts = SolverOptions(dt=step, snapshot_stride=10 ** 9)
+        return run_simulation(ms.sample_state(g, 0.0), prm, t_end, opts,
+                              source_fn=ms.source_fn(g)).final
+
+    ref = final(dt / 64)
+    errs = []
+    for j in range(4):
+        s = final(dt / 2 ** j)
+        errs.append(max(np.sqrt(np.mean((getattr(s, f) - getattr(ref, f)) ** 2))
+                        for f in ("rho", "mx", "my", "eta", "t11", "t12", "t22")))
+    orders = [np.log2(errs[j] / errs[j + 1]) for j in range(3)]
+    assert min(orders) >= 1.9, orders
 
 
 def test_ode_oracle_trivial_points(prm):
@@ -361,9 +410,10 @@ def test_manufactured_solution_leaves_numpy_f2py_unloaded():
 
 _TINY = "[grid]\nnx = 16\nny = 16\n"
 _SEEDED = "[time]\nt_end = 0.001\ndt = 5e-4\n[initial]\ndelta0 = 1e-3\nseed = 5\n"
-#: scipy, and numpy.random, whose bit generators import secrets, hashlib and
-#: OpenSSL's libcrypto
-_TEST_ONLY = ("scipy", "numpy.random", "secrets", "_hashlib")
+_MMS_RUN = "[time]\nt_end = 0.001\ndt = 5e-4\n[initial]\npreset = mms:steady-ws\n"
+#: scipy and sympy, and numpy.random, whose bit generators import secrets,
+#: hashlib and OpenSSL's libcrypto
+_TEST_ONLY = ("scipy", "sympy", "numpy.random", "secrets", "_hashlib")
 
 
 @pytest.mark.parametrize("command,text", [
@@ -375,10 +425,11 @@ _TEST_ONLY = ("scipy", "numpy.random", "secrets", "_hashlib")
     ("run", _SEEDED),
     ("run", "boundary_mode = physical\n" + _SEEDED),
     ("compare", _SEEDED),
+    ("run", _MMS_RUN),
 ], ids=["lemma-check", "run", "compare", "verify", "run-seeded",
-        "run-seeded-walled", "compare-seeded"])
+        "run-seeded-walled", "compare-seeded", "run-mms"])
 def test_commands_leave_scipy_unloaded(tmp_path, command, text):
-    """No command loads scipy or numpy.random, the tests' references."""
+    """No command loads scipy, sympy or numpy.random, the tests' references."""
     cfg = tmp_path / "c.ini"
     cfg.write_text(_TINY + text)
     args = [str(cfg)] * (2 if command == "compare" else 1)
@@ -386,3 +437,16 @@ def test_commands_leave_scipy_unloaded(tmp_path, command, text):
             f"print([m for m in {_TEST_ONLY!r} if m in sys.modules])")
     out = _python(code, "--out", str(tmp_path / "out"), command, *args)
     assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("run", "[time]\nt_end = 0.001\ndt = 5e-4\n"),
+    ("compare", _SEEDED),
+], ids=["run", "compare"])
+def test_runs_without_mms_preset_leave_generated_sources_unloaded(tmp_path, command,
+                                                                  text):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(_TINY + text)
+    args = [str(cfg)] * (2 if command == "compare" else 1)
+    assert not _loaded_after(_MAIN, "oldb2d.mms_sources", "--out",
+                             str(tmp_path / "out"), command, *args)
