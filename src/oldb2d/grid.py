@@ -64,11 +64,16 @@ class Grid:
     def periodic(self) -> bool:
         return self.boundary_mode == PERIODIC
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of cell-center coordinates, shape (nx, ny) each."""
+    def cell_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-center x on an (nx, 1) axis and y on a (1, ny) axis; they
+        broadcast to the mesh."""
         x = (np.arange(self.nx) + 0.5) * self.dx
         y = (np.arange(self.ny) + 0.5) * self.dy
-        return np.meshgrid(x, y, indexing="ij")
+        return x[:, None], y[None, :]
+
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Meshgrid of cell-center coordinates, shape (nx, ny) each."""
+        return np.meshgrid(*(a.ravel() for a in self.cell_axes()), indexing="ij")
 
 
 def require_same_grid(a, b):

@@ -19,7 +19,7 @@ from oldb2d.verify import (MMS_NAMES, LemmaCertificate, convergence_study,
                            make_ms, ode_oracle_relaxation, oracle_lemma_scan)
 
 from conftest import periodic_grid
-from mms_symbolic import (FIELD_NAMES, X as _X, Y as _Y, T as _T,
+from mms_symbolic import (FIELD_NAMES, STATE_NAMES, X as _X, Y as _Y, T as _T,
                           SymbolicParams, SymbolicSolution, closure,
                           field_exprs, make_symbolic)
 
@@ -103,7 +103,7 @@ def test_sampled_state_is_positive_and_consistent(prm):
     g = periodic_grid(16)
     s = ms.sample_state(g, 0.4)
     assert np.min(s.rho) > 0 and np.min(s.eta) > 0
-    ux = ms._eval(ms._field_fns["ux"], g, 0.4)
+    ux = ms._eval(ms._field_fns["ux"], g.cell_axes(), 0.4)
     assert np.allclose(s.mx, s.rho * ux, rtol=1e-14)
 
 
@@ -122,6 +122,21 @@ def test_compiled_sources_match_plain_lambdify(prm, name):
         assert got.shape == g.shape
         np.testing.assert_allclose(got, np.broadcast_to(want, g.shape),
                                    rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", MMS_NAMES)
+def test_sampled_planes_are_fresh_and_writable(prm, name):
+    # zero residuals, lines and full planes alike: each call hands out new
+    # planes that a caller may write into
+    ms = make_ms(name, prm)
+    g = Grid(nx=24, ny=16, lx=1.0, ly=1.0, boundary_mode="periodic")
+    fns = [ms.source_fn(g)] + ([ms.force_fn(g)] if name == "steady-ws" else [])
+    planes = [a for fn in fns for t in (0.3, 0.3) for a in fn(t)]
+    state = ms.sample_state(g, 0.3)
+    planes += [getattr(state, f) for f in STATE_NAMES]
+    for i, a in enumerate(planes):
+        assert a.shape == g.shape and a.dtype == np.float64 and a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in planes[:i])
 
 
 _OTHER_PARAMS = dict(a=2.5, gamma=1.4, mu_s=0.35, mu_b=0.07, eps=0.013,
@@ -144,7 +159,7 @@ def test_generated_sources_match_sympy(params, name):
     # non-square on purpose: swapped x/y axes cannot pass
     ms = make_ms(name, prm, lx=1.0, ly=1.5)
     g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
-    got = [ms._eval(ms._field_fns[k], g, 0.3) for k in FIELD_NAMES]
+    got = [ms._eval(ms._field_fns[k], g.cell_axes(), 0.3) for k in FIELD_NAMES]
     got += ms.source_fn(g)(0.3)
     want = [ref.exprs[k] for k in FIELD_NAMES] + list(ref.source_exprs)
     if force:
@@ -349,15 +364,31 @@ def test_sobol_blocks_match_scipy_bit_for_bit(seed):
     ref = qmc.Sobol(d=4, scramble=True, seed=seed)
     shift, v = verify._sobol_scramble(seed)
     assert np.array_equal(shift, ref._shift) and np.array_equal(v, ref._sv)
-    # one 2^10 draw, then four 2^16 chunks: odd chunks after chunk 0 too
-    for n, chunk in ((1 << 10, 1 << 10), (1 << 18, 1 << 16)):
+    # one 2^10 draw, then four chunks of the scan's size and four of 2^16:
+    # odd chunks after chunk 0 too
+    scan = verify._SCAN_CHUNK
+    for n, chunk in ((1 << 10, 1 << 10), (4 * scan, scan), (1 << 18, 1 << 16)):
         ref = qmc.Sobol(d=4, scramble=True, seed=seed)
         blocks = list(verify._sobol_blocks(seed, n, chunk))
         assert len(blocks) == n // chunk
         for got in blocks:
-            want = ref.random(chunk)
-            assert got.shape == want.shape and got.flags.c_contiguous
+            want = ref.random(chunk).T
+            assert got.shape == want.shape == (4, chunk)
+            # one contiguous row per variable: the scan's passes stream
+            assert all(row.flags.c_contiguous for row in got)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("corrected", [True, False])
+def test_lemma_scan_certificate_does_not_depend_on_block_size(
+        prm, monkeypatch, corrected):
+    certs = []
+    for chunk in (1 << 10, verify._SCAN_CHUNK, 1 << 16):
+        monkeypatch.setattr(verify, "_SCAN_CHUNK", chunk)
+        certs.append(oracle_lemma_scan(prm, n_samples=1 << 18, seed=11,
+                                       corrected=corrected))
+    for got in certs[1:]:
+        _same_certificates(got, certs[0])
 
 
 def test_lemma_scan_rejects_more_pairs_than_the_sequence_has(prm):
