@@ -1,12 +1,3 @@
 """2D compressible viscoelastic flow (Oldroyd-B with stress diffusion):
 explicit finite-difference simulator plus energy and relative-entropy
 diagnostics."""
-
-from .constitutive import ModelParams
-from .grid import Grid
-from .state import Accumulators, NumericalError, State, Trajectory
-
-__version__ = "0.1.0"
-
-__all__ = ["Grid", "ModelParams", "State", "Trajectory", "Accumulators",
-           "NumericalError", "__version__"]

@@ -140,7 +140,7 @@ class _Rows:
         e_res = diagnostics.energy_residual(s, acc, self.e0, prm)
         self.trace.append(diagnostics.trace_identity_terms(s, prm, grad_u))
         self.report = diagnostics.blowup_monitor(s, self.report, alpha=cfg.alpha)
-        row = {"t": s.t, **vars(eb), **vars(self.report), **acc.as_dict(),
+        row = {"t": s.t, **vars(eb), **vars(self.report), **vars(acc),
                "energy_residual": e_res}
         if ref is not None:
             r = ref.state(j)

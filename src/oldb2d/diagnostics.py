@@ -46,7 +46,8 @@ def energy_residual(state: State, acc: Accumulators, e0: float,
     """[E(t) + visc + poly + relax] - [E(0) + src_f + src_eta] at one
     snapshot, given E(0) and the accumulators at the snapshot's time."""
     e = total_energy(state, prm).total
-    return (e + acc.visc + acc.poly + acc.relax) - (e0 + acc.src_f + acc.src_eta)
+    return ((e + acc.visc_diss_cum + acc.poly_diss_cum + acc.relax_cum)
+            - (e0 + acc.src_f_cum + acc.src_eta_cum))
 
 
 def energy_inequality_residual(states: list, accumulators: list,

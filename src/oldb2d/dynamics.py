@@ -203,33 +203,30 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
 
 
 def start_state(init: State, opts: SolverOptions) -> State:
-    """The state a run of ``init`` starts from: a copy floored and
-    clipped by ``_apply_floors`` (``opts`` resolved on ``init``), as every
-    RK stage is."""
+    """The state a run of ``init`` starts from: a copy that
+    ``_apply_floors`` (``opts`` resolved on ``init``) floors, as it does
+    every RK stage."""
     state = init.copy()
     _apply_floors(state.arrays(), opts)
     return state
 
 
-def _apply_floors(arrays: Sequence[np.ndarray], opts: SolverOptions) -> float:
-    """Floor rho, clip eta undershoots; returns clipped eta amount (cells)."""
+def _apply_floors(arrays: Sequence[np.ndarray], opts: SolverOptions) -> None:
+    """Floor rho, and clip eta undershoots within the tolerance to 0."""
     rho, eta = arrays[0], arrays[3]
     np.maximum(rho, opts.rho_floor, out=rho)
     emin = float(np.min(eta))
+    if -emin > opts.eta_clip_tol:
+        raise NumericalError(
+            f"eta undershoot {emin:g} exceeds clip tolerance {opts.eta_clip_tol:g}")
     if emin < 0.0:
-        if -emin > opts.eta_clip_tol:
-            raise NumericalError(
-                f"eta undershoot {emin:g} exceeds clip tolerance {opts.eta_clip_tol:g}")
-        clipped = -float(np.sum(np.minimum(eta, 0.0)))
         np.maximum(eta, 0.0, out=eta)
-        return clipped
-    return 0.0
 
 
 def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
                 force_fn: ForceFn | None = None,
-                source_fn: SourceFn | None = None) -> tuple[State, float]:
-    """One two-stage SSP Runge-Kutta step; returns (new state, clipped eta)."""
+                source_fn: SourceFn | None = None) -> State:
+    """One two-stage SSP Runge-Kutta step; returns the new state."""
     grid = state.grid
 
     def rhs(s: State) -> tuple[np.ndarray, ...]:
@@ -242,7 +239,7 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
     for a, da in zip(state.arrays(), stage1):
         _scaled(dt, da)
         da += a
-    clipped = _apply_floors(stage1, opts)
+    _apply_floors(stage1, opts)
     s1 = State(grid, state.t + dt, *stage1)
     s1.check_finite()
 
@@ -252,16 +249,17 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
         b += _scaled(dt, db)
         _scaled(0.5, b)
         b += np.multiply(0.5, a, out=db)
-    clipped += _apply_floors(final, opts)
+    _apply_floors(final, opts)
     out = State(grid, state.t + dt, *final)
     out.check_finite()
-    return out, clipped * grid.cell_area
+    return out
 
 
 def balance_rates(state: State, prm: ModelParams,
                   force: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
-    """Instantaneous integrands of the energy-balance accumulators, and the
-    velocity gradient they were computed from, that of ``state.velocity()``."""
+    """Instantaneous integrands of the energy-balance accumulators, in the
+    order of the fields of :class:`Accumulators`, and the velocity gradient
+    they were computed from, that of ``state.velocity()``."""
     grid, eta = state.grid, state.eta
     ux, uy = state.velocity()
     grad_u = velocity_gradient(ux, uy, grid)
@@ -274,8 +272,7 @@ def balance_rates(state: State, prm: ModelParams,
     src_f = 0.0
     if force is not None:
         src_f = integrate_array(state.rho * (force[0] * ux + force[1] * uy), grid)
-    return {"visc": visc, "poly": poly, "relax": relax,
-            "src_f": src_f, "src_eta": src_eta}, grad_u
+    return (visc, poly, relax, src_f, src_eta), grad_u
 
 
 # every non-finite value a step makes is caught by check_finite or
@@ -315,15 +312,13 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
         dt = min(dt, t_end - state.t)
         if not state.t + dt > state.t:
             raise NumericalError(f"time step dt={dt:g} does not advance t={state.t:g}")
-        state, clipped = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
+        state = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
         traj.states.clear()  # stepped past: a stride > 1 pins no stale state
-        acc.clipped_eta += clipped
 
         new_rates, grad_u = balance_rates(state, prm,
                                           force_fn(state.t) if force_fn else None)
-        for key in ("visc", "poly", "relax", "src_f", "src_eta"):
-            val = getattr(acc, key) + 0.5 * dt * (rates[key] + new_rates[key])
-            setattr(acc, key, val)
+        acc = Accumulators(*(a + 0.5 * dt * (r + q) for a, r, q in
+                             zip(vars(acc).values(), rates, new_rates)))
         rates = new_rates
 
         sup_rho = float(np.max(state.rho))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -69,29 +69,17 @@ class State:
                     f"non-finite value in {name} at cell ({bad[0]}, {bad[1]}), t={self.t:g}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Accumulators:
     """Running time integrals of the energy-balance dissipation and source
-    terms (trapezoidal in time)."""
+    terms (trapezoidal in time), one field per CSV column. The run builds
+    a new record every step, so a record it hands out never changes."""
 
-    visc: float = 0.0        # mu |grad u|^2 + nu |div u|^2
-    poly: float = 0.0        # 2 eps (2 k L |grad sqrt(eta)|^2 + z |grad eta|^2)
-    relax: float = 0.0       # (1/4 lambda) tr T
-    src_f: float = 0.0       # rho f . u
-    src_eta: float = 0.0     # (k d / 4 lambda) eta
-    clipped_eta: float = 0.0  # total mass removed by undershoot clipping
-
-    def as_dict(self) -> dict:
-        return {
-            "visc_diss_cum": self.visc,
-            "poly_diss_cum": self.poly,
-            "relax_cum": self.relax,
-            "src_f_cum": self.src_f,
-            "src_eta_cum": self.src_eta,
-        }
-
-    def copy(self) -> "Accumulators":
-        return replace(self)
+    visc_diss_cum: float = 0.0  # mu |grad u|^2 + nu |div u|^2
+    poly_diss_cum: float = 0.0  # 2 eps (2 k L |grad sqrt(eta)|^2 + z |grad eta|^2)
+    relax_cum: float = 0.0      # (1/4 lambda) tr T
+    src_f_cum: float = 0.0      # rho f . u
+    src_eta_cum: float = 0.0    # (k d / 4 lambda) eta
 
 
 @dataclass
@@ -109,12 +97,12 @@ class Trajectory:
     states: list = field(default_factory=list)  # the latest state, or none
 
     def add(self, state: State, acc: Accumulators, grad_u: tuple | None = None) -> None:
-        """Add a snapshot, handing the sink a copy of ``acc``, which the
-        run goes on accumulating into. ``grad_u`` is the velocity gradient
-        of ``state`` when the caller has it (only a sink uses it)."""
+        """Add a snapshot, handing the sink ``acc``, the run's record at
+        the snapshot's time. ``grad_u`` is the velocity gradient of
+        ``state`` when the caller has it (only a sink uses it)."""
         self.states[:] = [state]
         if self.sink is not None:
-            self.sink(state, acc.copy(), grad_u)
+            self.sink(state, acc, grad_u)
 
     @property
     def final(self) -> State:

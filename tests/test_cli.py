@@ -2,7 +2,9 @@
 through ``python -m oldb2d.cli``."""
 
 import contextlib
+import csv
 import ctypes
+import dataclasses
 import io
 import os
 import shutil
@@ -22,8 +24,8 @@ import reference_kernels as ref
 from oldb2d import cli, config, dynamics, entropy, fields, grid, kernels
 from oldb2d.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         main)
-from oldb2d.snapshot_io import COMPARE_COLUMNS, read_snapshot
-from oldb2d.state import NumericalError, Trajectory
+from oldb2d.snapshot_io import BASE_COLUMNS, COMPARE_COLUMNS, read_snapshot
+from oldb2d.state import Accumulators, NumericalError, Trajectory
 from oldb2d.verify import ManufacturedSolution
 
 
@@ -517,6 +519,33 @@ def test_run_and_candidate_hold_one_snapshot(tmp_path, monkeypatch):
     assert held("verify", mms) == [[1, 1]] * 3 and kept == []
 
 
+def test_accumulator_fields_are_the_csv_columns(tmp_path, monkeypatch):
+    """The fields of the record a sink is handed are, in order, the
+    ``*_cum`` columns of ``run.csv``, and each row carries the values of
+    its snapshot's record; a record handed out is never changed later."""
+    handed = []
+    rows_call = cli._Rows.__call__
+
+    def tee(rows, state, acc, grad_u):
+        handed.append((acc, tuple(vars(acc).values())))
+        rows_call(rows, state, acc, grad_u)
+
+    monkeypatch.setattr(cli._Rows, "__call__", tee)
+    cfg = _write(tmp_path, "c.ini", BASE + "[initial]\ndelta0 = 1e-2\nseed = 5\n"
+                 "[forcing]\npreset = compress\namplitude = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", cfg]) == EXIT_OK
+    cum = [c for c in BASE_COLUMNS if c.endswith("_cum")]
+    assert [f.name for f in dataclasses.fields(Accumulators)] == cum
+    with open(out / "run.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(handed) == 5
+    for row, (acc, at_hand) in zip(rows, handed):
+        assert tuple(vars(acc).values()) == at_hand
+        assert tuple(float(row[c]) for c in cum) == at_hand
+    assert all(v != 0.0 for v in handed[-1][1])
+
+
 @pytest.mark.parametrize("extra,section,keys", [
     ("[params]\ngamma = 3.0\nmu_s = 0.5\n", "[params]", ("gamma", "mu_s")),
     ("[forcing]\npreset = compress\n", "[forcing]", ("preset",)),
@@ -927,10 +956,10 @@ FAULT_PROBE = textwrap.dedent("""
     s = smooth_state(periodic_grid(256), prm)
     opts = SolverOptions(dt=1e-5).resolved(s)
     for _ in range(5):  # the heap settles within the first few steps
-        s, _ = step_ssprk2(s, 1e-5, prm, opts)
+        s = step_ssprk2(s, 1e-5, prm, opts)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        s, _ = step_ssprk2(s, 1e-5, prm, opts)
+        s = step_ssprk2(s, 1e-5, prm, opts)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """)
 

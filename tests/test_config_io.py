@@ -1,8 +1,11 @@
 """Config parsing (full error collection) and binary/CSV round trips."""
 
 import dataclasses
+import importlib.util
 import math
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from oldb2d.state import State
 
 from conftest import periodic_grid, random_smooth_state
 
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 [grid]
@@ -469,3 +473,17 @@ def test_csv_values_round_trip_exactly(tmp_path):
     fields = p.read_text().splitlines()[1].split(",")
     for raw, v in zip(fields[:4], vals):
         assert float(raw) == v
+
+
+def test_every_config_is_run_by_a_header_command(monkeypatch):
+    """Each ``configs/*.ini`` is an argument of some ``# oldb2d`` header
+    command, so ``scripts/output_digests.py`` digests what it writes."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", ROOT / "scripts" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    configs = ROOT / "configs"
+    named = {arg for cmd in digests.header_commands(configs) for arg in cmd}
+    inis = {f"configs/{p.name}" for p in configs.glob("*.ini")}
+    assert inis and inis <= named, sorted(inis - named)
