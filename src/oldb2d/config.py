@@ -225,7 +225,7 @@ def smooth_noise(grid: Grid, rng: Generator,
     deterministic for a given generator state. ``rng`` is an
     :class:`oldb2d.rng.Generator` or a ``numpy.random.Generator``: both
     draw the same bits from the same seed."""
-    X, Y = grid.cell_centers()
+    X, Y = grid.cell_axes()
     out = np.zeros(grid.shape)
     for _ in range(3):
         mx_, my_ = rng.integers(1, 4, size=2)
@@ -260,20 +260,20 @@ def build_initial(cfg: RunConfig):
     elif cfg.preset == "uniform":
         state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
     elif cfg.preset == "gaussian-bump":
-        X, Y = grid.cell_centers()
+        X, Y = grid.cell_axes()
         sig = 0.1 * min(grid.lx, grid.ly)
         bump = np.exp(-((X - grid.lx / 2) ** 2 + (Y - grid.ly / 2) ** 2)
                       / (2.0 * sig ** 2))
         state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
         state.rho = cfg.rho0 * (1.0 + 0.2 * bump)
     else:  # shear-layer
-        X, Y = grid.cell_centers()
+        X, Y = grid.cell_axes()
         w = 0.05 * grid.ly
         upper = Y > grid.ly / 2
         ux = np.where(upper,
                       0.1 * np.tanh((3 * grid.ly / 4 - Y) / w),
                       0.1 * np.tanh((Y - grid.ly / 4) / w))
-        uy = 0.01 * np.sin(2 * np.pi * X / grid.lx) * np.ones_like(Y)
+        uy = 0.01 * np.sin(2 * np.pi * X / grid.lx)
         state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
         state.mx = state.rho * ux
         state.my = state.rho * uy
@@ -289,29 +289,27 @@ def perturb_state(state: State, delta0: float, seed: int, k: float) -> State:
     grid = state.grid
     rng = default_rng(seed)
     walls = not grid.periodic
-    out = state.copy()
     n_rho = smooth_noise(grid, rng)
     n_eta = smooth_noise(grid, rng)
     n_ux = smooth_noise(grid, rng, vanish_on_walls=walls)
     n_uy = smooth_noise(grid, rng, vanish_on_walls=walls)
     n_t = smooth_noise(grid, rng)
     ux, uy = state.velocity(1e-300)
-    out.rho = state.rho * (1.0 + delta0 * n_rho)
-    out.eta = state.eta * (1.0 + delta0 * n_eta)
-    out.mx = out.rho * (ux + delta0 * n_ux)
-    out.my = out.rho * (uy + delta0 * n_uy)
+    rho = state.rho * (1.0 + delta0 * n_rho)
     scale = k * max(float(np.max(state.eta)), 1.0)
-    out.t11 = state.t11 + delta0 * scale * n_t
-    out.t22 = state.t22 + delta0 * scale * n_t
-    return out
+    return State(grid, state.t, rho, rho * (ux + delta0 * n_ux),
+                 rho * (uy + delta0 * n_uy), state.eta * (1.0 + delta0 * n_eta),
+                 state.t11 + delta0 * scale * n_t, state.t12.copy(),
+                 state.t22 + delta0 * scale * n_t)
 
 
 def compressive_force(cfg: RunConfig):
     """Body force pushing mass toward the domain center (periodic-friendly
-    restoring field); used by the blow-up stress test."""
+    restoring field); used by the blow-up stress test. Its callback returns
+    fx on an (nx, 1) and fy on a (1, ny) line, which broadcast to the grid."""
     grid = cfg.grid
     amp = cfg.force_amplitude
-    X, Y = grid.cell_centers()
+    X, Y = grid.cell_axes()
     fx = -amp * np.sin(2 * np.pi * (X - grid.lx / 2) / grid.lx)
     fy = -amp * np.sin(2 * np.pi * (Y - grid.ly / 2) / grid.ly)
 

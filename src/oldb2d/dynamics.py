@@ -61,6 +61,7 @@ class SolverOptions:
         return out
 
 
+#: t -> (fx, fy), arrays that broadcast to the grid
 ForceFn = Callable[[float], tuple[np.ndarray, np.ndarray]]
 SourceFn = Callable[[float], tuple[np.ndarray, ...]]
 

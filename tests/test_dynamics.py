@@ -132,7 +132,7 @@ def test_nonfinite_state_raises(prm):
 def test_blowup_abort_carries_partial_trajectory(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)
-    X, Y = g.cell_centers()
+    X, Y = g.cell_axes()
     fx = -3.0 * np.sin(2 * np.pi * (X - 0.5))
     fy = -3.0 * np.sin(2 * np.pi * (Y - 0.5))
     opts = SolverOptions(dt=5e-4, sup_rho_threshold=1.2 * float(np.max(s.rho)),

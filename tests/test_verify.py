@@ -113,7 +113,7 @@ def test_compiled_sources_match_plain_lambdify(prm, name):
     ms = make_ms(name, prm, lx=1.0, ly=1.5)
     ref = make_symbolic(name, prm, lx=1.0, ly=1.5)
     g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
-    xc, yc = g.cell_centers()
+    xc, yc = g.cell_axes()
     pairs = list(zip(ref.source_exprs, ms.source_fn(g)(0.3)))
     if name == "steady-ws":
         pairs += list(zip(ref.force_exprs, ms.force_fn(g)(0.3)))
@@ -166,7 +166,7 @@ def test_generated_sources_match_sympy(params, name):
         got += ms.force_fn(g)(0.3)
         want += ref.force_exprs
     assert len(got) == len(want) == (16 if force else 14)
-    xc, yc = g.cell_centers()
+    xc, yc = g.cell_axes()
     for expr, a in zip(want, got):
         b = np.broadcast_to(closure(expr)(xc, yc, 0.3), g.shape)
         assert a.shape == g.shape
