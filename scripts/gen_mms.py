@@ -5,20 +5,23 @@ Usage: python scripts/gen_mms.py [OUT]
 
 Runs the symbolic derivation of ``tests/mms_symbolic.py`` once for each
 solution in ``oldb2d.verify.MMS_NAMES``, with the ``[params]`` values and
-the box lengths ``lx``, ``ly`` as symbols, and prints each field, source
-and force with ``sympy.lambdify(..., cse=True)``. Every subexpression that
+the box lengths ``lx``, ``ly`` as symbols. Every subexpression that
 depends on those symbols alone moves into one constants function per
-solution, which ``make_ms`` calls once. A residual that expands to
-exactly 0 becomes the zero function. The script needs sympy (the ``test``
-extra); the module it writes needs only numpy. Its output does not depend
-on the hash seed, and a tier-1 test checks that the checked-in module is
-what it writes.
+solution, which ``make_ms`` calls once. The rest is written as one
+function per solution and group, its fields, its sources and its forces,
+that returns the group's outputs as a tuple. Each output keeps the common
+subexpressions sympy finds in it alone, printed with lambdify's numpy
+printer, so it keeps the bits it has when lambdified alone; definitions
+of equal value are computed once for the whole group, and each array is
+deleted after its last use. A residual that expands to exactly 0 is
+returned as 0. The script needs sympy (the ``test`` extra); the module it
+writes needs only numpy. Its output does not depend on the hash seed, and
+a tier-1 test checks that the checked-in module is what it writes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import re
 import sys
 from pathlib import Path
@@ -54,9 +57,14 @@ tests/mms_symbolic.py; do not edit. Regenerate with
 
 For each solution, ``<name>_constants`` takes the ``[params]`` values and
 the box lengths and returns the tuple ``c`` of every subexpression that
-depends on them alone. Every other function takes the cell-centre axes
-``x`` and ``y``, the time ``t`` and that tuple. A residual that vanishes
-identically returns 0.
+depends on them alone. ``<name>_fields``, ``<name>_sources`` and, for
+steady-ws, ``<name>_forces`` take the cell-centre axes ``x`` and ``y``,
+the time ``t`` and that tuple, and return the group's outputs in the
+order of ``oldb2d.verify``'s names (fx and fy for the forces). A
+definition shared by several outputs is computed once; each output is
+computed by the same operations, in the same order, as on its own, so it
+has the same bits. A residual that vanishes identically is returned as 0,
+and an output may be returned twice.
 """
 
 '''
@@ -146,43 +154,109 @@ _PRINTER = NumPyPrinter({"fully_qualified_modules": False, "inline": True,
                          "order": "none"})
 
 
-def _function(name: str, args: tuple, expr) -> str:
-    fn = sp.lambdify(args, expr, modules=np, cse=_cse, printer=_PRINTER,
-                     docstring_limit=0)
-    src = inspect.getsource(fn)
-    return src.replace("def _lambdifygenerated(", f"def {name}(", 1)
+#: the names in printed code that :func:`_function` follows: definitions
+#: and the cell axes
+_NAME = re.compile(r"\b(?:x\d+|x|y)\b")
 
 
-def _tuple(names: list, indent: str) -> str:
-    inner = "".join(f"{indent}    {n},\n" for n in names)
-    return f"(\n{inner}{indent})"
+def _renamed(e, local: dict) -> str:
+    """``e`` printed, with the definitions it uses renamed by ``local``.
+
+    The text is renamed, not the expression: sympy would sort a product
+    rebuilt with new names by those names, and so change its operations."""
+    return _NAME.sub(lambda m: local.get(m[0], m[0]), _PRINTER.doprint(e))
+
+
+def _function(name: str, args: tuple, blocks: list, names: tuple = ()) -> str:
+    """The source of ``name(*args)``, which returns a tuple of outputs.
+
+    ``blocks`` holds pairs (definitions, outputs) of :func:`_cse`, in output
+    order. A definition that prints like an earlier one is merged into it,
+    so each output is still computed by the operations of its own block,
+    in their order, and keeps its bits. An array, a definition or output
+    that varies along x or y, is assigned right after the last definition
+    it needs and deleted after its last use. An output that would be
+    assigned after the last definition anyway, or is a scalar, is written
+    into the return tuple, unless it is returned twice; output i is
+    otherwise assigned to ``names[i]``."""
+    defs, outs = {}, []           # printed definition -> its name; outputs
+    for subs, reduced in blocks:
+        local = {}
+        for s, d in subs:
+            local[str(s)] = defs.setdefault(_renamed(d, local), f"x{len(defs)}")
+        outs += [_renamed(e, local) for e in reduced]
+    body = [(n, d) for d, n in defs.items()]
+    pos = {n: i for i, (n, _) in enumerate(body)}
+    last = len(body) - 1
+    array = {"x": True, "y": True}
+    for n, d in body:
+        array[n] = any(array[m] for m in _NAME.findall(d))
+    assigned, ret = {}, {}        # position -> [(name, output)]; output -> text
+    for i, o in enumerate(outs):
+        uses = _NAME.findall(o)
+        p = max((pos[m] for m in uses if m in pos), default=last)
+        if o not in ret and any(array[m] for m in uses) and (
+                p < last or outs.count(o) > 1):
+            assigned.setdefault(p, []).append((names[i], o))
+            ret[o] = names[i]
+        ret.setdefault(o, o)
+    # the position after which each definition is last used; the return
+    # tuple's count as after the last
+    users = [(i, d) for i, (_, d) in enumerate(body)]
+    users += [(p, o) for p, a in assigned.items() for _, o in a]
+    users += [(last + 1, o) for o in ret.values()]
+    used = {m: i for i, u in sorted(users) for m in _NAME.findall(u)}
+    lines = [f"def {name}({', '.join(map(str, args))}):"]
+    # position -1, before the first definition, holds the outputs of a
+    # function with none
+    for i in range(-1, len(body)):
+        if i >= 0:
+            lines.append("{} = {}".format(*body[i]))
+        lines += [f"{n} = {o}" for n, o in assigned.get(i, [])]
+        gone = [n for n, _ in body if used.get(n) == i and array[n]]
+        if gone and i < last:
+            lines.append("del " + ", ".join(gone))
+    lines.append(f"return ({', '.join(ret[o] for o in outs)})")
+    return "\n    ".join(lines) + "\n"
+
+
+#: the outputs of each group's function, in the order it returns them
+GROUPS = {"fields": sym.FIELD_NAMES, "sources": sym.STATE_NAMES,
+          "forces": ("fx", "fy")}
+
+
+def solution_exprs(name: str) -> tuple:
+    """(constants, groups) of one solution: every subexpression that depends
+    on the ``[params]`` values and the box lengths alone, and, for each
+    group of :data:`GROUPS` the solution has, its outputs with those
+    subexpressions replaced by ``c[i]``."""
+    prm = sym.SymbolicParams(**{p.name: p for p in PARAMS})
+    exprs, force = sym.field_exprs(name, prm, LX, LY)
+    sol = sym.SymbolicSolution(name, exprs, prm, force_from_momentum=force)
+    groups = {"fields": [exprs[k] for k in sym.FIELD_NAMES],
+              "sources": [sp.Integer(0) if sp.expand(e) == 0 else e
+                          for e in sol.source_exprs]}
+    if sol.force_exprs is not None:
+        groups["forces"] = list(sol.force_exprs)
+    consts = _Constants()
+    # powsimp: the pressure gradient's rho**gamma/rho is rho**(gamma - 1)
+    groups = {g: [consts.hoist(_collect(sp.powsimp(e, combine="exp")))
+                  for e in es] for g, es in groups.items()}
+    return [sp.factor_terms(e) for e in consts.exprs], groups
 
 
 def solution_code(name: str) -> tuple:
     """(function definitions, table entry) of one solution."""
-    prm = sym.SymbolicParams(**{p.name: p for p in PARAMS})
-    exprs, force = sym.field_exprs(name, prm, LX, LY)
-    sol = sym.SymbolicSolution(name, exprs, prm, force_from_momentum=force)
     stem = name.replace("-", "_")
-    consts = _Constants()
-    xytc = (sym.X, sym.Y, sym.T, C)
-    groups = [[(f"{stem}_{k}", exprs[k]) for k in sym.FIELD_NAMES],
-              [(f"{stem}_source_{k}", sp.Integer(0) if sp.expand(e) == 0 else e)
-               for k, e in zip(sym.STATE_NAMES, sol.source_exprs)]]
-    if sol.force_exprs is not None:
-        groups.append([(f"{stem}_force_{k}", e)
-                       for k, e in zip("xy", sol.force_exprs)])
-    # powsimp: the pressure gradient's rho**gamma/rho is rho**(gamma - 1)
-    defs = [_function(n, xytc,
-                      consts.hoist(_collect(sp.powsimp(e, combine="exp"))))
-            for g in groups for n, e in g]
-    defs.insert(0, _function(f"{stem}_constants", PARAMS + (LX, LY),
-                             sp.Tuple(*map(sp.factor_terms, consts.exprs))))
-    names = [[n for n, _ in g] for g in groups]
-    entry = ",\n".join([f"        {stem}_constants"]
-                       + [f"        {_tuple(g, '        ')}" for g in names]
-                       + ([] if force else ["        None"]))
-    return defs, f'    "{name}": (\n{entry}),\n'
+    consts, groups = solution_exprs(name)
+    subs, reduced = _cse(sp.Tuple(*consts))
+    defs = [_function(f"{stem}_constants", PARAMS + (LX, LY), [(subs, reduced)])]
+    defs += [_function(f"{stem}_{g}", (sym.X, sym.Y, sym.T, C),
+                       [(s, [r]) for s, r in map(_cse, es)], GROUPS[g])
+             for g, es in groups.items()]
+    fns = [f"{stem}_constants"] + [f"{stem}_{g}" if g in groups else "None"
+                                   for g in GROUPS]
+    return defs, f'    "{name}": ({", ".join(fns)}),\n'
 
 
 def module_code() -> str:
@@ -196,8 +270,8 @@ def module_code() -> str:
                       + re.findall(r"\bpi\b", body)))
     assert all(hasattr(np, n) for n in used), used
     return (HEADER + f"from numpy import {', '.join(used)}\n\n\n" + body
-            + "\n\n#: name -> (constants, the 7 fields, the 7 sources, "
-            "the 2 forces or None)\nSOLUTIONS = {\n" + "".join(entries) + "}\n")
+            + "\n\n#: name -> (constants, fields, sources, forces or None)\n"
+            "SOLUTIONS = {\n" + "".join(entries) + "}\n")
 
 
 def main(argv: list) -> int:

@@ -1,8 +1,9 @@
 """Command-line entry points: run, compare, verify, lemma-check.
 
-Exit codes: 0 success, 2 configuration error or failed output write, 3
-blow-up abort (monitor named on stderr), 4 numerical failure. The commands
-raise; ``main`` alone maps the exceptions to codes and messages.
+Exit codes: 0 success, 2 configuration error, failed output write or a
+grid too large for memory, 3 blow-up abort (monitor named on stderr), 4
+numerical failure. The commands raise; ``main`` alone maps the exceptions
+to codes and messages.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _stream(rows: _Rows, init, prm, t_end, opts, force_fn, source_fn) -> None:
     try:
         run_simulation(init, prm, t_end, opts, force_fn=force_fn,
                        source_fn=source_fn, sink=rows)
-    except (BlowupAbort, NumericalError, entropy.ReferenceError):
+    except (BlowupAbort, NumericalError, entropy.ReferenceError, MemoryError):
         try:
             rows.write_csv()
         except ConfigError as e:
@@ -358,6 +359,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        print(f"config error: not enough memory for the grid ([grid] nx and "
+              f"ny, or [verify] levels): {e}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowupAbort as e:
         print(f"blow-up abort: monitor {e.monitor} reached {e.value:g} "

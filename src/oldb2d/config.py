@@ -14,7 +14,8 @@ from .dynamics import MAX_STEPS
 from .grid import Grid, GridError
 from .rng import Generator, default_rng
 from .state import State
-from .verify import MMS_NAMES, SOBOL_POINTS, make_ms
+from .verify import (LEVELS_RULE, MMS_NAMES, SOBOL_POINTS, doubling_levels,
+                     make_ms)
 
 
 class ConfigError(ValueError):
@@ -149,8 +150,7 @@ def parse_config(text: str) -> RunConfig:
     v = {name: val for sec, fields in vals.items() if sec not in ("grid", "params")
          for name, val in fields.items()}
     preset, thr, levels = v["preset"], v["sup_rho_threshold"], v["verify_levels"]
-    levels_ok = (len(levels) >= 3 and levels[0] >= 8
-                 and all(b == 2 * a for a, b in zip(levels, levels[1:])))
+    levels_ok = doubling_levels(levels)
     errors += [msg for bad, msg in (
         (not (preset in _PRESETS
               or preset.startswith("mms:") and preset[4:] in MMS_NAMES),
@@ -179,8 +179,8 @@ def parse_config(text: str) -> RunConfig:
         (v["seed"] < 0, "seed in [initial] must be nonnegative"),
         (v["lemma_seed"] < 0, "seed in [lemma] must be nonnegative"),
         (not levels_ok,
-         f"levels in [verify] must be 3 or more grid sizes from 8 up, each "
-         f"twice the previous, got '{','.join(map(str, levels))}'"),
+         f"levels in [verify] must be {LEVELS_RULE}, "
+         f"got '{','.join(map(str, levels))}'"),
         (not v["verify_t_end"] > 0, "t_end in [verify] must be positive"),
         (not v["verify_dt_over_dx2"] > 0, "dt_over_dx2 in [verify] must be positive"),
     ) if bad]

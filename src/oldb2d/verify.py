@@ -34,9 +34,9 @@ class ManufacturedSolution:
     sources, and, for ``steady-ws``, the momentum residual as a body force.
 
     ``fns`` is a solution's entry of ``mms_sources.SOLUTIONS``: its
-    constants function, then the functions of the fields, the sources and
-    the forces (or None), each of (x, y, t) and the constants, which are
-    computed here once.
+    constants function, then the functions of the 7 fields, of the 7
+    sources and of the 2 forces (or None), each of (x, y, t) and the
+    constants, which are computed here once.
     """
 
     def __init__(self, name: str, prm: ModelParams, lx: float, ly: float,
@@ -44,34 +44,37 @@ class ManufacturedSolution:
         self.name = name
         self.lx = lx
         self.ly = ly
-        constants, fields, sources, forces = fns
+        constants, *groups = fns
         c = constants(**{f.name: getattr(prm, f.name)
                          for f in dataclasses.fields(prm) if f.init},
                       lx=lx, ly=ly)
-        self._field_fns = {k: functools.partial(f, c=c)
-                           for k, f in zip(_FIELD_NAMES, fields)}
-        self._source_fns = tuple(functools.partial(f, c=c) for f in sources)
-        self._force_fns = (None if forces is None else
-                           tuple(functools.partial(f, c=c) for f in forces))
+        self._fields, self._sources, self._forces = (
+            None if fn is None else functools.partial(fn, c=c) for fn in groups)
 
     # -- grid sampling ------------------------------------------------------
 
-    def _eval(self, fn, axes: tuple, t: float) -> np.ndarray:
-        """A fresh, writable (nx, ny) plane of ``fn`` on ``Grid.cell_axes``:
-        subexpressions of one variable cost a line of cells, not the whole
-        mesh."""
+    def _planes(self, fn, axes: tuple, t: float) -> tuple:
+        """The outputs of ``fn`` on ``Grid.cell_axes`` as fresh, writable
+        (nx, ny) planes: subexpressions of one variable cost a line of
+        cells, not the whole mesh."""
         x, y = axes
         out = fn(x, y, t)
         shape = (x.shape[0], y.shape[1])
-        if np.shape(out) == shape:
-            return out  # computed from both axes, so already a new plane
-        return np.full(shape, out, dtype=np.float64)
+        return tuple(self._eval(v, shape, any(v is w for w in out[:i]))
+                     for i, v in enumerate(out))
+
+    def _eval(self, value, shape: tuple, returned_before: bool) -> np.ndarray:
+        """One output as a fresh plane: a plane computed from both axes is
+        new unless the function returned it before; a line or a scalar is
+        broadcast."""
+        if np.shape(value) == shape and not returned_before:
+            return value
+        return np.full(shape, value, dtype=np.float64)
 
     def sample_state(self, grid: Grid, t: float) -> State:
-        axes = grid.cell_axes()
-        v = {k: self._eval(self._field_fns[k], axes, t) for k in _FIELD_NAMES}
-        return State(grid, t, v["rho"], v["rho"] * v["ux"], v["rho"] * v["uy"],
-                     v["eta"], v["t11"], v["t12"], v["t22"])
+        rho, ux, uy, eta, t11, t12, t22 = self._planes(
+            self._fields, grid.cell_axes(), t)
+        return State(grid, t, rho, rho * ux, rho * uy, eta, t11, t12, t22)
 
     def source_fn(self, grid: Grid):
         """t -> the 7 per-equation source arrays making the closed forms
@@ -79,17 +82,17 @@ class ManufacturedSolution:
         axes = grid.cell_axes()
 
         def fn(t: float):
-            return tuple(self._eval(f, axes, t) for f in self._source_fns)
+            return self._planes(self._sources, axes, t)
         return fn
 
     def force_fn(self, grid: Grid):
         """t -> (fx, fy) body force; only for ``steady-ws``."""
-        if self._force_fns is None:
+        if self._forces is None:
             return None
         axes = grid.cell_axes()
 
         def fn(t: float):
-            return tuple(self._eval(f, axes, t) for f in self._force_fns)
+            return self._planes(self._forces, axes, t)
         return fn
 
 
@@ -123,6 +126,15 @@ def make_ms(name: str, prm: ModelParams, lx: float = 1.0, ly: float = 1.0) -> Ma
 
 # -- convergence studies ----------------------------------------------------
 
+#: the grid levels of a convergence study, whose error ratios are orders
+LEVELS_RULE = "3 or more grid sizes from 8 up, each twice the previous"
+
+
+def doubling_levels(levels) -> bool:
+    """Whether ``levels`` follow :data:`LEVELS_RULE`."""
+    return (len(levels) >= 3 and levels[0] >= 8
+            and all(b == 2 * a for a, b in zip(levels, levels[1:])))
+
 
 @dataclass
 class ConvergenceReport:
@@ -153,8 +165,8 @@ def convergence_study(ms: ManufacturedSolution, prm: ModelParams,
     errors and observed orders log2(e_h / e_{h/2})."""
     from .dynamics import SolverOptions, run_simulation
 
-    if len(levels) < 3:
-        raise ValueError("need at least 3 grid levels")
+    if not doubling_levels(levels):
+        raise ValueError(f"levels must be {LEVELS_RULE}, got {tuple(levels)}")
     l2 = {f: [] for f in fields}
     linf = {f: [] for f in fields}
     for n in levels:

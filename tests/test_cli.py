@@ -120,6 +120,25 @@ def test_run_numerical_failure_exit_4_keeps_partial_outputs(tmp_path, capsys):
     assert [read_snapshot(p).t for p in snaps] == [float(r.split(",")[0]) for r in rows]
 
 
+def test_run_out_of_memory_mid_run_exit_2_keeps_partial_outputs(
+        tmp_path, capsys, monkeypatch):
+    step, steps = dynamics.step_ssprk2, []
+
+    def failing_step(*args, **kwargs):
+        steps.append(None)
+        if len(steps) == 12:
+            raise MemoryError("forced failure on step 12")
+        return step(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "step_ssprk2", failing_step)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", _write(tmp_path, "x.ini", BASE)]) \
+        == EXIT_CONFIG
+    assert "not enough memory for the grid" in capsys.readouterr().err
+    rows = (out / "run.csv").read_text().splitlines()[1:]
+    # snapshots after steps 0, 5 and 10
+    assert len(rows) == len(list(out.glob("run_*.bin"))) == 3
+
+
 def test_run_numerical_failure_prints_no_numpy_warnings(tmp_path, capsys):
     text = (BLOWUP.replace("amplitude = 5.0", "amplitude = 1e200")
             .replace("sup_rho_threshold = 1.3", "sup_rho_threshold = auto"))
@@ -198,11 +217,14 @@ MMS_TINY = ("[grid]\nnx = 8\nny = 8\nlx = {l}\nly = {l}\n"
      "[lemma]\nsamples = 1024\n", EXIT_NUMERICAL,
      "numerical failure: no valid lower-bound constants found for "
      "gamma=1.0000000000000002\n"),
+    # numpy refuses the 728 TiB state at once, without allocating
+    ("run", "[grid]\nnx = 10000000\nny = 10000000\n", EXIT_CONFIG,
+     "config error: not enough memory for the grid"),
 ], ids=["stalled-t", "tau-square-overflow", "length-square-overflow",
         "sound-speed-overflow", "zero-density", "mms-inverse-square-overflow",
         "verify-inverse-square-overflow", "verify-finest-level-overflow",
         "verify-zero-step", "verify-step-count-above-limit",
-        "lemma-gamma-near-one"])
+        "lemma-gamma-near-one", "grid-beyond-memory"])
 def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
                                          named):
     cfg = _write(tmp_path, "x.ini", text)

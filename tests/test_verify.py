@@ -1,6 +1,8 @@
 """Manufactured solutions, their symbolic sources, and the scan oracles."""
 
 import dataclasses
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from oldb2d.constitutive import (ModelParams, calibrate_H_constants, bregman_G,
                                  lower_bound_G, lower_bound_H)
 from oldb2d.dynamics import SolverOptions, run_simulation
 from oldb2d.grid import Grid
+from oldb2d.mms_sources import SOLUTIONS
 from oldb2d.verify import (MMS_NAMES, LemmaCertificate, convergence_study,
                            make_ms, ode_oracle_relaxation, oracle_lemma_scan)
 
@@ -103,7 +106,7 @@ def test_sampled_state_is_positive_and_consistent(prm):
     g = periodic_grid(16)
     s = ms.sample_state(g, 0.4)
     assert np.min(s.rho) > 0 and np.min(s.eta) > 0
-    ux = ms._eval(ms._field_fns["ux"], g.cell_axes(), 0.4)
+    ux = ms._planes(ms._fields, g.cell_axes(), 0.4)[1]
     assert np.allclose(s.mx, s.rho * ux, rtol=1e-14)
 
 
@@ -127,10 +130,12 @@ def test_compiled_sources_match_plain_lambdify(prm, name):
 @pytest.mark.parametrize("name", MMS_NAMES)
 def test_sampled_planes_are_fresh_and_writable(prm, name):
     # zero residuals, lines and full planes alike: each call hands out new
-    # planes that a caller may write into
+    # planes that a caller may write into. diffusion-eta's one function of
+    # its fields returns t11 and t22 as one object, and its sources 0 five
+    # times, so each output needs its own plane
     ms = make_ms(name, prm)
     g = Grid(nx=24, ny=16, lx=1.0, ly=1.0, boundary_mode="periodic")
-    fns = [ms.source_fn(g)] + ([ms.force_fn(g)] if name == "steady-ws" else [])
+    fns = [f for f in (ms.source_fn(g), ms.force_fn(g)) if f is not None]
     planes = [a for fn in fns for t in (0.3, 0.3) for a in fn(t)]
     state = ms.sample_state(g, 0.3)
     planes += [getattr(state, f) for f in STATE_NAMES]
@@ -159,7 +164,7 @@ def test_generated_sources_match_sympy(params, name):
     # non-square on purpose: swapped x/y axes cannot pass
     ms = make_ms(name, prm, lx=1.0, ly=1.5)
     g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
-    got = [ms._eval(ms._field_fns[k], g.cell_axes(), 0.3) for k in FIELD_NAMES]
+    got = list(ms._planes(ms._fields, g.cell_axes(), 0.3))
     got += ms.source_fn(g)(0.3)
     want = [ref.exprs[k] for k in FIELD_NAMES] + list(ref.source_exprs)
     if force:
@@ -171,6 +176,55 @@ def test_generated_sources_match_sympy(params, name):
         b = np.broadcast_to(closure(expr)(xc, yc, 0.3), g.shape)
         assert a.shape == g.shape
         assert np.all(np.abs(a - b) <= np.maximum(4 * np.spacing(np.abs(b)), 1e-14))
+
+
+@functools.cache
+def _per_output_functions(name: str) -> tuple:
+    """(constants, group -> output functions) of one solution, each output
+    lambdified alone through ``gen_mms._cse``, as the generator once wrote
+    them: the reference of the generated functions' bits."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_mms", ROOT / "scripts" / "gen_mms.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    consts, groups = gen.solution_exprs(name)
+
+    def alone(args, expr):
+        return sp.lambdify(args, expr, modules=np, cse=gen._cse,
+                           printer=gen._PRINTER)
+    xytc = (_X, _Y, _T, gen.C)
+    return (alone(gen.PARAMS + (gen.LX, gen.LY), sp.Tuple(*consts)),
+            {g: [alone(xytc, e) for e in es] for g, es in groups.items()})
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("name", MMS_NAMES)
+@pytest.mark.parametrize("params", [{}, _OTHER_PARAMS], ids=["default", "other"])
+def test_merged_outputs_keep_their_bits(params, name):
+    """Each output of a group's one generated function, with definitions
+    shared across the group, has the bits of that output computed alone."""
+    constants, groups = _per_output_functions(name)
+    prm = ModelParams(**params)
+    kw = {f.name: getattr(prm, f.name) for f in dataclasses.fields(prm) if f.init}
+    c = constants(**kw, lx=1.0, ly=1.5)
+    assert np.array_equal(_bits(SOLUTIONS[name][0](**kw, lx=1.0, ly=1.5)), _bits(c))
+    ms = make_ms(name, prm, lx=1.0, ly=1.5)
+    g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
+    x, y = axes = g.cell_axes()
+    for t in (0.3, 1.7):
+        got = {"fields": ms._planes(ms._fields, axes, t),
+               "sources": ms.source_fn(g)(t)}
+        if ms.force_fn(g) is not None:
+            got["forces"] = ms.force_fn(g)(t)
+        assert got.keys() == groups.keys()
+        for group, fns in groups.items():
+            assert len(got[group]) == len(fns)
+            for fn, a in zip(fns, got[group]):
+                want = np.full(g.shape, fn(x, y, t, c), dtype=np.float64)
+                assert np.count_nonzero(_bits(a) != _bits(want)) == 0, (group, t)
 
 
 def test_generated_module_is_fresh(tmp_path):
@@ -219,6 +273,14 @@ def test_convergence_study_needs_three_levels(prm):
     ms = make_ms("diffusion-eta", prm)
     with pytest.raises(ValueError):
         convergence_study(ms, prm, levels=(16, 32))
+
+
+@pytest.mark.parametrize("levels", [(16, 24, 32), (4, 8, 16)])
+def test_convergence_study_needs_doubling_levels(prm, levels):
+    # log2(e_h / e_{h/2}) is an order only if each level doubles the last
+    ms = make_ms("diffusion-eta", prm)
+    with pytest.raises(ValueError, match="each twice the previous"):
+        convergence_study(ms, prm, levels=levels)
 
 
 def test_convergence_study_small_diffusion(prm):
