@@ -3,6 +3,11 @@
 Pressure law p = a rho^gamma, the convex potentials behind the relative
 entropies, their Bregman distances and certified pointwise lower bounds.
 Everything here is pointwise and accepts numpy arrays as well as floats.
+
+The pointwise laws assume rho, eta >= 0 unchecked: the solver floors its
+states and ``entropy.RefTrajectory`` checks each reference snapshot. Raising
+:class:`DomainError`, the Bregman distances and lower bounds check their
+pair (value >= 0, reference > 0) and ``polymer_potential_G_prime`` eta > 0.
 """
 
 from __future__ import annotations
@@ -82,28 +87,19 @@ def viscosity_coeffs(mu_s: float, mu_b: float) -> tuple[float, float]:
     return mu_s / 2.0, mu_b
 
 
-def _require_nonneg(x, name):
-    if np.any(np.asarray(x) < 0):
-        raise DomainError(f"{name} must be nonnegative")
-
-
 def pressure(rho, prm: ModelParams):
-    _require_nonneg(rho, "rho")
     return prm.a * np.power(rho, prm.gamma)
 
 
 def pressure_prime(rho, prm: ModelParams):
-    _require_nonneg(rho, "rho")
     return prm.a * prm.gamma * np.power(rho, prm.gamma - 1.0)
 
 
 def potential_H(rho, prm: ModelParams):
-    _require_nonneg(rho, "rho")
     return prm.a / (prm.gamma - 1.0) * np.power(rho, prm.gamma)
 
 
 def potential_H_prime(rho, prm: ModelParams):
-    _require_nonneg(rho, "rho")
     return prm.a * prm.gamma / (prm.gamma - 1.0) * np.power(rho, prm.gamma - 1.0)
 
 
@@ -112,7 +108,6 @@ def _potential_H_second(rho, prm: ModelParams):
 
 
 def polymer_pressure_q(eta, prm: ModelParams):
-    _require_nonneg(eta, "eta")
     return prm.kL * eta + prm.zfrak * np.square(eta)
 
 
@@ -130,7 +125,6 @@ def _xlogx(x):
 
 
 def polymer_potential_G(eta, prm: ModelParams):
-    _require_nonneg(eta, "eta")
     return prm.kL * _xlogx(eta) + prm.zfrak * np.square(np.asarray(eta, dtype=np.float64))
 
 
@@ -150,14 +144,20 @@ def polymer_potential_G_prime(eta, prm: ModelParams):
 _TAYLOR_SWITCH = 1e-5
 
 
+def _checked_pair(x, x_t, name: str, ref_name: str):
+    """(x, x_t) as float64 arrays, after checking x >= 0 and x_t > 0."""
+    x, x_t = np.asarray(x, dtype=np.float64), np.asarray(x_t, dtype=np.float64)
+    if np.any(x < 0):
+        raise DomainError(f"{name} must be nonnegative")
+    if np.any(x_t <= 0):
+        raise DomainError(f"{ref_name} must be positive")
+    return x, x_t
+
+
 def bregman_H(rho, rho_t, prm: ModelParams):
     """H(rho) - H(rho_t) - H'(rho_t)(rho - rho_t); nonnegative, zero iff
     the arguments coincide."""
-    rho = np.asarray(rho, dtype=np.float64)
-    rho_t = np.asarray(rho_t, dtype=np.float64)
-    _require_nonneg(rho, "rho")
-    if np.any(rho_t <= 0):
-        raise DomainError("reference density must be positive")
+    rho, rho_t = _checked_pair(rho, rho_t, "rho", "reference density")
     raw = (potential_H(rho, prm) - potential_H(rho_t, prm)
            - potential_H_prime(rho_t, prm) * (rho - rho_t))
     near = np.abs(rho - rho_t) <= _TAYLOR_SWITCH * rho_t
@@ -168,11 +168,7 @@ def bregman_H(rho, rho_t, prm: ModelParams):
 
 def bregman_G(eta, eta_t, prm: ModelParams):
     """G(eta) - G(eta_t) - G'(eta_t)(eta - eta_t)."""
-    eta = np.asarray(eta, dtype=np.float64)
-    eta_t = np.asarray(eta_t, dtype=np.float64)
-    _require_nonneg(eta, "eta")
-    if np.any(eta_t <= 0):
-        raise DomainError("reference polymer density must be positive")
+    eta, eta_t = _checked_pair(eta, eta_t, "eta", "reference polymer density")
     # kL part written as eta (log eta - log eta_t) - (eta - eta_t): stable,
     # immune to underflow of eta/eta_t, and respects 0 log 0 = 0
     log_ratio = np.log(np.where(eta > 0, eta, 1.0)) - np.log(eta_t)
@@ -198,10 +194,7 @@ class HBoundConstants:
 def lower_bound_H(rho, rho_t, prm: ModelParams, delta: float, c: float):
     """Case-split lower bound: c rho_t^(gamma-2) (rho-rho_t)^2 in the band
     delta rho_t <= rho <= rho_t / delta, else c max(rho, rho_t)^gamma."""
-    rho = np.asarray(rho, dtype=np.float64)
-    rho_t = np.asarray(rho_t, dtype=np.float64)
-    if np.any(rho_t <= 0):
-        raise DomainError("reference density must be positive")
+    rho, rho_t = _checked_pair(rho, rho_t, "rho", "reference density")
     inner = (rho >= delta * rho_t) & (rho <= rho_t / delta)
     quad = c * np.power(rho_t, prm.gamma - 2.0) * np.square(rho - rho_t)
     outer = c * np.power(np.maximum(rho, rho_t), prm.gamma)
@@ -253,11 +246,7 @@ def lower_bound_G(eta, eta_t, prm: ModelParams, corrected: bool = True):
     ``corrected=False`` evaluates the uncorrected published constants
     1/(2 eta_t) and 1/4, which fail near eta = 2 eta_t (see the lemma scan).
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    eta_t = np.asarray(eta_t, dtype=np.float64)
-    _require_nonneg(eta, "eta")
-    if np.any(eta_t <= 0):
-        raise DomainError("reference polymer density must be positive")
+    eta, eta_t = _checked_pair(eta, eta_t, "eta", "reference polymer density")
     quad = prm.zfrak * np.square(eta - eta_t)
     if corrected:
         inner = np.square(eta - eta_t) / (4.0 * eta_t)
