@@ -252,8 +252,13 @@ def cmd_compare(args) -> int:
     _require_out_dir(cfg_weak.out_dir)
     # the reference keeps every snapshot: row j needs its snapshots j-1..j+1
     ref = entropy.RefTrajectory()
-    run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref, force_fn=force_fn,
-                   source_fn=src, sink=ref)
+    # main prints ``where`` after the message: it names the run that failed
+    try:
+        run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref, force_fn=force_fn,
+                       source_fn=src, sink=ref)
+    except (BlowupAbort, NumericalError, entropy.ReferenceError) as e:
+        e.where = f", in the reference run of {args.config_ref}"
+        raise
     _stream(_Rows(cfg_weak, ref, force_fn), init_weak, prm, cfg_ref.t_end,
             opts_weak, force_fn, src)
     return EXIT_OK
@@ -366,11 +371,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BlowupAbort as e:
         print(f"blow-up abort: monitor {e.monitor} reached {e.value:g} "
-              f"(threshold {e.threshold:g})", file=sys.stderr)
+              f"(threshold {e.threshold:g}){getattr(e, 'where', '')}",
+              file=sys.stderr)
         return EXIT_BLOWUP
     # ParameterError: lemma-check calibrates no H bound for gamma this near 1
     except (NumericalError, entropy.ReferenceError, ParameterError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
+        print(f"numerical failure: {e}{getattr(e, 'where', '')}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

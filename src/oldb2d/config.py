@@ -10,12 +10,12 @@ import math
 import numpy as np
 
 from .constitutive import ModelParams, ParameterError
-from .dynamics import MAX_STEPS
+from . import dynamics
 from .grid import Grid, GridError
 from .rng import Generator, default_rng
 from .state import State
 from .verify import (LEVELS_RULE, MMS_NAMES, SOBOL_POINTS, doubling_levels,
-                     make_ms)
+                     make_ms, study_steps)
 
 
 class ConfigError(ValueError):
@@ -201,18 +201,19 @@ def _finest_level_errors(grid: Grid, n: int, t_end: float,
                          dt_over_dx2: float) -> list:
     """What would stop ``convergence_study`` on its finest level, n x n
     cells on the extents of ``grid``: a grid that ``Grid`` refuses, or a
-    step dt_over_dx2 * dx ** 2 that cannot reach t_end within the solver's
-    ``MAX_STEPS`` (one that underflows to 0 never does). Coarser levels
-    have larger cells and steps."""
+    step dt_over_dx2 * dx ** 2 for which the study takes more than the
+    solver's ``dynamics.MAX_STEPS`` steps (one that underflows to 0 never
+    reaches t_end). Coarser levels have larger cells and steps."""
     try:
         dx = Grid(n, n, grid.lx, grid.ly).dx
     except GridError as e:
         return [f"levels in [verify]: the finest level, {n}, fails: {e}"]
     dt = dt_over_dx2 * dx ** 2
-    if not (dt > 0 and t_end / dt < MAX_STEPS):
+    if not (dt > 0 and math.isfinite(t_end / dt)
+            and study_steps(t_end, dt) <= dynamics.MAX_STEPS):
         return [f"dt_over_dx2 in [verify] gives a step of {dt:g} on the finest "
                 f"level, {n}, too small to reach t_end = {t_end:g} within "
-                f"{MAX_STEPS} steps"]
+                f"{dynamics.MAX_STEPS} steps"]
     return []
 
 

@@ -34,7 +34,8 @@ class BlowupAbort(RuntimeError):
         self.threshold = threshold
 
 
-#: guard against a run that never reaches t_end
+#: the most steps a run takes: one that has not reached t_end by then fails
+#: before its next step
 MAX_STEPS = 10_000_000
 
 
@@ -308,6 +309,8 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
     t_stop = t_end - 1e-14 * max(t_end, 1.0)
     nstep = 0
     while state.t < t_stop:
+        if nstep >= MAX_STEPS:
+            raise NumericalError(f"exceeded max_steps={MAX_STEPS} before t_end")
         grad_u = None  # not held through the step
         dt = opts.dt if opts.dt is not None else cfl_dt(state, prm, opts.cfl)
         dt = min(dt, t_end - state.t)
@@ -332,6 +335,4 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
             traj.add(state, acc, grad_u=grad_u)
         if step_callback is not None:
             step_callback(state, acc)
-        if nstep >= MAX_STEPS:
-            raise NumericalError(f"exceeded max_steps={MAX_STEPS} before t_end")
     return traj

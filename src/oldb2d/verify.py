@@ -136,6 +136,12 @@ def doubling_levels(levels) -> bool:
             and all(b == 2 * a for a, b in zip(levels, levels[1:])))
 
 
+def study_steps(t_end: float, dt: float) -> int:
+    """The steps a study level takes to t_end with a step near ``dt`` (> 0,
+    with t_end / dt finite): t_end / dt rounded, at least 1."""
+    return max(1, round(t_end / dt))
+
+
 @dataclass
 class ConvergenceReport:
     ms_name: str
@@ -172,8 +178,7 @@ def convergence_study(ms: ManufacturedSolution, prm: ModelParams,
     for n in levels:
         grid = Grid(nx=n, ny=n, lx=ms.lx, ly=ms.ly, boundary_mode="periodic")
         dt = dt_over_dx2 * grid.dx ** 2
-        nsteps = max(1, round(t_end / dt))
-        dt = t_end / nsteps
+        dt = t_end / study_steps(t_end, dt)
         init = ms.sample_state(grid, 0.0)
         opts = SolverOptions(dt=dt, snapshot_stride=10 ** 9)
         traj = run_simulation(init, prm, t_end, opts,

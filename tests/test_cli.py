@@ -235,6 +235,23 @@ def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
         assert (out / "run.csv").exists()
 
 
+@pytest.mark.parametrize("steps,code", [(39.7, EXIT_OK), (40.3, EXIT_OK),
+                                        (40.6, EXIT_CONFIG)])
+def test_verify_step_budget_counts_the_study_steps(tmp_path, capsys, monkeypatch,
+                                                   steps, code):
+    """``[verify]``'s check admits the studies the solver's budget, read
+    from ``dynamics`` when it runs, lets finish: the finest level takes
+    t_end / dt rounded steps, 40 for 39.7 and 40.3 steps' time, 41 for 40.6."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
+    dt = 0.5 / 32 ** 2  # dt_over_dx2 * dx ** 2 on the 32 x 32 level
+    cfg = _write(tmp_path, "v.ini",
+                 MMS_TINY.format(l="1") + f"t_end = {steps * dt!r}\n")
+    assert main(["--out", str(tmp_path / "out"), "verify", cfg]) == code
+    if code == EXIT_CONFIG:
+        assert "finest level, 32, too small to reach t_end = 0.0198242 within " \
+            "40 steps" in capsys.readouterr().err
+
+
 #: extreme but parseable values, by the parser of a config.SCHEMA key;
 #: [grid] sizes stay at most 16 and [output] directory is left to --out
 _EXTREMES = {
@@ -407,7 +424,7 @@ def test_compare_zero_eta_reference_exit_4(tmp_path, capsys, monkeypatch):
     assert main(["--out", str(out), "compare", ref, weak]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert ("numerical failure: reference polymer density must be strictly "
-            "positive") in err
+            f"positive, in the reference run of {ref}\n") in err
     # the reference stops at its first snapshot, before any step
     assert steps == [] and not out.exists()
 
@@ -504,7 +521,9 @@ def test_compare_reference_failure_writes_nothing(tmp_path, capsys):
     weak_cfg = _write(tmp_path, "weak.ini", FORCED_WEAK)
     out = tmp_path / "out"
     assert main(["--out", str(out), "compare", ref_cfg, weak_cfg]) == EXIT_BLOWUP
-    assert "blow-up abort: monitor sup_rho" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "blow-up abort: monitor sup_rho" in err
+    assert err.endswith(f"(threshold 1.3), in the reference run of {ref_cfg}\n")
     assert not out.exists()
 
 

@@ -154,6 +154,19 @@ def test_infinite_threshold_never_aborts(prm):
     assert traj.final.t == pytest.approx(0.01)
 
 
+def test_step_budget_admits_a_run_that_reaches_t_end(prm, monkeypatch):
+    """A run may take exactly MAX_STEPS steps; one that needs another fails
+    before taking it, and its sink holds the steps it took."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
+    s = State.uniform(periodic_grid(8), 1.0, 1.0, k=prm.k)
+    opts = SolverOptions(dt=0.25, snapshot_stride=1)
+    assert run_simulation(s, prm, 0.75, opts).final.t == 0.75
+    kept = Keep()
+    with pytest.raises(NumericalError, match="exceeded max_steps=3 before t_end"):
+        run_simulation(s, prm, 1.0, opts, sink=kept)
+    assert [k.t for k in kept.states] == [0.0, 0.25, 0.5, 0.75]
+
+
 def test_step_is_deterministic(prm):
     g = periodic_grid(16)
     s = smooth_state(g, prm)

@@ -111,23 +111,6 @@ def test_sampled_state_is_positive_and_consistent(prm):
 
 
 @pytest.mark.parametrize("name", MMS_NAMES)
-def test_compiled_sources_match_plain_lambdify(prm, name):
-    # non-square on purpose: swapped x/y axes cannot pass
-    ms = make_ms(name, prm, lx=1.0, ly=1.5)
-    ref = make_symbolic(name, prm, lx=1.0, ly=1.5)
-    g = Grid(nx=24, ny=16, lx=1.0, ly=1.5, boundary_mode="periodic")
-    xc, yc = g.cell_axes()
-    pairs = list(zip(ref.source_exprs, ms.source_fn(g)(0.3)))
-    if name == "steady-ws":
-        pairs += list(zip(ref.force_exprs, ms.force_fn(g)(0.3)))
-    for expr, got in pairs:
-        want = sp.lambdify((_X, _Y, _T), expr, modules="numpy")(xc, yc, 0.3)
-        assert got.shape == g.shape
-        np.testing.assert_allclose(got, np.broadcast_to(want, g.shape),
-                                   rtol=1e-13, atol=1e-13)
-
-
-@pytest.mark.parametrize("name", MMS_NAMES)
 def test_sampled_planes_are_fresh_and_writable(prm, name):
     # zero residuals, lines and full planes alike: each call hands out new
     # planes that a caller may write into. diffusion-eta's one function of
