@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from .constitutive import ModelParams, ParameterError
 from . import dynamics
+from .constitutive import ModelParams, ParameterError
 from .grid import Grid, GridError
 from .rng import Generator, default_rng
 from .state import State

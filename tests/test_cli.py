@@ -239,9 +239,9 @@ def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
                                         (40.6, EXIT_CONFIG)])
 def test_verify_step_budget_counts_the_study_steps(tmp_path, capsys, monkeypatch,
                                                    steps, code):
-    """``[verify]``'s check admits the studies the solver's budget, read
-    from ``dynamics`` when it runs, lets finish: the finest level takes
-    t_end / dt rounded steps, 40 for 39.7 and 40.3 steps' time, 41 for 40.6."""
+    """``[verify]``'s check counts the steps the study takes on its finest
+    level, t_end / dt rounded (40 for 39.7 and 40.3 steps' time, 41 for
+    40.6), against the budget ``dynamics`` holds when the check runs."""
     monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
     dt = 0.5 / 32 ** 2  # dt_over_dx2 * dx ** 2 on the 32 x 32 level
     cfg = _write(tmp_path, "v.ini",
