@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, entropy
+from . import diagnostics, entropy, verify
 from .config import (ConfigError, build_initial, manufactured_solution,
                      parse_config, section_values)
 from .constitutive import ParameterError
@@ -109,8 +109,11 @@ def _solver_options(cfg, init) -> SolverOptions:
                          sup_rho_threshold=thr)
 
 
-#: the sections ``compare`` integrates both runs with
-_SHARED_SECTIONS = ("params", "forcing", "time")
+#: the sections ``compare`` needs equal in both runs
+_SHARED_SECTIONS = ("grid", "params", "forcing", "time")
+
+#: the failures that end a started run; ``main`` maps each to its code
+_RUN_FAILURES = (BlowupAbort, NumericalError, MemoryError)
 
 
 class _Rows:
@@ -190,7 +193,7 @@ def _stream(rows: _Rows, init, prm, t_end, opts, force_fn, source_fn) -> None:
     try:
         run_simulation(init, prm, t_end, opts, force_fn=force_fn,
                        source_fn=source_fn, sink=rows)
-    except (BlowupAbort, NumericalError, entropy.ReferenceError, MemoryError):
+    except _RUN_FAILURES:
         try:
             rows.write_csv()
         except ConfigError as e:
@@ -213,10 +216,6 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg_ref = _load_config(args.config_ref)
     cfg_weak = _load_config(args.config_weak)
-    init_ref, force_fn, src = build_initial(cfg_ref)
-    init_weak = build_initial(cfg_weak)[0]
-    if cfg_ref.grid != cfg_weak.grid:
-        raise ConfigError(["compare requires identical grids"])
     errors = []
     for sec in _SHARED_SECTIONS:
         weak_vals = section_values(cfg_weak, sec)
@@ -230,6 +229,8 @@ def cmd_compare(args) -> int:
                       f"got {cfg_ref.t_end:g}")
     if errors:
         raise ConfigError(errors)
+    init_ref, force_fn, src = build_initial(cfg_ref)
+    init_weak = build_initial(cfg_weak)[0]
     if args.out:
         cfg_weak.out_dir = args.out
     prm = cfg_ref.params
@@ -256,7 +257,7 @@ def cmd_compare(args) -> int:
     try:
         run_simulation(init_ref, prm, cfg_ref.t_end, opts_ref, force_fn=force_fn,
                        source_fn=src, sink=ref)
-    except (BlowupAbort, NumericalError, entropy.ReferenceError) as e:
+    except _RUN_FAILURES as e:
         e.where = f", in the reference run of {args.config_ref}"
         raise
     _stream(_Rows(cfg_weak, ref, force_fn), init_weak, prm, cfg_ref.t_end,
@@ -272,10 +273,9 @@ def cmd_verify(args) -> int:
     if args.out:
         cfg.out_dir = args.out
     _require_out_dir(cfg.out_dir)
-    from .verify import convergence_study
-    rep = convergence_study(ms, cfg.params, levels=cfg.verify_levels,
-                            t_end=cfg.verify_t_end,
-                            dt_over_dx2=cfg.verify_dt_over_dx2)
+    rep = verify.convergence_study(ms, cfg.params, levels=cfg.verify_levels,
+                                   t_end=cfg.verify_t_end,
+                                   dt_over_dx2=cfg.verify_dt_over_dx2)
     with _writing(cfg.out_dir):
         os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, "convergence.csv")
@@ -294,10 +294,9 @@ def cmd_verify(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     cfg = _load_config(args.config)
-    from .verify import oracle_lemma_scan
-    certs = oracle_lemma_scan(cfg.params, n_samples=cfg.lemma_samples,
-                              seed=cfg.lemma_seed,
-                              corrected=cfg.lemma_corrected)
+    certs = verify.oracle_lemma_scan(cfg.params, n_samples=cfg.lemma_samples,
+                                     seed=cfg.lemma_seed,
+                                     corrected=cfg.lemma_corrected)
     ok = True
     for kind, cert in certs.items():
         status = "PASS" if cert.passed else "FAIL"
@@ -367,7 +366,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as e:
         print(f"config error: not enough memory for the grid ([grid] nx and "
-              f"ny, or [verify] levels): {e}", file=sys.stderr)
+              f"ny, or [verify] levels): {e}{getattr(e, 'where', '')}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except BlowupAbort as e:
         print(f"blow-up abort: monitor {e.monitor} reached {e.value:g} "
@@ -375,7 +375,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_BLOWUP
     # ParameterError: lemma-check calibrates no H bound for gamma this near 1
-    except (NumericalError, entropy.ReferenceError, ParameterError) as e:
+    except (NumericalError, ParameterError) as e:
         print(f"numerical failure: {e}{getattr(e, 'where', '')}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -295,7 +295,7 @@ def perturb_state(state: State, delta0: float, seed: int, k: float) -> State:
     n_ux = smooth_noise(grid, rng, vanish_on_walls=walls)
     n_uy = smooth_noise(grid, rng, vanish_on_walls=walls)
     n_t = smooth_noise(grid, rng)
-    ux, uy = state.velocity(1e-300)
+    ux, uy = state.velocity()
     rho = state.rho * (1.0 + delta0 * n_rho)
     scale = k * max(float(np.max(state.eta)), 1.0)
     return State(grid, state.t, rho, rho * (ux + delta0 * n_ux),

@@ -2,7 +2,8 @@
 
 Pressure law p = a rho^gamma, the convex potentials behind the relative
 entropies, their Bregman distances and certified pointwise lower bounds.
-Everything here is pointwise and accepts numpy arrays as well as floats.
+Everything here is pointwise and accepts numpy arrays as well as floats;
+scalar input gives numpy's 0-d result, not a Python float.
 
 The pointwise laws assume rho, eta >= 0 unchecked: the solver floors its
 states and ``entropy.RefTrajectory`` checks each reference snapshot. Raising
@@ -121,7 +122,7 @@ def _xlogx(x):
     out = np.zeros_like(x)
     pos = x > 0
     out[pos] = x[pos] * np.log(x[pos])
-    return out if out.ndim else float(out)
+    return out
 
 
 def polymer_potential_G(eta, prm: ModelParams):
@@ -162,8 +163,7 @@ def bregman_H(rho, rho_t, prm: ModelParams):
            - potential_H_prime(rho_t, prm) * (rho - rho_t))
     near = np.abs(rho - rho_t) <= _TAYLOR_SWITCH * rho_t
     taylor = 0.5 * _potential_H_second(rho_t, prm) * np.square(rho - rho_t)
-    out = np.where(near, taylor, raw)
-    return float(out) if out.ndim == 0 else out
+    return np.where(near, taylor, raw)
 
 
 def bregman_G(eta, eta_t, prm: ModelParams):
@@ -176,8 +176,7 @@ def bregman_G(eta, eta_t, prm: ModelParams):
     quad_part = np.square(eta - eta_t)
     near = np.abs(eta - eta_t) <= _TAYLOR_SWITCH * eta_t
     taylor_kl = 0.5 * (prm.kL / eta_t) * quad_part
-    out = np.where(near, taylor_kl, prm.kL * log_part) + prm.zfrak * quad_part
-    return float(out) if out.ndim == 0 else out
+    return np.where(near, taylor_kl, prm.kL * log_part) + prm.zfrak * quad_part
 
 
 # --- certified lower bounds (case-split pointwise estimates) ---------------
@@ -198,8 +197,7 @@ def lower_bound_H(rho, rho_t, prm: ModelParams, delta: float, c: float):
     inner = (rho >= delta * rho_t) & (rho <= rho_t / delta)
     quad = c * np.power(rho_t, prm.gamma - 2.0) * np.square(rho - rho_t)
     outer = c * np.power(np.maximum(rho, rho_t), prm.gamma)
-    out = np.where(inner, quad, outer)
-    return float(out) if out.ndim == 0 else out
+    return np.where(inner, quad, outer)
 
 
 def calibrate_H_constants(prm: ModelParams) -> HBoundConstants:
@@ -254,6 +252,5 @@ def lower_bound_G(eta, eta_t, prm: ModelParams, corrected: bool = True):
     else:
         inner = np.square(eta - eta_t) / (2.0 * eta_t)
         outer = eta / 4.0
-    out = quad + prm.kL * np.where(eta <= 2.0 * eta_t, inner, outer)
-    return float(out) if out.ndim == 0 else out
+    return quad + prm.kL * np.where(eta <= 2.0 * eta_t, inner, outer)
 

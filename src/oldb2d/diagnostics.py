@@ -32,7 +32,7 @@ class EnergyBreakdown:
 def total_energy(state: State, prm: ModelParams) -> EnergyBreakdown:
     grid = state.grid
     rho, eta = state.rho, state.eta
-    u2 = (state.mx ** 2 + state.my ** 2) / np.maximum(rho, 1e-300)
+    u2 = (state.mx ** 2 + state.my ** 2) / rho
     kinetic = integrate_array(0.5 * u2, grid)
     pressure_pot = integrate_array(potential_H(rho, prm), grid)
     polymer_pot = integrate_array(prm.kL * (_xlogx(eta) + 1.0) + prm.zfrak * eta ** 2,
@@ -192,7 +192,7 @@ def velocity_moment(state: State, alpha: float) -> float:
     """int rho |u|^alpha with the admissible window 2 < alpha <= 3."""
     if not 2.0 < alpha <= 3.0:
         raise ValueError(f"alpha must lie in (2, 3], got {alpha}")
-    ux, uy = state.velocity(1e-300)
+    ux, uy = state.velocity()
     speed = np.sqrt(ux ** 2 + uy ** 2)
     return integrate_array(state.rho * np.power(speed, alpha), state.grid)
 

@@ -11,9 +11,11 @@ from .grid import Grid
 
 
 class NumericalError(RuntimeError):
-    """Raised when the solver produces invalid data (NaN/Inf, undershoots).
-    It carries no trajectory: a run's sink already holds the snapshots
-    added before the failure."""
+    """Raised when the solver produces invalid data (NaN/Inf, undershoots),
+    or when a reference is unfit for the relative entropy (not strictly
+    positive, too few snapshots, other snapshot times). It carries no
+    trajectory: a run's sink already holds the snapshots added before the
+    failure."""
 
 
 @dataclass
@@ -50,9 +52,10 @@ class State:
         return cls(grid, 0.0, rho0 * full, 0.0 * full, 0.0 * full, eta0 * full,
                    tau0[0, 0] * full, tau0[0, 1] * full, tau0[1, 1] * full)
 
-    def velocity(self, rho_floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        den = np.maximum(self.rho, rho_floor) if rho_floor > 0 else self.rho
-        return self.mx / den, self.my / den
+    def velocity(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mx / rho, my / rho), unclamped: every state a run hands out
+        has rho at or above the solver's floor."""
+        return self.mx / self.rho, self.my / self.rho
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.rho, self.mx, self.my, self.eta, self.t11, self.t12, self.t22)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .constitutive import (ModelParams, bregman_G, bregman_H,
                            calibrate_H_constants, lower_bound_G, lower_bound_H)
+from .dynamics import SolverOptions, run_simulation
 from .grid import Grid
 from .rng import default_rng
 from .state import State
@@ -169,8 +170,6 @@ def convergence_study(ms: ManufacturedSolution, prm: ModelParams,
     """Run the forced simulator against the manufactured solution on a
     sequence of grids with dt proportional to dx^2 and report L2/Linf
     errors and observed orders log2(e_h / e_{h/2})."""
-    from .dynamics import SolverOptions, run_simulation
-
     if not doubling_levels(levels):
         raise ValueError(f"levels must be {LEVELS_RULE}, got {tuple(levels)}")
     l2 = {f: [] for f in fields}

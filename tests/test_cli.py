@@ -429,6 +429,26 @@ def test_compare_zero_eta_reference_exit_4(tmp_path, capsys, monkeypatch):
     assert steps == [] and not out.exists()
 
 
+def test_compare_reference_out_of_memory_names_the_reference(
+        tmp_path, capsys, monkeypatch):
+    keep, kept = entropy.RefTrajectory.__call__, []
+
+    def failing_keep(self, *args, **kwargs):
+        kept.append(None)
+        if len(kept) == 4:
+            raise MemoryError("forced failure at snapshot 4")
+        return keep(self, *args, **kwargs)
+    monkeypatch.setattr(entropy.RefTrajectory, "__call__", failing_keep)
+    ref = _write(tmp_path, "ref.ini", BASE.replace("snapshot_stride = 5",
+                                                   "snapshot_stride = 1"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref, ref]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "not enough memory for the grid" in err
+    assert err.endswith(f"at snapshot 4, in the reference run of {ref}\n")
+    assert not out.exists()
+
+
 # the compressive force pushes sup rho past 1.3 near t = 0.08 (step ~163);
 # the automatic threshold, 1e3 max rho, is never reached
 FORCED = (BLOWUP.replace("t_end = 5.0", "t_end = 0.1")
@@ -673,7 +693,31 @@ def test_compare_grid_mismatch_exit_2(tmp_path, capsys):
     a = _write(tmp_path, "a.ini", BASE)
     b = _write(tmp_path, "b.ini", BASE.replace("nx = 16", "nx = 32"))
     assert main(["compare", a, b]) == EXIT_CONFIG
-    assert "identical grids" in capsys.readouterr().err
+    assert "the reference's [grid]; the candidate's nx differ" in capsys.readouterr().err
+
+
+def test_compare_grid_and_time_mismatch_reported_together(tmp_path, capsys):
+    # "same grid" is exact: lx 1.000000001 is refused, with the [time] key
+    ref_cfg = _write(tmp_path, "ref.ini", BASE)
+    weak_cfg = _write(tmp_path, "weak.ini",
+                      BASE.replace("ny = 16\n", "ny = 16\nlx = 1.000000001\n")
+                      .replace("dt = 5e-4", "dt = 4e-4"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref_cfg, weak_cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for sec, key in (("grid", "lx"), ("time", "dt")):
+        assert (f"config error: compare integrates both runs with the reference's "
+                f"[{sec}]; the candidate's {key} differ\n") in err
+    assert not out.exists()
+
+
+def test_compare_pair_is_checked_before_any_state_is_built(tmp_path, capsys):
+    ref_cfg = _write(tmp_path, "ref.ini", BASE)
+    weak_cfg = _write(tmp_path, "weak.ini", BASE.replace("16", "10000000"))
+    assert main(["compare", ref_cfg, weak_cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: compare integrates both runs with the reference's "
+        "[grid]; the candidate's nx, ny differ\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "run", "compare"])

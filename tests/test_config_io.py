@@ -293,6 +293,19 @@ def test_perturbation_deterministic_and_scaled(prm):
     assert da == pytest.approx(10.0 * dc, rel=1e-10)
 
 
+def test_perturbation_keeps_the_velocity_of_a_tiny_density():
+    # the velocity does not depend on the density's scale, down to rho0 =
+    # 1e-305: no floor below the solver's own clamps m / rho
+    speeds = []
+    for rho0 in ("1", "1e-305"):
+        cfg = parse_config(MINIMAL + "[initial]\npreset = shear-layer\n"
+                           f"rho0 = {rho0}\ndelta0 = 1e-3\n")
+        state = build_initial(cfg)[0]
+        speeds.append(np.max(np.abs(state.mx / state.rho)))
+    assert speeds[0] == pytest.approx(0.1, rel=0.01)
+    assert speeds[1] == pytest.approx(speeds[0], rel=1e-12)
+
+
 def test_smooth_noise_normalized(prm):
     g = periodic_grid(32)
     n = smooth_noise(g, np.random.default_rng(9))

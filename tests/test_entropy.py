@@ -7,14 +7,14 @@ import pytest
 from oldb2d import entropy
 from oldb2d.constitutive import ModelParams, bregman_H, potential_H, potential_H_prime
 from oldb2d.dynamics import SolverOptions, run_simulation
-from oldb2d.entropy import (GronwallReport, RefTrajectory, ReferenceError,
-                            combined_E, entropy_inequality_residual,
-                            rel_entropy_E1, rel_entropy_E2, remainder_R_def,
+from oldb2d.entropy import (GronwallReport, RefTrajectory, combined_E,
+                            entropy_inequality_residual, rel_entropy_E1,
+                            rel_entropy_E2, remainder_R_def,
                             remainder_R_new, restrict_state,
                             stress_distance_ET, stress_distance_balance,
                             weak_strong_experiment)
 from oldb2d.grid import GridError
-from oldb2d.state import State
+from oldb2d.state import NumericalError, State
 
 from conftest import (Keep, periodic_grid, physical_grid, random_smooth_state,
                       smooth_state)
@@ -121,7 +121,7 @@ def test_ref_trajectory_rejects_nonpositive(prm):
         getattr(bad, name)[0, 0] = 0.0 if name == "rho" else -1.0
         bad.t = 0.01
         ref = fed_ref([s])
-        with pytest.raises(ReferenceError, match=msg):
+        with pytest.raises(NumericalError, match=msg):
             ref(bad)
         assert len(ref) == 1
 
