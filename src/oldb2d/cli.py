@@ -148,18 +148,17 @@ class _Rows:
         row = {"t": s.t, **vars(eb), **vars(self.report), **vars(acc),
                "energy_residual": e_res}
         if ref is not None:
-            r = ref.state(j)
+            r, derivs = ref.state(j), ref.time_derivs(j, prm)
+            f = self.force_fn(s.t) if self.force_fn else None
             e1 = entropy.rel_entropy_E1(s, r, prm)
             e2 = entropy.rel_entropy_E2(s, r, prm)
             et = entropy.stress_distance_ET(s, r)
-            f = self.force_fn(s.t) if self.force_fn else None
-            rdef = entropy.remainder_R_def(s, r, ref.time_derivs(j, prm), prm, f)
+            rdef = entropy.remainder_R_def(s, r, derivs, prm, f)
             rnew = entropy.remainder_R_new(s, r, prm)
             row.update(rdef)
             row.update({"E1": e1, "E2": e2, "ET": et, "E_combined": e1 + e2 + et,
                         "R_def_total": rdef["total"], "R_new_total": rnew["total"]})
-            self.entropy.append(entropy.entropy_inequality_terms(
-                s, ref, j, prm, force_fn=self.force_fn))
+            self.entropy.append(entropy.entropy_inequality_terms(s, r, derivs, prm, f))
         self.rows.append(row)
         if "snapshots" in cfg.formats:
             with _writing(cfg.out_dir):

@@ -74,9 +74,10 @@ def combined_E(state: State, ref: State, prm: ModelParams) -> float:
 
 def spacing_exceeds_dx(spacing: float, grid: Grid) -> bool:
     """Whether reference snapshots ``spacing`` apart are too sparse: the
-    spacing must not exceed dx, so the O(spacing^2) time differencing stays
+    spacing must not exceed dx (up to a relative 1e-12, so a stride times dt
+    that rounds to dx passes), so the O(spacing^2) time differencing stays
     subordinate to the O(dx^2) space discretization."""
-    return spacing > min(grid.dx, grid.dy) + 1e-12
+    return spacing > min(grid.dx, grid.dy) * (1 + 1e-12)
 
 
 @dataclass
@@ -86,12 +87,10 @@ class RefTrajectory:
     Keeps every snapshot it is given, after checking strict positivity of
     density and polymer density, so a non-positive reference stops its run
     at the first bad snapshot. Exposes centered-difference time derivatives
-    of the quantities the remainder needs (u~, H'(rho~), G'(eta~)). The
-    quantities of the last three snapshots evaluated are kept, so a sweep
-    over the snapshots evaluates each once."""
+    of the quantities the remainder needs (u~, H'(rho~), G'(eta~)), which
+    each call evaluates afresh on the snapshots of its window."""
 
     states: list = field(default_factory=list, init=False)
-    _recent: dict = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, state: State, acc=None, grad_u=None) -> None:
         """Keep one snapshot; the accumulators and gradient go unused."""
@@ -105,36 +104,26 @@ class RefTrajectory:
         return self.states[i]
 
     def shares_time(self, i: int, t: float) -> bool:
-        """Whether snapshot i exists and lies at time t."""
-        return i < len(self) and abs(t - self.states[i].t) <= 1e-12
-
-    def _quantities(self, i: int, prm: ModelParams) -> tuple:
-        """(u~, H'(rho~), G'(eta~)) at snapshot i."""
-        q = self._recent.get((i, prm))
-        if q is None:
-            s = self.states[i]
-            tux, tuy = s.velocity()
-            q = (tux, tuy, potential_H_prime(s.rho, prm),
-                 polymer_potential_G_prime(s.eta, prm))
-            self._recent[(i, prm)] = q
-            if len(self._recent) > 3:
-                del self._recent[next(iter(self._recent))]
-        return q
+        """Whether snapshot i exists and lies exactly at time t (runs that
+        step from t = 0 by the same dt share their times bit for bit)."""
+        return i < len(self) and t == self.states[i].t
 
     def time_derivs(self, i: int, prm: ModelParams) -> dict:
-        """d/dt of (u~, H'(rho~), G'(eta~)) at snapshot i, second order."""
+        """d/dt of (u~, H'(rho~), G'(eta~)) at snapshot i, second order
+        (a difference quotient for a two-snapshot reference)."""
         n = len(self)
         if n < 2:
             raise NumericalError("reference needs at least two snapshots")
-        if n == 2:
-            q0, q1 = self._quantities(0, prm), self._quantities(1, prm)
-            dt = self.states[1].t - self.states[0].t
-            d = tuple((b - a) / dt for a, b in zip(q0, q1))
-            return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
         # the 3-snapshot window: centered at i, shifted inward at the ends
-        lo = min(max(i - 1, 0), n - 3)
-        t0, t1, t2 = (s.t for s in self.states[lo:lo + 3])
-        q0, q1, q2 = (self._quantities(j, prm) for j in range(lo, lo + 3))
+        lo = max(min(i - 1, n - 3), 0)
+        window = self.states[lo:lo + 3]
+        q = [(*s.velocity(), potential_H_prime(s.rho, prm),
+              polymer_potential_G_prime(s.eta, prm)) for s in window]
+        if n == 2:
+            dt = window[1].t - window[0].t
+            d = tuple((b - a) / dt for a, b in zip(*q))
+            return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
+        t0, t1, t2 = (s.t for s in window)
         h1, h2 = t1 - t0, t2 - t1
         if 0 < i < n - 1:
             # centered over a possibly nonuniform stencil
@@ -149,7 +138,7 @@ class RefTrajectory:
             c0 = h2 / (h1 * (h1 + h2))
             c1 = -(h1 + h2) / (h1 * h2)
             c2 = (h1 + 2 * h2) / (h2 * (h1 + h2))
-        d = tuple(c0 * a + c1 * b + c2 * c for a, b, c in zip(q0, q1, q2))
+        d = tuple(c0 * a + c1 * b + c2 * c for a, b, c in zip(*q))
         return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
 
 
@@ -318,15 +307,15 @@ def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
     return integrate_array(visc + 2.0 * prm.eps * bracket, state.grid)
 
 
-def entropy_inequality_terms(state: State, ref: RefTrajectory, j: int,
-                             prm: ModelParams, force_fn=None) -> tuple:
+def entropy_inequality_terms(state: State, ref: State, ref_derivs: dict,
+                             prm: ModelParams, force=None) -> tuple:
     """(E1 + E2, relative dissipation, R_def total) of a candidate state
-    against reference snapshot j; see :func:`entropy_inequality_series`."""
-    r = ref.state(j)
-    f = force_fn(state.t) if force_fn else None
-    return (rel_entropy_E1(state, r, prm) + rel_entropy_E2(state, r, prm),
-            relative_dissipation(state, r, prm),
-            remainder_R_def(state, r, ref.time_derivs(j, prm), prm, f)["total"])
+    against the reference snapshot ``ref`` at its time, with the reference
+    time derivatives and the body force as :func:`remainder_R_def` takes
+    them; see :func:`entropy_inequality_series`."""
+    return (rel_entropy_E1(state, ref, prm) + rel_entropy_E2(state, ref, prm),
+            relative_dissipation(state, ref, prm),
+            remainder_R_def(state, ref, ref_derivs, prm, force)["total"])
 
 
 def entropy_inequality_series(terms: list, times) -> np.ndarray:
@@ -351,7 +340,8 @@ def entropy_inequality_residual(states: list, ref: RefTrajectory,
     times = [s.t for s in states]
     require_shared_times(times, ref)
     return entropy_inequality_series(
-        [entropy_inequality_terms(s, ref, j, prm, force_fn)
+        [entropy_inequality_terms(s, ref.state(j), ref.time_derivs(j, prm), prm,
+                                  force_fn(s.t) if force_fn else None)
          for j, s in enumerate(states)], times)
 
 

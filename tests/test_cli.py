@@ -680,6 +680,71 @@ def test_compare_snapshot_spacing_above_dx_exit_2(tmp_path, capsys, stride, t_en
         assert not out.exists()
 
 
+def test_compare_snapshot_spacing_is_relative_to_dx(tmp_path, capsys):
+    """On a box 1e-11 wide, reference snapshots 2.4 dx apart are refused as
+    on the unit box, while a spacing that rounds to dx passes."""
+    text = ("[grid]\nnx = 16\nny = 16\nlx = 1e-11\nly = 1e-11\n"
+            "[params]\neps = 1e-20\nmu_s = 1e-20\n"
+            "[time]\nt_end = 3e-12\ndt = 1.5e-13\nsnapshot_stride = 10\n")
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", cfg, cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "at most min(dx, dy) = 6.25e-13 apart" in err
+    assert "lower snapshot_stride" in err
+    assert not out.exists()
+    g = config.parse_config(text).grid
+    assert not entropy.spacing_exceeds_dx(10 * (g.dx / 10), g)
+    assert entropy.spacing_exceeds_dx(g.dx * (1 + 1e-11), g)
+
+
+def test_compare_rows_match_reference_times_exactly(tmp_path):
+    """A candidate snapshot off the reference's times gets no row, even
+    when it lies less than 1e-12 from the next reference snapshot."""
+    cfg = config.parse_config(BASE + "[initial]\ndelta0 = 1e-2\nseed = 5\n")
+    cfg.out_dir = str(tmp_path / "out")
+    init = config.build_initial(cfg)[0]
+    ref = entropy.RefTrajectory()
+    for t in (0.0, 8e-13, 1.6e-12):
+        s = init.copy()
+        s.t = t
+        ref(s)
+    rows = cli._Rows(cfg, ref)
+    for t in (0.0, 4e-13):
+        s = init.copy()
+        s.t = t
+        rows(s, Accumulators(0.0, 0.0, 0.0, 0.0, 0.0), None)
+    assert [row["t"] for row in rows.rows] == [0.0]
+    assert not ref.shares_time(1, 4e-13)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["compare_000000.bin"]
+
+
+def test_compare_row_takes_reference_derivatives_and_force_once(tmp_path,
+                                                                monkeypatch):
+    """Each compare row asks the reference for its time derivatives once and
+    evaluates the body force once, for both its columns and its
+    entropy-inequality terms."""
+    derivs, forces = [], []
+    time_derivs = entropy.RefTrajectory.time_derivs
+    monkeypatch.setattr(entropy.RefTrajectory, "time_derivs",
+                        lambda ref, i, prm: derivs.append(i) or time_derivs(ref, i, prm))
+    stream = cli._stream
+
+    def counting_stream(rows, *args):
+        force_fn = rows.force_fn
+        rows.force_fn = lambda t: forces.append(t) or force_fn(t)
+        stream(rows, *args)
+
+    monkeypatch.setattr(cli, "_stream", counting_stream)
+    cfg = _write(tmp_path, "c.ini", BASE + "[initial]\ndelta0 = 1e-2\nseed = 5\n"
+                 "[forcing]\npreset = compress\namplitude = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", cfg, cfg]) == EXIT_OK
+    with open(out / "compare.csv", newline="") as fh:
+        n = len(list(csv.DictReader(fh)))
+    assert n == 5 and derivs == list(range(n)) and len(forces) == n
+
+
 @pytest.mark.parametrize("t_end", ["0", "1e-14"])
 def test_compare_t_end_below_one_step_exit_2(tmp_path, capsys, t_end):
     cfg = _write(tmp_path, "c.ini", BASE.replace("t_end = 0.01", f"t_end = {t_end}"))

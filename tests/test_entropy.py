@@ -198,34 +198,32 @@ def test_scaling_coherence_of_stress_terms(prm):
     assert r5_3 == pytest.approx(3.0 * r5_1, rel=1e-12)
 
 
-def test_time_derivs_evaluate_each_snapshot_once(prm, monkeypatch):
-    """A sweep that asks for every snapshot's derivatives twice, as compare
-    does, evaluates each snapshot's quantities once, and every derivative
-    has the bits of a fresh reference's."""
+def test_two_snapshot_time_derivs_are_the_difference_quotient(prm, monkeypatch):
+    """A two-snapshot reference gives, at either index, (q1 - q0) / (t1 - t0)
+    of each quantity bit for bit, evaluating both snapshots on every call."""
     g = physical_grid(16)
     kept = Keep()
-    run_simulation(smooth_state(g, prm), prm, 0.004,
-                   SolverOptions(dt=2e-4, snapshot_stride=2), sink=kept)
-    n = len(kept.states)
-    want = [fed_ref(kept.states).time_derivs(i, prm) for i in range(n)]
+    run_simulation(smooth_state(g, prm), prm, 2e-4,
+                   SolverOptions(dt=2e-4, snapshot_stride=1), sink=kept)
+    s0, s1 = kept.states
+    dt = s1.t - s0.t
+    want = {k: (b - a) / dt for k, a, b in zip(
+        ("dut_x", "dut_y", "dHp", "dGp"),
+        (*s0.velocity(), potential_H_prime(s0.rho, prm),
+         entropy.polymer_potential_G_prime(s0.eta, prm)),
+        (*s1.velocity(), potential_H_prime(s1.rho, prm),
+         entropy.polymer_potential_G_prime(s1.eta, prm)))}
     calls = []
     g_prime = entropy.polymer_potential_G_prime
     monkeypatch.setattr(entropy, "polymer_potential_G_prime",
                         lambda eta, p: calls.append(1) or g_prime(eta, p))
-    ref = fed_ref(kept.states)
-    for i in range(n):
-        for _ in range(2):
-            got = ref.time_derivs(i, prm)
-            assert got.keys() == want[i].keys()
-            for k in got:
-                assert got[k].tobytes() == want[i][k].tobytes(), (i, k)
-    assert n > 3 and len(calls) == n
-    # two-snapshot references take both quantities from the cache
-    calls.clear()
-    two = fed_ref(kept.states[:2])
-    assert two.time_derivs(0, prm)["dGp"].tobytes() == \
-        two.time_derivs(1, prm)["dGp"].tobytes()
-    assert len(calls) == 2
+    two = fed_ref([s0, s1])
+    for i in (0, 1):
+        got = two.time_derivs(i, prm)
+        assert got.keys() == want.keys()
+        for k in got:
+            assert got[k].tobytes() == want[k].tobytes(), (i, k)
+    assert len(calls) == 4
 
 
 def test_entropy_residual_zero_at_t0_and_for_coincident_runs(prm):
