@@ -92,11 +92,13 @@ def compute_rhs(state: State, prm: ModelParams,
     bits are those of the plain left-to-right expression. The terms are
     built in the order that lets each padded plane and the velocity
     gradient be freed after its last use: the upper-convected source right
-    after the gradient, then momentum (its advection before the pressure
-    and stress planes are padded), the stresses, and continuity and eta
-    last. The memory held above the input state peaks at 17.4 planes of
-    the grid at 256^2 (19.6 at 64^2, where the ghost layers weigh more),
-    the outputs included.
+    after the gradient, then momentum, the stresses, and continuity and eta
+    last. Momentum takes its terms one padded plane at a time, the two
+    components together: advection, the pressure plane, the velocity
+    planes' Laplacians, the div u plane, and only then the stress planes,
+    which the stresses reuse. The memory held above the input state peaks
+    at 15.3 planes of the grid at 256^2 (16.4 at 64^2, where the ghost
+    layers weigh more), the outputs included.
     """
     grid = state.grid
     dx, dy = grid.dx, grid.dy
@@ -121,19 +123,21 @@ def compute_rhs(state: State, prm: ModelParams,
     dmx = _negated(advective_div_array(mx, uf, vf, grid, "odd"))
     dmy = _negated(advective_div_array(my, uf, vf, grid, "odd"))
     pp = pad1(pressure(rho, prm) + polymer_pressure_q(eta, prm), grid, "even")
+    dmx -= kernels.ddx(pp, dx)
+    dmy -= kernels.ddy(pp, dy)
+    del pp
+    dmx += _scaled(prm.mu, kernels.laplacian(pux, dx, dy))
+    dmy += _scaled(prm.mu, kernels.laplacian(puy, dx, dy))
+    del pux, puy
+    dmx += _scaled(prm.nu, kernels.ddx(pdiv, dx))
+    dmy += _scaled(prm.nu, kernels.ddy(pdiv, dy))
+    del pdiv
     p11, p12, p22 = (pad1(t11, grid, "even"), pad1(t12, grid, "even"),
                      pad1(t22, grid, "even"))
-    dmx -= kernels.ddx(pp, dx)
-    dmx += _scaled(prm.mu, kernels.laplacian(pux, dx, dy))
-    dmx += _scaled(prm.nu, kernels.ddx(pdiv, dx))
     dmx += kernels.ddx(p11, dx)
     dmx += kernels.ddy(p12, dy)
-    dmy -= kernels.ddy(pp, dy)
-    dmy += _scaled(prm.mu, kernels.laplacian(puy, dx, dy))
-    dmy += _scaled(prm.nu, kernels.ddy(pdiv, dy))
     dmy += kernels.ddx(p12, dx)
     dmy += kernels.ddy(p22, dy)
-    del pp, pux, puy, pdiv
     if force is not None:
         fx, fy = force
         dmx += rho * fx

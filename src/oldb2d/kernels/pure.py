@@ -69,16 +69,22 @@ def pairwise_sum(a: np.ndarray) -> float:
 
 
 def laplacian(p: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """5-point Laplacian of a (nx+2, ny+2) ghost-padded array."""
-    c2 = 2.0 * p[1:-1, 1:-1]
-    tx = p[2:, 1:-1] + p[:-2, 1:-1]
+    """5-point Laplacian of a (nx+2, ny+2) ghost-padded array.
+
+    Each term is one 1-D pass over the flat buffer of rows 1..nx, ghost
+    columns included; the two ghost lanes of each row are computed and
+    dropped by the final sum, which writes the (nx, ny) result."""
+    w = p.shape[1]
+    f = p.reshape(-1)
+    c2 = 2.0 * f[w:-w]
+    tx = f[2 * w:] + f[:-2 * w]
     tx -= c2
     tx /= dx * dx
-    ty = p[1:-1, 2:] + p[1:-1, :-2]
+    ty = f[w + 1:1 - w] + f[w - 1:-w - 1]
     ty -= c2
     ty /= dy * dy
-    tx += ty
-    return tx
+    del c2
+    return np.add(tx.reshape(-1, w)[:, 1:-1], ty.reshape(-1, w)[:, 1:-1])
 
 
 def ddx(p: np.ndarray, dx: float) -> np.ndarray:
@@ -96,11 +102,11 @@ def ddy(p: np.ndarray, dy: float) -> np.ndarray:
 
 
 def _half_slopes(phi: np.ndarray) -> np.ndarray:
-    """Half the minmod slope in cells 1..nx+2 of the axis-0 padded ``phi``:
-    0 where the two one-sided differences differ in sign, else the smaller
-    in magnitude. The product of the differences reuses the buffer of
-    their magnitudes, and both are freed on return."""
-    dphi = phi[1:] - phi[:-1]  # (nx+3, ny)
+    """Half the minmod slope in cells 1..n-2 of ``phi``, padded along
+    axis 0: 0 where the two one-sided differences differ in sign, else the
+    smaller in magnitude. The product of the differences reuses the buffer
+    of their magnitudes, and both are freed on return."""
+    dphi = phi[1:] - phi[:-1]
     a, b = dphi[:-1], dphi[1:]
     mag = np.abs(dphi)
     hs = np.where(mag[:-1] < mag[1:], a, b)
@@ -108,19 +114,17 @@ def _half_slopes(phi: np.ndarray) -> np.ndarray:
     return np.multiply(0.5, hs, out=hs)
 
 
-def _muscl_div(phi: np.ndarray, uf: np.ndarray, d: float) -> np.ndarray:
-    """Axis-0 MUSCL/minmod flux divergence; see muscl_div_x. Both public
-    kernels call this rather than each other, because perfbench counts the
-    calls of each."""
-    hs = _half_slopes(phi)
+def _flux_difference(phi: np.ndarray, hs: np.ndarray, vf: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Axis-0 difference of the upwind MUSCL fluxes of ``phi``, from its
+    :func:`_half_slopes` and the face velocities ``vf``; not yet divided
+    by the cell width."""
     # face i+1/2 between padded cells (i+1, i+2): the right reconstruction,
     # replaced by the left one where the face velocity is nonnegative
     flux = phi[2:-1] - hs[1:]
-    np.add(phi[1:-2], hs[:-1], out=flux, where=uf >= 0.0)
-    np.multiply(uf, flux, out=flux)
-    out = flux[1:] - flux[:-1]
-    out /= d
-    return out
+    np.add(phi[1:-2], hs[:-1], out=flux, where=vf >= 0.0)
+    np.multiply(vf, flux, out=flux)
+    return np.subtract(flux[1:], flux[:-1], out=out)
 
 
 def muscl_div_x(phi: np.ndarray, uf: np.ndarray, dx: float) -> np.ndarray:
@@ -130,9 +134,31 @@ def muscl_div_x(phi: np.ndarray, uf: np.ndarray, dx: float) -> np.ndarray:
     uf:  (nx+1, ny) face-normal velocities at the x-faces.
     Returns (nx, ny) flux divergence.
     """
-    return _muscl_div(phi, uf, dx)
+    out = _flux_difference(phi, _half_slopes(phi), uf)
+    out /= dx
+    return out
 
 
 def muscl_div_y(phi: np.ndarray, vf: np.ndarray, dy: float) -> np.ndarray:
-    """y-part of div(u phi); muscl_div_x on transposed views."""
-    return _muscl_div(phi.T, vf.T, dy).T
+    """y-part of div(u phi), the fluxes of :func:`muscl_div_x` along y.
+
+    phi: (nx, ny+4) array padded with two ghost layers along y.
+    vf:  (nx, ny+1) face-normal velocities at the y-faces.
+    Returns (nx, ny) flux divergence.
+
+    Every pass runs once over the flat buffer of ``phi``, on which a cell's
+    y-neighbours are its flat neighbours; the lanes whose stencil
+    straddles two rows are computed and dropped. The face velocities go
+    into a buffer of phi's layout, zero in the 3 lanes of each row past its
+    last face, allocated only once the slopes' scratch is freed; the flux
+    difference then overwrites it.
+    """
+    f = phi.reshape(-1)
+    hs = _half_slopes(f)
+    v = np.empty(phi.shape)
+    v[:, :-3] = vf
+    v[:, -3:] = 0.0
+    flat = v.reshape(-1)
+    _flux_difference(f, hs, flat[:-3], out=flat[:-4])
+    del hs
+    return np.divide(v[:, :-4], dy)

@@ -1,10 +1,15 @@
 """Plain numpy forms of the hot kernels and of the ghost fill.
 
 ``oldb2d.kernels.pure`` and ``oldb2d.grid._extend_axis`` compute these
-same expressions with fewer passes and in-place updates. Every value must
-go through the same floating-point operations in the same operand order,
-so the tests compare the two bit for bit, NaN payloads and signed zeros
-included.
+same expressions with fewer passes, in-place updates and, for
+``muscl_div_y`` and ``laplacian``, passes over the flat padded buffer.
+Every value must go through the same floating-point operations in the
+same operand order, so the tests compare the two bit for bit wherever the
+reference is a number, signed zeros, infinities and subnormals included,
+and require NaN at exactly the reference's NaN positions. A NaN's sign
+and payload are not compared: for NaN op NaN numpy's choice of loop sets
+them, not the formula, and no NaN reaches a state or an output, because
+every RK stage passes ``State.check_finite``.
 """
 
 import numpy as np

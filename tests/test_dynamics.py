@@ -12,6 +12,7 @@ from oldb2d.constitutive import ModelParams
 from oldb2d.dynamics import (BlowupAbort, SolverOptions, _apply_floors, cfl_dt,
                              compute_rhs, run_simulation, step_ssprk2)
 from oldb2d.fields import integrate_array
+from oldb2d.grid import Grid
 from oldb2d.state import NumericalError, State
 from oldb2d.verify import ode_oracle_relaxation
 
@@ -239,6 +240,18 @@ def test_rhs_and_step_stay_within_their_working_set(make_grid, prm):
     step_ssprk2(s, 1e-5, prm, opts)  # warm
     assert _peak_planes(lambda: compute_rhs(s, prm), g) <= 24
     assert _peak_planes(lambda: step_ssprk2(s, 1e-5, prm, opts), g) <= 30
+
+
+@pytest.mark.parametrize("mode", ["periodic", "physical"])
+def test_rhs_planes_own_their_exact_size_buffers(mode, prm):
+    """A step writes its first stage into the planes of its RHS, so they
+    become state, and ``compare`` holds every reference state: a plane that
+    viewed a larger scratch buffer would keep all of that buffer alive."""
+    g = Grid(nx=20, ny=13, lx=1.0, ly=1.5, boundary_mode=mode)
+    for a in compute_rhs(smooth_state(g, prm), prm):
+        assert a.shape == g.shape
+        assert a.flags.c_contiguous
+        assert a.base is None
 
 
 def test_strided_run_lets_each_snapshot_go_once_past_it(prm):
