@@ -153,12 +153,13 @@ class _Rows:
             e1 = entropy.rel_entropy_E1(s, r, prm)
             e2 = entropy.rel_entropy_E2(s, r, prm)
             et = entropy.stress_distance_ET(s, r)
-            rdef = entropy.remainder_R_def(s, r, derivs, prm, f)
-            rnew = entropy.remainder_R_new(s, r, prm)
+            pair = entropy.remainder_inputs(s, r)
+            rdef = entropy.remainder_R_def(pair, derivs, prm, f)
+            rnew = entropy.remainder_R_new(pair, prm)
             row.update(rdef)
             row.update({"E1": e1, "E2": e2, "ET": et, "E_combined": e1 + e2 + et,
                         "R_def_total": rdef["total"], "R_new_total": rnew["total"]})
-            self.entropy.append(entropy.entropy_inequality_terms(s, r, derivs, prm, f))
+            self.entropy.append(entropy.entropy_inequality_terms(pair, derivs, prm, f))
         self.rows.append(row)
         if "snapshots" in cfg.formats:
             with _writing(cfg.out_dir):

@@ -213,18 +213,22 @@ def start_state(init: State, opts: SolverOptions) -> State:
     ``_apply_floors`` (``opts`` resolved on ``init``) floors, as it does
     every RK stage."""
     state = init.copy()
-    _apply_floors(state.arrays(), opts)
+    _apply_floors(state.arrays(), opts, state.t, "initial state")
     return state
 
 
-def _apply_floors(arrays: Sequence[np.ndarray], opts: SolverOptions) -> None:
-    """Floor rho, and clip eta undershoots within the tolerance to 0."""
+def _apply_floors(arrays: Sequence[np.ndarray], opts: SolverOptions,
+                  t: float, stage: str) -> None:
+    """Floor rho, and clip eta undershoots within the tolerance to 0; an
+    undershoot beyond it is named by its cell, ``t`` and ``stage``."""
     rho, eta = arrays[0], arrays[3]
     np.maximum(rho, opts.rho_floor, out=rho)
     emin = float(np.min(eta))
     if -emin > opts.eta_clip_tol:
+        i, j = np.unravel_index(np.argmin(eta), eta.shape)
         raise NumericalError(
-            f"eta undershoot {emin:g} exceeds clip tolerance {opts.eta_clip_tol:g}")
+            f"eta undershoot {emin:g} exceeds clip tolerance {opts.eta_clip_tol:g} "
+            f"at cell ({i}, {j}), t={t:g}, {stage}")
     if emin < 0.0:
         np.maximum(eta, 0.0, out=eta)
 
@@ -245,7 +249,7 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
     for a, da in zip(state.arrays(), stage1):
         _scaled(dt, da)
         da += a
-    _apply_floors(stage1, opts)
+    _apply_floors(stage1, opts, state.t + dt, "RK stage 1")
     s1 = State(grid, state.t + dt, *stage1)
     s1.check_finite()
 
@@ -255,7 +259,7 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
         b += _scaled(dt, db)
         _scaled(0.5, b)
         b += np.multiply(0.5, a, out=db)
-    _apply_floors(final, opts)
+    _apply_floors(final, opts, state.t + dt, "RK stage 2")
     out = State(grid, state.t + dt, *final)
     out.check_finite()
     return out

@@ -2,6 +2,11 @@
 ("strong") trajectory, the two equivalent forms of the remainder functional,
 the relative-entropy inequality residual, and the Gronwall decay experiment.
 
+The relative entropies take a (state, ref) pair. Both remainder forms and
+the relative dissipation take the pair's :class:`RemainderInputs` instead,
+which :func:`remainder_inputs` checks and builds once, so every consumer
+of one snapshot shares its velocity, gradient and square-root planes.
+
 The reference must be strictly positive in density and polymer density,
 the candidate nonnegative (as every state a run hands its sink is); the
 reference's time derivatives are formed by centered differences of
@@ -142,11 +147,31 @@ class RefTrajectory:
         return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
 
 
-def _remainder_inputs(state: State, ref: State) -> tuple:
-    """What both remainder forms share, after checking the pair: u, u~ and
-    u~ - u, the velocity gradients of u and u~, div u~, the stored planes
-    (11, 12, 22) of sym grad(u~ - u), then sqrt(eta) and sqrt(eta~) each
-    with its gradient."""
+@dataclass(frozen=True)
+class RemainderInputs:
+    """The planes of a (candidate, reference) pair that both remainder
+    forms and the relative dissipation share, built once by
+    :func:`remainder_inputs`. Its consumers only read them: a row hands
+    one bundle to several of them."""
+
+    state: State
+    ref: State
+    u: tuple            # (ux, uy)
+    tu: tuple           # (u~x, u~y)
+    du: tuple           # u~ - u
+    grad_u: tuple       # (gxx, gxy, gyx, gyy), g_ij = d u_i / d x_j
+    grad_tu: tuple      # the same of u~
+    div_tu: np.ndarray
+    sym_du: tuple       # stored planes (11, 12, 22) of sym grad(u~ - u)
+    sq_eta: np.ndarray
+    grad_sq_eta: tuple
+    sq_teta: np.ndarray
+    grad_sq_teta: tuple
+
+
+def remainder_inputs(state: State, ref: State) -> RemainderInputs:
+    """Check the pair (same grid, strictly positive reference) and build
+    the planes it shares."""
     require_same_grid(state, ref)
     _check_positive_ref(ref)
     grid = state.grid
@@ -154,26 +179,30 @@ def _remainder_inputs(state: State, ref: State) -> tuple:
     tux, tuy = ref.velocity()
     g, gt = velocity_gradient(ux, uy, grid), velocity_gradient(tux, tuy, grid)
     (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy) = g, gt
-    sym_du = (gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)), gtyy - gyy)
     sq, tsq = np.sqrt(state.eta), np.sqrt(ref.eta)
-    return ((ux, uy), (tux, tuy), (tux - ux, tuy - uy), g, gt, gtxx + gtyy, sym_du,
-            (sq, *grad_array(sq, grid, "even")), (tsq, *grad_array(tsq, grid, "even")))
+    return RemainderInputs(
+        state, ref, (ux, uy), (tux, tuy), (tux - ux, tuy - uy), g, gt,
+        gtxx + gtyy, (gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)), gtyy - gyy),
+        sq, grad_array(sq, grid, "even"), tsq, grad_array(tsq, grid, "even"))
 
 
 # --- remainder, definitional form (five terms) -----------------------------
 
 
-def remainder_R_def(state: State, ref: State, ref_derivs: dict,
-                    prm: ModelParams,
+def remainder_R_def(pair: RemainderInputs, ref_derivs: dict, prm: ModelParams,
                     force: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
-    """The five remainder integrals in their defining form, with the
-    reference time derivatives supplied externally (see RefTrajectory).
+    """The five remainder integrals of ``pair`` in their defining form,
+    with the reference time derivatives supplied externally (see
+    RefTrajectory).
 
     Returns {"R1", ..., "R5", "total"}.
     """
-    (ux, uy), (tux, tuy), (dux, duy), (gxx, gxy, gyx, gyy), \
-        (gtxx, gtxy, gtyx, gtyy), div_tu, (s11, s12, s22), \
-        (sq_eta, gsx, gsy), (sq_teta, gtsx, gtsy) = _remainder_inputs(state, ref)
+    state, ref = pair.state, pair.ref
+    (ux, uy), (tux, tuy), (dux, duy) = pair.u, pair.tu, pair.du
+    (gxx, gxy, gyx, gyy), (gtxx, gtxy, gtyx, gtyy) = pair.grad_u, pair.grad_tu
+    div_tu, (s11, s12, s22) = pair.div_tu, pair.sym_du
+    sq_eta, (gsx, gsy) = pair.sq_eta, pair.grad_sq_eta
+    sq_teta, (gtsx, gtsy) = pair.sq_teta, pair.grad_sq_teta
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
@@ -223,15 +252,19 @@ def remainder_R_def(state: State, ref: State, ref_derivs: dict,
 # --- remainder, recombined form (eight terms) ------------------------------
 
 
-def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
-    """The derivative-free form of the remainder, valid when the reference
-    solves the strong system; eight named terms and their total.
+def remainder_R_new(pair: RemainderInputs, prm: ModelParams) -> dict:
+    """The derivative-free form of the remainder of ``pair``, valid when
+    the reference solves the strong system; eight named terms and their
+    total.
 
     Terms: convective, viscous_density, pressure_bregman, polymer_bregman,
     polymer_pressure_grad, stress_div, eta_sqrt_cross, stress_deformation.
     """
-    _, (tux, tuy), (dux, duy), _, (gtxx, gtxy, gtyx, gtyy), div_tu, sym_du, \
-        (sq_eta, gsx, gsy), (sq_teta, gtsx, gtsy) = _remainder_inputs(state, ref)
+    state, ref = pair.state, pair.ref
+    (tux, tuy), (dux, duy), (gtxx, gtxy, gtyx, gtyy) = pair.tu, pair.du, pair.grad_tu
+    div_tu, sym_du = pair.div_tu, pair.sym_du
+    sq_eta, (gsx, gsy) = pair.sq_eta, pair.grad_sq_eta
+    sq_teta, (gtsx, gtsy) = pair.sq_teta, pair.grad_sq_teta
     grid = state.grid
     rho, eta = state.rho, state.eta
     trho, teta = ref.rho, ref.eta
@@ -294,28 +327,28 @@ def remainder_R_new(state: State, ref: State, prm: ModelParams) -> dict:
 # --- inequality residual ---------------------------------------------------
 
 
-def relative_dissipation(state: State, ref: State, prm: ModelParams) -> float:
-    """Instantaneous integrand of the relative dissipation:
+def relative_dissipation(pair: RemainderInputs, prm: ModelParams) -> float:
+    """Instantaneous integrand of the relative dissipation of ``pair``:
     mu |grad(u-u~)|^2 + nu |div(u-u~)|^2
     + 2 eps (2 kL |grad(sqrt eta - sqrt eta~)|^2 + z |grad(eta-eta~)|^2)."""
-    ux, uy = state.velocity()
-    tux, tuy = ref.velocity()
+    (ux, uy), (tux, tuy), grid = pair.u, pair.tu, pair.state.grid
     visc, bracket = dissipation_density(
-        velocity_gradient(ux - tux, uy - tuy, state.grid),
-        np.sqrt(state.eta) - np.sqrt(ref.eta),
-        state.eta - ref.eta, state.grid, prm)
-    return integrate_array(visc + 2.0 * prm.eps * bracket, state.grid)
+        velocity_gradient(ux - tux, uy - tuy, grid), pair.sq_eta - pair.sq_teta,
+        pair.state.eta - pair.ref.eta, grid, prm)
+    return integrate_array(visc + 2.0 * prm.eps * bracket, grid)
 
 
-def entropy_inequality_terms(state: State, ref: State, ref_derivs: dict,
+def entropy_inequality_terms(pair: RemainderInputs, ref_derivs: dict,
                              prm: ModelParams, force=None) -> tuple:
-    """(E1 + E2, relative dissipation, R_def total) of a candidate state
-    against the reference snapshot ``ref`` at its time, with the reference
-    time derivatives and the body force as :func:`remainder_R_def` takes
-    them; see :func:`entropy_inequality_series`."""
+    """(E1 + E2, relative dissipation, R_def total) of ``pair``, a
+    candidate state against the reference snapshot at its time, with the
+    reference time derivatives and the body force as
+    :func:`remainder_R_def` takes them; see
+    :func:`entropy_inequality_series`."""
+    state, ref = pair.state, pair.ref
     return (rel_entropy_E1(state, ref, prm) + rel_entropy_E2(state, ref, prm),
-            relative_dissipation(state, ref, prm),
-            remainder_R_def(state, ref, ref_derivs, prm, force)["total"])
+            relative_dissipation(pair, prm),
+            remainder_R_def(pair, ref_derivs, prm, force)["total"])
 
 
 def entropy_inequality_series(terms: list, times) -> np.ndarray:
@@ -340,7 +373,8 @@ def entropy_inequality_residual(states: list, ref: RefTrajectory,
     times = [s.t for s in states]
     require_shared_times(times, ref)
     return entropy_inequality_series(
-        [entropy_inequality_terms(s, ref.state(j), ref.time_derivs(j, prm), prm,
+        [entropy_inequality_terms(remainder_inputs(s, ref.state(j)),
+                                  ref.time_derivs(j, prm), prm,
                                   force_fn(s.t) if force_fn else None)
          for j, s in enumerate(states)], times)
 

@@ -15,11 +15,12 @@ BACKEND = "pure"
 BLOCK = 1024
 
 
-def _fold(a: np.ndarray) -> np.ndarray:
-    """Pairwise-fold the last axis (a power of two) down to length 1."""
-    while a.shape[-1] > 1:
-        a = a[..., 0::2] + a[..., 1::2]
-    return a
+def _fold(x: np.ndarray, n: int) -> np.ndarray:
+    """Pairwise-fold the flat array ``x`` (``n`` times a power of two
+    long) down to ``n`` sums: each pass adds adjacent pairs."""
+    while x.shape[0] > n:
+        x = x[0::2] + x[1::2]
+    return x
 
 
 def _next_pow2(n: int) -> int:
@@ -34,21 +35,16 @@ def block_sums(a: np.ndarray, start: int, stop: int) -> np.ndarray:
 
     Block ``b`` covers elements ``[b*BLOCK, (b+1)*BLOCK)``, zero-padded past
     the end of ``a``. The reduction tree inside a block is a fixed balanced
-    binary tree; all full blocks are folded at once as the rows of a
-    ``(nblocks, BLOCK)`` view, and only the tail block is padded. The
-    ``start``/``stop`` signature is read by perfbench's cost model.
+    binary tree: the range is folded flat, adjacent pairs first, so every
+    pass adds the same pairs in every block at once, and a copy is made
+    only to zero-pad a short range. The ``start``/``stop`` signature is
+    read by perfbench's cost model.
     """
-    n = a.shape[0]
-    lo, hi = min(start * BLOCK, n), min(stop * BLOCK, n)
-    nfull, rest = divmod(hi - lo, BLOCK)
-    out = np.zeros(stop - start, dtype=np.float64)
-    mid = lo + nfull * BLOCK
-    out[:nfull] = _fold(a[lo:mid].reshape(nfull, BLOCK))[:, 0]
-    if rest:
-        tail = np.zeros(BLOCK, dtype=np.float64)
-        tail[:rest] = a[mid:hi]
-        out[nfull] = _fold(tail)[0]
-    return out
+    n, nb = a.shape[0], stop - start
+    x = a[min(start * BLOCK, n):min(stop * BLOCK, n)]
+    if x.shape[0] < nb * BLOCK:
+        x = np.concatenate([x, np.zeros(nb * BLOCK - x.shape[0])])
+    return _fold(x, nb)
 
 
 def combine_block_sums(sums: np.ndarray) -> float:
@@ -56,7 +52,7 @@ def combine_block_sums(sums: np.ndarray) -> float:
     m = _next_pow2(sums.shape[0])
     if m != sums.shape[0]:
         sums = np.concatenate([sums, np.zeros(m - sums.shape[0])])
-    return float(_fold(sums)[0])
+    return float(_fold(sums, 1)[0])
 
 
 def pairwise_sum(a: np.ndarray) -> float:

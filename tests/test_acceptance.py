@@ -17,8 +17,8 @@ from oldb2d.constitutive import (ModelParams, polymer_potential_G,
                                  potential_H_prime, pressure)
 from oldb2d.dynamics import SolverOptions, run_simulation
 from oldb2d.entropy import (RefTrajectory, combined_E,
-                            entropy_inequality_residual, remainder_R_def,
-                            remainder_R_new, restrict_state,
+                            entropy_inequality_residual, remainder_inputs,
+                            remainder_R_def, remainder_R_new, restrict_state,
                             weak_strong_experiment)
 from oldb2d.state import State
 from oldb2d.verify import (convergence_study, make_ms, ode_oracle_relaxation,
@@ -156,8 +156,9 @@ def test_criterion_08_remainder_coincidence(prm):
     for _ in range(10):
         s = random_smooth_state(g, prm, rng)
         ref = _steady_ref(s)
-        rd = remainder_R_def(s, ref.state(1), ref.time_derivs(1, prm), prm)
-        rn = remainder_R_new(s, ref.state(1), prm)
+        pair = remainder_inputs(s, ref.state(1))
+        rd = remainder_R_def(pair, ref.time_derivs(1, prm), prm)
+        rn = remainder_R_new(pair, prm)
         scale = max(abs(rd["R1"]), 1.0)
         assert abs(rd["total"]) <= 1e-13 * scale
         assert abs(rn["total"]) <= 1e-13 * scale
@@ -172,8 +173,9 @@ def test_criterion_09_remainder_form_equivalence(prm):
         ref = _steady_ref(ref_ms.sample_state(g, 0.0), spacing=0.5 * g.dx)
         cand = cand_ms.sample_state(g, 0.3)
         f = ref_ms.force_fn(g)(0.3)
-        rd = remainder_R_def(cand, ref.state(1), ref.time_derivs(1, prm), prm, f)
-        rn = remainder_R_new(cand, ref.state(1), prm)
+        pair = remainder_inputs(cand, ref.state(1))
+        rd = remainder_R_def(pair, ref.time_derivs(1, prm), prm, f)
+        rn = remainder_R_new(pair, prm)
         diffs.append(abs(rd["total"] - rn["total"]))
     orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8, (diffs, orders)

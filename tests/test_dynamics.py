@@ -112,13 +112,34 @@ def test_eta_clipping_and_undershoot_error(prm):
     eta = np.ones(g.shape)
     eta[0, 0] = -1e-8  # inside tolerance: set to 0
     arrays = [rho, rho * 0, rho * 0, eta, rho, rho * 0, rho.copy()]
-    _apply_floors(arrays, opts)
+    _apply_floors(arrays, opts, 0.0, "RK stage 1")
     assert arrays[3][0, 0] == 0.0
     eta2 = np.ones(g.shape)
     eta2[0, 0] = -1e-3  # beyond tolerance: hard error
     arrays2 = [rho, rho * 0, rho * 0, eta2, rho, rho * 0, rho.copy()]
     with pytest.raises(NumericalError):
-        _apply_floors(arrays2, opts)
+        _apply_floors(arrays2, opts, 0.0, "RK stage 1")
+
+
+@pytest.mark.parametrize("sink, stage, t", [(100.0, 1, "0.05"), (500.0, 2, "0.04")])
+def test_mid_run_eta_undershoot_names_time_cell_and_stage(prm, sink, stage, t):
+    # an eta sink at cell (2, 5) from t = 0.04 on, first seen by stage 2 of
+    # the step from t = 0.03: the strong sink empties the cell there, the
+    # weak one halves it, and stage 1 of the next step empties it
+    g = periodic_grid(8)
+
+    def source_fn(time):
+        planes = tuple(np.zeros(g.shape) for _ in range(7))
+        if time > 0.035:
+            planes[3][2, 5] = -sink
+        return planes
+    with pytest.raises(NumericalError) as ei:
+        run_simulation(State.uniform(g, 1.0, 1.0, k=prm.k), prm, 0.1,
+                       SolverOptions(dt=0.01), source_fn=source_fn)
+    msg = str(ei.value)
+    assert msg.startswith("eta undershoot ")
+    assert msg.endswith(f"exceeds clip tolerance 1e-12 at cell (2, 5), t={t}, "
+                        f"RK stage {stage}")
 
 
 def test_nonfinite_state_raises(prm):

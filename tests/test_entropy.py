@@ -1,6 +1,8 @@
 """Relative entropies, remainder forms, inequality residuals and the
 Gronwall machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from oldb2d.constitutive import ModelParams, bregman_H, potential_H, potential_H
 from oldb2d.dynamics import SolverOptions, run_simulation
 from oldb2d.entropy import (GronwallReport, RefTrajectory, combined_E,
                             entropy_inequality_residual, rel_entropy_E1,
-                            rel_entropy_E2, remainder_R_def,
+                            rel_entropy_E2, relative_dissipation,
+                            remainder_inputs, remainder_R_def,
                             remainder_R_new, restrict_state,
                             stress_distance_ET, stress_distance_balance,
                             weak_strong_experiment)
@@ -132,8 +135,9 @@ def test_remainders_vanish_at_coincidence(prm):
     for _ in range(3):
         s = random_smooth_state(g, prm, rng)
         ref = steady_ref_traj(s)
-        rd = remainder_R_def(s, ref.state(1), ref.time_derivs(1, prm), prm)
-        rn = remainder_R_new(s, ref.state(1), prm)
+        pair = remainder_inputs(s, ref.state(1))
+        rd = remainder_R_def(pair, ref.time_derivs(1, prm), prm)
+        rn = remainder_R_new(pair, prm)
         for key in ("R1", "R2", "R3", "R4", "R5", "total"):
             assert rd[key] == 0.0
         assert rn["total"] == 0.0
@@ -149,7 +153,7 @@ def test_R5_zero_when_velocities_match(prm):
     ref.mx = ref.rho * ux
     ref.my = ref.rho * uy
     rt = steady_ref_traj(ref)
-    rd = remainder_R_def(s, rt.state(1), rt.time_derivs(1, prm), prm)
+    rd = remainder_R_def(remainder_inputs(s, rt.state(1)), rt.time_derivs(1, prm), prm)
     # velocities agree up to the rho*(m/rho) roundoff of the setup
     assert abs(rd["R5"]) <= 1e-14
 
@@ -163,11 +167,56 @@ def test_R_new_terms_with_velocity_and_density_match(prm):
     ref = s.copy()
     ref.eta = ref.eta * 1.1
     ref.t11 = ref.t11 + 0.05
-    rn = remainder_R_new(s, ref, prm)
+    rn = remainder_R_new(remainder_inputs(s, ref), prm)
     for key in ("convective", "viscous_density", "pressure_bregman",
                 "polymer_pressure_grad", "stress_div"):
         assert rn[key] == 0.0
     assert rn["polymer_bregman"] != 0.0
+
+
+def _bundle_planes(pair):
+    """Every array a remainder_inputs bundle holds, both states' included."""
+    planes = []
+    for f in dataclasses.fields(pair):
+        v = getattr(pair, f.name)
+        planes += (list(v.arrays()) if isinstance(v, State)
+                   else list(v) if isinstance(v, tuple) else [v])
+    return planes
+
+
+def _result_bits(result):
+    """(keys, int64 bit patterns) of a remainder dict or a float."""
+    vals = result.values() if isinstance(result, dict) else [result]
+    keys = list(result) if isinstance(result, dict) else None
+    return keys, np.array(list(vals), dtype=np.float64).view(np.int64).tolist()
+
+
+def test_one_bundle_serves_every_consumer_unchanged(prm):
+    # a compare row hands one bundle to R_def twice (its columns and the
+    # inequality terms), to R_new and to the relative dissipation: none may
+    # write into a plane the others read
+    g = physical_grid(16)
+    rng = np.random.default_rng(31)
+    s = random_smooth_state(g, prm, rng)
+    refs = [random_smooth_state(g, prm, rng) for _ in range(3)]
+    for i, r in enumerate(refs):
+        r.t = 0.01 * i
+    rt = fed_ref(refs)
+    r, derivs = rt.state(1), rt.time_derivs(1, prm)
+    force = (0.1 * s.rho, -0.2 * s.eta)
+    calls = (lambda p: remainder_R_def(p, derivs, prm, force),
+             lambda p: remainder_R_def(p, derivs, prm, force),
+             lambda p: remainder_R_new(p, prm),
+             lambda p: relative_dissipation(p, prm))
+    pair = remainder_inputs(s, r)
+    before = [a.copy() for a in _bundle_planes(pair)]
+    shared = [call(pair) for call in calls]
+    after = _bundle_planes(pair)
+    assert len(after) == len(before)
+    for a, b in zip(after, before):
+        assert a.tobytes() == b.tobytes()
+    for call, got in zip(calls, shared):
+        assert _result_bits(got) == _result_bits(call(remainder_inputs(s, r)))
 
 
 def test_bregman_gauge_invariance(prm):
@@ -193,8 +242,10 @@ def test_scaling_coherence_of_stress_terms(prm):
     assert stress_distance_ET(s2, ref2) == pytest.approx(9.0 * et1, rel=1e-13)
     rt = steady_ref_traj(ref)
     rt2 = steady_ref_traj(ref2)
-    r5_1 = remainder_R_def(s, rt.state(1), rt.time_derivs(1, prm), prm)["R5"]
-    r5_3 = remainder_R_def(s2, rt2.state(1), rt2.time_derivs(1, prm), prm)["R5"]
+    r5_1 = remainder_R_def(remainder_inputs(s, rt.state(1)),
+                           rt.time_derivs(1, prm), prm)["R5"]
+    r5_3 = remainder_R_def(remainder_inputs(s2, rt2.state(1)),
+                           rt2.time_derivs(1, prm), prm)["R5"]
     assert r5_3 == pytest.approx(3.0 * r5_1, rel=1e-12)
 
 

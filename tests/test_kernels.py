@@ -13,29 +13,79 @@ from oldb2d.grid import _extend_axis
 from oldb2d.kernels import pure
 
 
+def _naive_fold(vals, width):
+    """Pad ``vals`` with zeros to ``width`` (a power of two) and add
+    adjacent pairs until one value is left, in Python floats."""
+    vals = list(vals) + [0.0] * (width - len(vals))
+    while len(vals) > 1:
+        vals = [vals[i] + vals[i + 1] for i in range(0, len(vals), 2)]
+    return vals[0]
+
+
+def naive_block_sums(a, start, stop):
+    """Reference leaf-block sums: block b is elements [b*1024, (b+1)*1024)
+    zero-padded to 1024, folded pairwise."""
+    return [_naive_fold(list(a[b * 1024:(b + 1) * 1024]), 1024)
+            for b in range(start, stop)]
+
+
 def naive_pairwise(a):
     """Reference pairwise tree, independent loop implementation."""
-    vals = list(a)
-    if not vals:
+    if not len(a):
         return 0.0
-    # pad each leaf block to a power of two with zeros, fold pairwise
-    def fold(block):
-        n = 1
-        while n < len(block):
-            n *= 2
-        block = block + [0.0] * (n - len(block))
-        while len(block) > 1:
-            block = [block[i] + block[i + 1] for i in range(0, len(block), 2)]
-        return block[0]
-    sums = [fold(vals[i:i + 1024]) for i in range(0, len(vals), 1024)]
-    return fold(sums)
+    sums = naive_block_sums(a, 0, (len(a) + 1023) // 1024)
+    width = 1
+    while width < len(sums):
+        width *= 2
+    return _naive_fold(sums, width)
+
+
+#: the values IEEE addition treats apart: signed zeros, infinities, NaN and
+#: subnormals
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -3e-320, 2.5e-310)
+
+
+def _special_draw(rng, n):
+    """n values of widely spread magnitude (subnormal to 1e300) with a
+    random subset of SPECIALS mixed in, some rarely and some often."""
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    for k in rng.choice(len(SPECIALS), rng.integers(0, len(SPECIALS) + 1),
+                        replace=False):
+        a[rng.random(n) < rng.choice([1e-3, 0.05, 0.5])] = SPECIALS[k]
+    return a
+
+
+def _bits_equal(got, want):
+    """Equal int64 bit patterns wherever ``want`` is not NaN, and NaN at
+    exactly its NaN positions (numpy does not promise a NaN's sign)."""
+    got = np.atleast_1d(np.asarray(got, dtype=np.float64))
+    want = np.atleast_1d(np.asarray(want, dtype=np.float64))
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan]))
 
 
 def test_pairwise_sum_matches_naive_tree():
     rng = np.random.default_rng(1)
     for n in (1, 5, 1023, 1024, 1025, 4096, 10_000, 65_536, 300_001):
         a = rng.standard_normal(n)
-        assert pure.pairwise_sum(a) == naive_pairwise(list(a))
+        assert _bits_equal(pure.pairwise_sum(a), naive_pairwise(list(a)))
+    # whole blocks of -0.0 sum to -0.0; a zero-padded tail gives +0.0
+    for n in (1, 4, 1024, 1500, 2048):
+        for v in (-0.0, -5e-324):
+            a = np.full(n, v)
+            assert _bits_equal(pure.pairwise_sum(a), naive_pairwise(list(a)))
+            assert _bits_equal(pure.block_sums(a, 0, 3), naive_block_sums(list(a), 0, 3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(300):
+            a = _special_draw(rng, int(rng.integers(1, 5000)))
+            assert _bits_equal(pure.pairwise_sum(a), naive_pairwise(list(a)))
+            # ranges that may start past block 0 and end past the array
+            nblocks = (a.shape[0] + 1023) // 1024
+            start = int(rng.integers(0, nblocks + 1))
+            stop = int(rng.integers(start, nblocks + 3))
+            assert _bits_equal(pure.block_sums(a, start, stop),
+                               naive_block_sums(list(a), start, stop))
 
 
 def test_pairwise_sum_empty():
