@@ -25,7 +25,7 @@ from .config import (ConfigError, build_initial, manufactured_solution,
                      parse_config, section_values)
 from .constitutive import ParameterError
 from .dynamics import (BlowupAbort, SolverOptions, cfl_dt, run_simulation,
-                       start_state)
+                       start_state, step_limits)
 from .snapshot_io import write_snapshot, write_timeseries
 from .state import NumericalError
 
@@ -109,6 +109,27 @@ def _solver_options(cfg, init) -> SolverOptions:
                          sup_rho_threshold=thr)
 
 
+def _require_start_limits(dt: float | None, prm, runs) -> None:
+    """Raise a ConfigError, before any step, if a fixed step ``dt`` exceeds
+    the step limit (``cfl_dt`` at cfl 1) of a state a run starts from;
+    ``runs`` are (run name, initial state, resolved options). A limit that
+    is not positive raises ``cfl_dt``'s NumericalError."""
+    if dt is None:
+        return
+    errors = []
+    for who, init, opts in runs:
+        start = start_state(init, opts)
+        limit = cfl_dt(start, prm, 1.0)
+        if dt > limit:
+            name = next(n for n, value, _, _ in step_limits(start, prm)
+                        if value == limit)
+            errors.append(f"dt in [time] is {dt:g}, above the {name} step limit "
+                          f"{limit:g} of the {who}'s initial state; lower dt, or "
+                          f"leave it out to step by the CFL rule")
+    if errors:
+        raise ConfigError(errors)
+
+
 #: the sections ``compare`` needs equal in both runs
 _SHARED_SECTIONS = ("grid", "params", "forcing", "time")
 
@@ -179,9 +200,9 @@ class _Rows:
                 self.entropy, times)
         for j, row in enumerate(self.rows):
             row.update({k: v[j] for k, v in residuals.items()})
-        with _writing(cfg.out_dir):
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            if "csv" in cfg.formats:
+        if "csv" in cfg.formats:
+            with _writing(cfg.out_dir):
+                os.makedirs(cfg.out_dir, exist_ok=True)
                 write_timeseries(os.path.join(cfg.out_dir, f"{self.stem}.csv"),
                                  self.rows, compare=self.ref is not None)
 
@@ -208,8 +229,9 @@ def cmd_run(args) -> int:
     if args.out:
         cfg.out_dir = args.out
     _require_out_dir(cfg.out_dir)
-    _stream(_Rows(cfg), init, cfg.params, cfg.t_end,
-            _solver_options(cfg, init), force_fn, source_fn)
+    opts = _solver_options(cfg, init)
+    _require_start_limits(cfg.dt, cfg.params, [("run", init, opts.resolved(init))])
+    _stream(_Rows(cfg), init, cfg.params, cfg.t_end, opts, force_fn, source_fn)
     return EXIT_OK
 
 
@@ -251,6 +273,8 @@ def cmd_compare(args) -> int:
             f"* dt in [time] spaces them {spacing:g} apart; lower snapshot_stride"])
     opts_ref.dt = opts_weak.dt = dt
     _require_out_dir(cfg_weak.out_dir)
+    _require_start_limits(cfg_ref.dt, prm, [("reference", init_ref, opts_ref),
+                                            ("candidate", init_weak, opts_weak)])
     # the reference keeps every snapshot: row j needs its snapshots j-1..j+1
     ref = entropy.RefTrajectory()
     # main prints ``where`` after the message: it names the run that failed

@@ -174,12 +174,13 @@ def compute_rhs(state: State, prm: ModelParams,
     return out
 
 
-def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
-    """Advective and diffusive step limits combined.
+def step_limits(state: State, prm: ModelParams) -> list:
+    """The advective and diffusive step limits of ``state``, each as
+    (name, limit, what sets it, its value):
 
-    dt = cfl * min( dx/(|u|+c_s), dy/(|v|+c_s),
-                    dx^2 / (4 max(eps, mu/rho_min, (mu+nu)/rho_min)), same in y )
-    with sound speed c_s = sqrt(gamma p / rho).
+    dx/(|u|+c_s), dy/(|v|+c_s), dx^2 / (4 D), dy^2 / (4 D)
+    with sound speed c_s = sqrt(gamma p / rho) and diffusivity
+    D = max(eps, mu/rho_min, (mu+nu)/rho_min).
     """
     grid = state.grid
     rho = state.rho
@@ -187,20 +188,22 @@ def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
     cs = np.sqrt(prm.gamma * pressure(rho, prm) / rho)
     speed_x = np.max(np.abs(ux) + cs)
     speed_y = np.max(np.abs(uy) + cs)
-    adv_x = grid.dx / speed_x
-    adv_y = grid.dy / speed_y
     rho_min = np.min(rho)  # a numpy scalar: mu / 0 is inf, not ZeroDivisionError
     diff = max(prm.eps, prm.mu / rho_min, (prm.mu + prm.nu) / rho_min)
-    diff_x = grid.dx ** 2 / (4.0 * diff)
-    diff_y = grid.dy ** 2 / (4.0 * diff)
-    dt = cfl * min(adv_x, adv_y, diff_x, diff_y)
+    diffusivity = "max(eps, mu/rho_min, (mu+nu)/rho_min)"
+    return [("advective x", grid.dx / speed_x, "max |u| + c_s", speed_x),
+            ("advective y", grid.dy / speed_y, "max |v| + c_s", speed_y),
+            ("diffusive x", grid.dx ** 2 / (4.0 * diff), diffusivity, diff),
+            ("diffusive y", grid.dy ** 2 / (4.0 * diff), diffusivity, diff)]
+
+
+def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
+    """``cfl`` times the least of the :func:`step_limits` of ``state``."""
+    limits = step_limits(state, prm)
+    dt = cfl * min(limit for _, limit, _, _ in limits)
     if not dt > 0:
-        diffusivity = f"max(eps, mu/rho_min, (mu+nu)/rho_min) = {diff:g}"
-        causes = [f"{name} limit is {val:g} ({cause})" for name, val, cause in (
-            ("advective x", adv_x, f"max |u| + c_s = {speed_x:g}"),
-            ("advective y", adv_y, f"max |v| + c_s = {speed_y:g}"),
-            ("diffusive x", diff_x, diffusivity),
-            ("diffusive y", diff_y, diffusivity)) if not val > 0]
+        causes = [f"{name} limit is {limit:g} ({what} = {value:g})"
+                  for name, limit, what, value in limits if not limit > 0]
         head = "time step is nan" if np.isnan(dt) else f"nonpositive time step {dt:g}"
         raise NumericalError(
             f"{head} at t={state.t:g}: "

@@ -1,6 +1,7 @@
 """Relative entropies between a candidate trajectory and a reference
-("strong") trajectory, the two equivalent forms of the remainder functional,
-the relative-entropy inequality residual, and the Gronwall decay experiment.
+("strong") trajectory, the two equivalent forms of the remainder functional
+and the relative-entropy inequality residual. ``compare``'s rows write them
+per snapshot; the Gronwall fit of E1 + E2 + ET is taken from those rows.
 
 The relative entropies take a (state, ref) pair. Both remainder forms and
 the relative dissipation take the pair's :class:`RemainderInputs` instead,
@@ -390,16 +391,7 @@ def stress_distance_balance(states: list, ref: RefTrajectory,
     return _stress_balance(states, ref.states, prm)
 
 
-# --- Gronwall decay experiment --------------------------------------------
-
-
-@dataclass
-class GronwallReport:
-    times: np.ndarray
-    E_series: np.ndarray
-    E0: float
-    C_hat: float | None
-    bounded: bool
+# --- restriction to a coarser grid ----------------------------------------
 
 
 def restrict_state(state: State, coarse: Grid) -> State:
@@ -410,26 +402,3 @@ def restrict_state(state: State, coarse: Grid) -> State:
     def down(a):
         return 0.25 * (a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
     return State(coarse, state.t, *(down(a) for a in state.arrays()))
-
-
-def weak_strong_experiment(states: list, ref: RefTrajectory,
-                           prm: ModelParams) -> GronwallReport:
-    """Combined relative entropy E(t) = E1 + E2 + ET over a run's snapshots
-    ``states`` at the reference's times, with the fitted exponential growth
-    constant C_hat such that E(t) <= E(0) exp(C_hat t) (least squares on
-    log E where E > 0)."""
-    times = np.array([s.t for s in states])
-    require_shared_times(times, ref)
-    series = np.array([combined_E(s, ref.state(j), prm)
-                       for j, s in enumerate(states)])
-    e0 = float(series[0])
-    c_hat = None
-    if e0 > 0 and np.all(series > 0) and len(series) > 1:
-        # slope of log(E/E0) against t; clamp at 0 (decay still satisfies
-        # the Gronwall bound with C_hat = 0)
-        logr = np.log(series / e0)
-        c_hat = float(max(0.0, np.polyfit(times - times[0], logr, 1)[0]))
-    bounded = bool(np.max(series) <= max(10.0 * e0, 1e-30)) if e0 > 0 else \
-        bool(np.max(series) <= 1e-20)
-    return GronwallReport(times=times, E_series=series, E0=e0,
-                          C_hat=c_hat, bounded=bounded)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import configuration, settings
 
+from oldb2d import cli
+from oldb2d.config import parse_config
 from oldb2d.constitutive import ModelParams
 from oldb2d.grid import Grid
 from oldb2d.state import State
@@ -29,6 +31,25 @@ class Keep:
     def __call__(self, state, acc, grad_u):
         self.states.append(state)
         self.accumulators.append(acc)
+
+
+def csv_rows(prm, ref=None, force_fn=None):
+    """The sink ``run`` streams into, or with the reference ``ref`` the one
+    ``compare``'s candidate streams into, for a config that writes no file:
+    after ``write_csv()`` its ``rows`` are the CSV's rows, the residual
+    columns filled in."""
+    cfg = parse_config("[grid]\nnx = 8\nny = 8\n[output]\nformats =\n")
+    cfg.params = prm
+    return cli._Rows(cfg, ref, force_fn)
+
+
+def tee(*sinks):
+    """A ``run_simulation`` sink that hands each snapshot to every one of
+    ``sinks``, in order."""
+    def sink(state, acc, grad_u):
+        for each in sinks:
+            each(state, acc, grad_u)
+    return sink
 
 
 @pytest.fixture

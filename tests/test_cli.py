@@ -924,6 +924,57 @@ def test_unwritable_output_directory_exit_2_before_any_step(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "file"]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_no_output_format_creates_no_directory(tmp_path, command):
+    cfg = _write(tmp_path, "c.ini", BASE + "[output]\nformats =\n")
+    out = tmp_path / "out"
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(out), command, *files]) == EXIT_OK
+    assert not out.exists()
+
+
+_WALLS_128 = (Path(__file__).parents[1] / "configs" / "compare_walls_reference.ini"
+              ).read_text().replace("nx = 32", "nx = 128").replace("ny = 32", "ny = 128")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_fixed_dt_above_the_start_limit_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch, command):
+    """The walled reference at 128^2 keeps its dt = 2e-4, above the
+    diffusive limit dx^2 / (4 mu / rho_min) of its start: exit 2 names
+    [time] dt, the limit and which one it is, before any step and with no
+    output directory made; compare checks both starts."""
+    cfg = _write(tmp_path, "w.ini", _WALLS_128)
+    weak = _write(tmp_path, "p.ini", _WALLS_128.replace(
+        "preset = gaussian-bump\n", "preset = gaussian-bump\ndelta0 = 1e-3\nseed = 4\n"))
+    steps = []
+    step = dynamics.step_ssprk2
+    monkeypatch.setattr(dynamics, "step_ssprk2",
+                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    out = tmp_path / "out"
+    files = [cfg, weak] if command == "compare" else [cfg]
+    assert main(["--out", str(out), command, *files]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    whose = ["reference", "candidate"] if command == "compare" else ["run"]
+    assert len(err) == len(whose)
+    for line, who in zip(err, whose):
+        assert line.startswith("config error: dt in [time] is 0.0002, above the "
+                               "diffusive x step limit 0.00015"), line
+        assert f"of the {who}'s initial state" in line
+    assert steps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_fixed_dt_start_with_no_positive_limit_keeps_exit_4(tmp_path, capsys,
+                                                           command):
+    cfg = _write(tmp_path, "c.ini", BASE + "[initial]\nrho0 = 1e300\n")
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(tmp_path / "out"), command, *files]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: nonpositive time step 0 at t=0: advective x limit "
+        "is 0 (max |u| + c_s = inf); advective y limit is 0 (max |v| + c_s = inf)\n")
+
+
 @pytest.mark.parametrize("command,text,code", [
     ("run", BASE, EXIT_CONFIG), ("compare", BASE, EXIT_CONFIG),
     ("run", BLOWUP + "[output]\nformats = csv\n", EXIT_BLOWUP)],

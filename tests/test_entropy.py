@@ -1,5 +1,5 @@
-"""Relative entropies, remainder forms, inequality residuals and the
-Gronwall machinery."""
+"""Relative entropies, remainder forms and inequality residuals, and the
+rows ``compare`` writes from them."""
 
 import dataclasses
 
@@ -7,20 +7,22 @@ import numpy as np
 import pytest
 
 from oldb2d import entropy
+from oldb2d.config import perturb_state
 from oldb2d.constitutive import ModelParams, bregman_H, potential_H, potential_H_prime
 from oldb2d.dynamics import SolverOptions, run_simulation
-from oldb2d.entropy import (GronwallReport, RefTrajectory, combined_E,
+from oldb2d.diagnostics import (energy_inequality_residual,
+                                trace_identity_residual)
+from oldb2d.entropy import (RefTrajectory, combined_E,
                             entropy_inequality_residual, rel_entropy_E1,
                             rel_entropy_E2, relative_dissipation,
                             remainder_inputs, remainder_R_def,
                             remainder_R_new, restrict_state,
-                            stress_distance_ET, stress_distance_balance,
-                            weak_strong_experiment)
+                            stress_distance_ET, stress_distance_balance)
 from oldb2d.grid import GridError
 from oldb2d.state import NumericalError, State
 
-from conftest import (Keep, periodic_grid, physical_grid, random_smooth_state,
-                      smooth_state)
+from conftest import (Keep, csv_rows, periodic_grid, physical_grid,
+                      random_smooth_state, smooth_state, tee)
 
 
 def fed_ref(states):
@@ -318,10 +320,24 @@ def test_restrict_state_block_average(prm):
         restrict_state(s, periodic_grid(12))
 
 
-def test_weak_strong_identical_runs(prm):
-    g = periodic_grid(16)
-    s = smooth_state(g, prm)
-    ref = ref_run(s, prm, 0.01, SolverOptions(dt=2e-4, snapshot_stride=10))
-    rep = weak_strong_experiment(ref.states, ref, prm)
-    assert isinstance(rep, GronwallReport)
-    assert np.all(rep.E_series == 0.0)
+def test_csv_rows_match_the_snapshot_list_residuals(prm):
+    # walled, with a stride above 1: the rows reuse the run's velocity
+    # gradient, and their time differences and trapezoids span 3 steps
+    base = smooth_state(physical_grid(16), prm)
+    opts = SolverOptions(dt=2e-4, snapshot_stride=3)
+    ref = ref_run(base, prm, 4e-3, opts)
+    kept, rows = Keep(), csv_rows(prm, ref)
+    run_simulation(perturb_state(base, 1e-2, seed=3, k=prm.k), prm, 4e-3, opts,
+                   sink=tee(kept, rows))
+    rows.write_csv()
+    states = kept.states
+    assert len(rows.rows) == len(states) == len(ref) > 3
+    want = {"energy_residual": energy_inequality_residual(states, kept.accumulators,
+                                                          prm),
+            "trace_residual": trace_identity_residual(states, prm),
+            "entropy_residual": entropy_inequality_residual(states, ref, prm),
+            "E_combined": [combined_E(s, ref.state(j), prm)
+                           for j, s in enumerate(states)]}
+    for key, series in want.items():
+        got = np.array([row[key] for row in rows.rows])
+        assert got.tobytes() == np.asarray(series, dtype=np.float64).tobytes(), key
