@@ -101,33 +101,32 @@ def _writing(path: str):
 
 
 def _solver_options(cfg, init) -> SolverOptions:
-    thr = cfg.sup_rho_threshold
-    if thr is None:
-        thr = 1e3 * float(np.max(init.rho))
-    return SolverOptions(cfl=cfg.cfl, dt=cfg.dt,
-                         snapshot_stride=cfg.snapshot_stride,
-                         sup_rho_threshold=thr)
+    return SolverOptions(cfg.cfl, cfg.dt, cfg.sup_rho_threshold,
+                         cfg.snapshot_stride).resolved(init)
 
 
-def _require_start_limits(dt: float | None, prm, runs) -> None:
-    """Raise a ConfigError, before any step, if a fixed step ``dt`` exceeds
-    the step limit (``cfl_dt`` at cfl 1) of a state a run starts from;
-    ``runs`` are (run name, initial state, resolved options). A limit that
-    is not positive raises ``cfl_dt``'s NumericalError."""
-    if dt is None:
-        return
-    errors = []
+def _require_start_limits(prm, runs, setting: str = "dt in [time] is",
+                          fix: str = "lower dt, or leave it out to step by "
+                                     "the CFL rule") -> list:
+    """The step limit (``cfl_dt`` at cfl 1) of the state each run starts
+    from; ``runs`` are (whose start, initial state, resolved options).
+    Raise a ConfigError, before any step, if a run's fixed step
+    ``opts.dt`` exceeds its limit: the message names ``setting``, the limit
+    and which one it is, and ends with ``fix``. A limit that is not
+    positive raises ``cfl_dt``'s NumericalError."""
+    limits, errors = [], []
     for who, init, opts in runs:
         start = start_state(init, opts)
         limit = cfl_dt(start, prm, 1.0)
-        if dt > limit:
+        limits.append(limit)
+        if opts.dt is not None and opts.dt > limit:
             name = next(n for n, value, _, _ in step_limits(start, prm)
                         if value == limit)
-            errors.append(f"dt in [time] is {dt:g}, above the {name} step limit "
-                          f"{limit:g} of the {who}'s initial state; lower dt, or "
-                          f"leave it out to step by the CFL rule")
+            errors.append(f"{setting} {opts.dt:g}, above the {name} step limit "
+                          f"{limit:g} of {who}'s initial state; {fix}")
     if errors:
         raise ConfigError(errors)
+    return limits
 
 
 #: the sections ``compare`` needs equal in both runs
@@ -230,7 +229,8 @@ def cmd_run(args) -> int:
         cfg.out_dir = args.out
     _require_out_dir(cfg.out_dir)
     opts = _solver_options(cfg, init)
-    _require_start_limits(cfg.dt, cfg.params, [("run", init, opts.resolved(init))])
+    if opts.dt is not None:
+        _require_start_limits(cfg.params, [("the run", init, opts)])
     _stream(_Rows(cfg), init, cfg.params, cfg.t_end, opts, force_fn, source_fn)
     return EXIT_OK
 
@@ -256,14 +256,15 @@ def cmd_compare(args) -> int:
     if args.out:
         cfg_weak.out_dir = args.out
     prm = cfg_ref.params
-    opts_ref = _solver_options(cfg_ref, init_ref).resolved(init_ref)
-    opts_weak = _solver_options(cfg_weak, init_weak).resolved(init_weak)
+    opts_ref = _solver_options(cfg_ref, init_ref)
+    opts_weak = _solver_options(cfg_weak, init_weak)
+    limits = _require_start_limits(prm, [("the reference", init_ref, opts_ref),
+                                         ("the candidate", init_weak, opts_weak)])
     # fixed shared step so both trajectories sample identical times, the
     # CFL step of the floored states both runs start from
     dt = cfg_ref.dt
     if dt is None:
-        dt = min(cfl_dt(start_state(init_ref, opts_ref), prm, cfg_ref.cfl),
-                 cfl_dt(start_state(init_weak, opts_weak), prm, cfg_ref.cfl))
+        dt = cfg_ref.cfl * min(limits)
     # the reference stores every snapshot_stride steps and at t_end
     spacing = min(cfg_ref.snapshot_stride * dt, cfg_ref.t_end)
     if entropy.spacing_exceeds_dx(spacing, cfg_ref.grid):
@@ -273,8 +274,6 @@ def cmd_compare(args) -> int:
             f"* dt in [time] spaces them {spacing:g} apart; lower snapshot_stride"])
     opts_ref.dt = opts_weak.dt = dt
     _require_out_dir(cfg_weak.out_dir)
-    _require_start_limits(cfg_ref.dt, prm, [("reference", init_ref, opts_ref),
-                                            ("candidate", init_weak, opts_weak)])
     # the reference keeps every snapshot: row j needs its snapshots j-1..j+1
     ref = entropy.RefTrajectory()
     # main prints ``where`` after the message: it names the run that failed
@@ -297,6 +296,16 @@ def cmd_verify(args) -> int:
     if args.out:
         cfg.out_dir = args.out
     _require_out_dir(cfg.out_dir)
+
+    def starts():
+        for n, grid, dt in verify.study_levels(ms, cfg.verify_levels,
+                                               cfg.verify_t_end,
+                                               cfg.verify_dt_over_dx2):
+            init = ms.sample_state(grid, 0.0)
+            yield f"level {n}", init, SolverOptions(dt=dt).resolved(init)
+    _require_start_limits(cfg.params, starts(),
+                          "dt_over_dx2 in [verify] gives a step of",
+                          "lower dt_over_dx2")
     rep = verify.convergence_study(ms, cfg.params, levels=cfg.verify_levels,
                                    t_end=cfg.verify_t_end,
                                    dt_over_dx2=cfg.verify_dt_over_dx2)

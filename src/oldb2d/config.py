@@ -258,26 +258,23 @@ def build_initial(cfg: RunConfig):
     if ms is not None:
         state = ms.sample_state(grid, 0.0)
         force_fn, source_fn = ms.force_fn(grid), ms.source_fn(grid)
-    elif cfg.preset == "uniform":
+    else:
         state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
-    elif cfg.preset == "gaussian-bump":
         X, Y = grid.cell_axes()
-        sig = 0.1 * min(grid.lx, grid.ly)
-        bump = np.exp(-((X - grid.lx / 2) ** 2 + (Y - grid.ly / 2) ** 2)
-                      / (2.0 * sig ** 2))
-        state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
-        state.rho = cfg.rho0 * (1.0 + 0.2 * bump)
-    else:  # shear-layer
-        X, Y = grid.cell_axes()
-        w = 0.05 * grid.ly
-        upper = Y > grid.ly / 2
-        ux = np.where(upper,
-                      0.1 * np.tanh((3 * grid.ly / 4 - Y) / w),
-                      0.1 * np.tanh((Y - grid.ly / 4) / w))
-        uy = 0.01 * np.sin(2 * np.pi * X / grid.lx)
-        state = State.uniform(grid, cfg.rho0, cfg.eta0, k=prm.k)
-        state.mx = state.rho * ux
-        state.my = state.rho * uy
+        if cfg.preset == "gaussian-bump":
+            sig = 0.1 * min(grid.lx, grid.ly)
+            bump = np.exp(-((X - grid.lx / 2) ** 2 + (Y - grid.ly / 2) ** 2)
+                          / (2.0 * sig ** 2))
+            state.rho = cfg.rho0 * (1.0 + 0.2 * bump)
+        elif cfg.preset == "shear-layer":
+            w = 0.05 * grid.ly
+            upper = Y > grid.ly / 2
+            ux = np.where(upper,
+                          0.1 * np.tanh((3 * grid.ly / 4 - Y) / w),
+                          0.1 * np.tanh((Y - grid.ly / 4) / w))
+            uy = 0.01 * np.sin(2 * np.pi * X / grid.lx)
+            state.mx = state.rho * ux
+            state.my = state.rho * uy
 
     if cfg.delta0 > 0:
         state = perturb_state(state, cfg.delta0, cfg.seed, prm.k)

@@ -125,10 +125,6 @@ def _xlogx(x):
     return out
 
 
-def polymer_potential_G(eta, prm: ModelParams):
-    return prm.kL * _xlogx(eta) + prm.zfrak * np.square(np.asarray(eta, dtype=np.float64))
-
-
 def polymer_potential_G_prime(eta, prm: ModelParams):
     eta = np.asarray(eta, dtype=np.float64)
     if np.any(eta <= 0):

@@ -43,20 +43,23 @@ MAX_STEPS = 10_000_000
 class SolverOptions:
     """Step control, the blow-up threshold and the snapshot stride of a run.
 
-    ``resolved`` sets, from the initial state, the floors ``_apply_floors``
-    applies to it and after each RK stage: the density floor, 1e-10 times
-    the mean initial density, and the tolerance of ``eta`` undershoot clipping.
+    ``resolved`` sets, from the initial state, a threshold of None to 1000
+    times its max density, and the floors ``_apply_floors`` applies to it
+    and after each RK stage: the density floor, 1e-10 times the mean
+    initial density, and the tolerance of ``eta`` undershoot clipping.
     """
 
     cfl: float = 0.4
     dt: float | None = None            # fixed step; None = CFL-adaptive
-    sup_rho_threshold: float = np.inf
+    sup_rho_threshold: float | None = np.inf
     snapshot_stride: int = 10
     rho_floor: float = field(default=0.0, init=False)
     eta_clip_tol: float = field(default=0.0, init=False)
 
     def resolved(self, init: State) -> "SolverOptions":
         out = replace(self)
+        if out.sup_rho_threshold is None:
+            out.sup_rho_threshold = 1e3 * float(np.max(init.rho))
         out.rho_floor = 1e-10 * float(np.mean(init.rho))
         out.eta_clip_tol = 1e-12 * float(np.max(np.abs(init.eta)))
         return out
@@ -307,7 +310,9 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
 
     Raises :class:`BlowupAbort` when sup rho crosses the configured
     threshold, after adding the crossing state, and :class:`NumericalError`
-    when a step fails; either way the sink already holds the run so far.
+    when a step fails, whose message, with a fixed ``opts.dt``, compares
+    the step with the limit of the last good state; either way the sink
+    already holds the run so far.
     """
     opts = (opts or SolverOptions()).resolved(init)
     traj = Trajectory(init.grid, sink)
@@ -325,9 +330,22 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
         grad_u = None  # not held through the step
         dt = opts.dt if opts.dt is not None else cfl_dt(state, prm, opts.cfl)
         dt = min(dt, t_end - state.t)
+        # a step that keeps the loop running but stops within rounding of
+        # t_end would leave a sliver step: this one goes to t_end instead
+        if state.t + dt < t_stop and t_end - (state.t + dt) <= 1e-6 * dt:
+            dt = t_end - state.t
         if not state.t + dt > state.t:
             raise NumericalError(f"time step dt={dt:g} does not advance t={state.t:g}")
-        state = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
+        try:
+            state = step_ssprk2(state, dt, prm, opts, force_fn, source_fn)
+        except NumericalError as e:
+            if opts.dt is None:
+                raise
+            name, limit = min(((n, v) for n, v, _, _ in step_limits(state, prm)),
+                              key=lambda pair: pair[1])
+            raise NumericalError(
+                f"{e}; the fixed step dt={dt:g} is {dt / limit:.3g} times the "
+                f"{name} step limit {limit:g} of the state at t={state.t:g}") from e
         traj.states.clear()  # stepped past: a stride > 1 pins no stale state
 
         new_rates, grad_u = balance_rates(state, prm,

@@ -10,8 +10,9 @@ For each solution, ``<name>_constants`` takes the ``[params]`` values and
 the box lengths and returns the tuple ``c`` of every subexpression that
 depends on them alone. ``<name>_fields``, ``<name>_sources`` and, for
 steady-ws, ``<name>_forces`` take the cell-centre axes ``x`` and ``y``,
-the time ``t`` and that tuple, and return the group's outputs in the
-order of ``oldb2d.verify``'s names (fx and fy for the forces). A
+the time ``t`` and that tuple, and return the group's outputs in order:
+the fields as rho, ux, uy, eta, t11, t12, t22, the sources as the state
+planes rho, mx, my, eta, t11, t12, t22, and the forces as fx, fy. A
 definition shared by several outputs is computed once; each output is
 computed by the same operations, in the same order, as on its own, so it
 has the same bits. A residual that vanishes identically is returned as 0,

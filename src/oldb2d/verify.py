@@ -26,7 +26,6 @@ from .rng import default_rng
 from .state import State
 
 
-_FIELD_NAMES = ("rho", "ux", "uy", "eta", "t11", "t12", "t22")
 _STATE_NAMES = ("rho", "mx", "my", "eta", "t11", "t12", "t22")
 
 
@@ -143,6 +142,17 @@ def study_steps(t_end: float, dt: float) -> int:
     return max(1, round(t_end / dt))
 
 
+def study_levels(ms: ManufacturedSolution, levels, t_end: float,
+                 dt_over_dx2: float):
+    """Yield (n, grid, dt) of each level of a study: n x n periodic cells
+    on the solution's box, and the step near dt_over_dx2 * dx^2 that
+    reaches t_end in :func:`study_steps` equal steps."""
+    for n in levels:
+        grid = Grid(nx=n, ny=n, lx=ms.lx, ly=ms.ly, boundary_mode="periodic")
+        dt = dt_over_dx2 * grid.dx ** 2
+        yield n, grid, t_end / study_steps(t_end, dt)
+
+
 @dataclass
 class ConvergenceReport:
     ms_name: str
@@ -174,10 +184,7 @@ def convergence_study(ms: ManufacturedSolution, prm: ModelParams,
         raise ValueError(f"levels must be {LEVELS_RULE}, got {tuple(levels)}")
     l2 = {f: [] for f in fields}
     linf = {f: [] for f in fields}
-    for n in levels:
-        grid = Grid(nx=n, ny=n, lx=ms.lx, ly=ms.ly, boundary_mode="periodic")
-        dt = dt_over_dx2 * grid.dx ** 2
-        dt = t_end / study_steps(t_end, dt)
+    for n, grid, dt in study_levels(ms, levels, t_end, dt_over_dx2):
         init = ms.sample_state(grid, 0.0)
         opts = SolverOptions(dt=dt, snapshot_stride=10 ** 9)
         traj = run_simulation(init, prm, t_end, opts,
@@ -368,11 +375,3 @@ def oracle_lemma_scan(prm: ModelParams, n_samples: int = 1 << 20,
         delta=None, c=None, min_slack=best_g[0], argmin=best_g[1:],
         passed=best_g[0] >= 0.0)
     return {"H": cert_h, "G": cert_g}
-
-
-# -- scalar ODE oracle ------------------------------------------------------
-
-
-def ode_oracle_relaxation(T0: np.ndarray, lam: float, t: float) -> np.ndarray:
-    """Exact solution of dT/dt = -T/(2 lam): T0 * exp(-t / (2 lam))."""
-    return np.asarray(T0, dtype=np.float64) * np.exp(-t / (2.0 * lam))

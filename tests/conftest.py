@@ -4,7 +4,7 @@ from hypothesis import configuration, settings
 
 from oldb2d import cli
 from oldb2d.config import parse_config
-from oldb2d.constitutive import ModelParams
+from oldb2d.constitutive import ModelParams, _xlogx
 from oldb2d.grid import Grid
 from oldb2d.state import State
 
@@ -43,6 +43,13 @@ def csv_rows(prm, ref=None, force_fn=None):
     return cli._Rows(cfg, ref, force_fn)
 
 
+def polymer_potential_G(eta, prm):
+    """The polymer potential G = kL eta log eta + zfrak eta^2, with
+    0 log 0 = 0, for the identity eta G' - G = q that criterion 01 checks;
+    the solver uses only G', ``constitutive.polymer_potential_G_prime``."""
+    return prm.kL * _xlogx(eta) + prm.zfrak * np.square(np.asarray(eta, dtype=np.float64))
+
+
 def tee(*sinks):
     """A ``run_simulation`` sink that hands each snapshot to every one of
     ``sinks``, in order."""
@@ -67,10 +74,7 @@ def physical_grid(n=32, lx=1.0, ly=1.0):
 
 def smooth_state(grid, prm, amp=1.0):
     """Smooth non-equilibrium state with positive density/eta and PSD stress."""
-    # full coordinate planes, not the axes: test_cli's warm-step page-fault
-    # probe steps from the heap this leaves, and after the lighter history of
-    # the axes its 8th 256^2 step still grows the heap by two planes
-    X, Y = np.meshgrid(*(a.ravel() for a in grid.cell_axes()), indexing="ij")
+    X, Y = grid.cell_axes()
     kx = 2 * np.pi / grid.lx
     ky = 2 * np.pi / grid.ly
     s = State.uniform(grid, 1.0, 1.0, k=prm.k)

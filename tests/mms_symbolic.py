@@ -17,7 +17,10 @@ import sympy as sp
 
 from oldb2d.constitutive import viscosity_coeffs
 from oldb2d.fields import upper_convected_source
-from oldb2d.verify import _FIELD_NAMES as FIELD_NAMES, _STATE_NAMES as STATE_NAMES
+from oldb2d.verify import _STATE_NAMES as STATE_NAMES
+
+#: the fields of a solution, in the order its fields function returns them
+FIELD_NAMES = ("rho", "ux", "uy", "eta", "t11", "t12", "t22")
 
 # sympy caches symbols by name and assumptions: every x, y, t here is one
 X, Y, T = sp.symbols("x y t", real=True)

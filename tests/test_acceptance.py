@@ -13,20 +13,18 @@ import numpy as np
 import pytest
 
 from oldb2d import cli, diagnostics, entropy
-from oldb2d.constitutive import (ModelParams, polymer_potential_G,
-                                 polymer_potential_G_prime,
+from oldb2d.constitutive import (ModelParams, polymer_potential_G_prime,
                                  polymer_pressure_q, potential_H,
                                  potential_H_prime, pressure)
 from oldb2d.dynamics import SolverOptions, run_simulation
 from oldb2d.entropy import (RefTrajectory, combined_E, remainder_inputs,
                             remainder_R_def, remainder_R_new, restrict_state)
 from oldb2d.state import State
-from oldb2d.verify import (convergence_study, make_ms, ode_oracle_relaxation,
-                           oracle_lemma_scan)
+from oldb2d.verify import convergence_study, make_ms, oracle_lemma_scan
 from oldb2d.config import perturb_state
 
-from conftest import (Keep, csv_rows, periodic_grid, random_smooth_state,
-                      smooth_state, tee)
+from conftest import (Keep, csv_rows, periodic_grid, polymer_potential_G,
+                      random_smooth_state, smooth_state, tee)
 
 
 def _column(rows, key):
@@ -92,7 +90,7 @@ def test_criterion_04_relaxation_ode_order():
     for dt in (0.02, 0.01, 0.005):
         s = State.uniform(g, 1.0, 0.0, tau0=T0)
         traj = run_simulation(s, prm, t_end, SolverOptions(dt=dt))
-        ex = ode_oracle_relaxation(T0, prm.lam, traj.final.t)
+        ex = T0 * np.exp(-traj.final.t / (2 * prm.lam))  # dT/dt = -T / (2 lam)
         errs.append(max(abs(traj.final.t11[0, 0] - ex[0, 0]),
                         abs(traj.final.t12[0, 0] - ex[0, 1]),
                         abs(traj.final.t22[0, 0] - ex[1, 1])))

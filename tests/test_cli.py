@@ -113,7 +113,12 @@ def test_run_numerical_failure_exit_4_keeps_partial_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert main(["--out", str(out), "run", cfg]) == EXIT_NUMERICAL
-    assert "numerical failure: eta undershoot" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: eta undershoot" in err
+    # only the start is checked against the step limit; the advective limit
+    # falls as the force compresses the bump
+    assert err.endswith("; the fixed step dt=0.0005 is 1.31 times the advective "
+                        "x step limit 0.000381454 of the state at t=0.0015\n")
     rows = (out / "run.csv").read_text().splitlines()[1:]
     snaps = sorted(out.glob("run_*.bin"))
     assert len(snaps) == len(rows) > 1
@@ -863,8 +868,9 @@ def test_verify_samples_no_initial_state(tmp_path, monkeypatch):
             "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
     cfg = _write(tmp_path, "v.ini", text)
     assert main(["--out", str(tmp_path / "out"), "verify", cfg]) == EXIT_OK
-    # the initial and the exact state of each level, nothing on [grid]
-    assert levels == [8, 8, 16, 16, 32, 32]
+    # each level's start, for the step check before the study; then the
+    # initial and the exact state of each level; nothing on [grid]
+    assert levels == [8, 16, 32, 8, 8, 16, 16, 32, 32]
 
 
 @pytest.mark.parametrize("command,extra,key", [
@@ -962,6 +968,70 @@ def test_fixed_dt_above_the_start_limit_exit_2_before_any_step(
                                "diffusive x step limit 0.00015"), line
         assert f"of the {who}'s initial state" in line
     assert steps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("dt_over_dx2,steps,limits", [
+    ("3", ("0.01", "0.00333333", "0.000714286"), ("0.00835653", "0.00207871",
+                                                  "0.000519019")),
+    ("20", ("0.01", "0.01", "0.005"), ("0.00835653", "0.00207871", "0.000519019"))],
+    ids=["3", "20"])
+def test_verify_step_above_a_level_start_limit_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch, dt_over_dx2, steps, limits):
+    """Each study level's step is checked against the limit of that level's
+    start before any level runs: at dt_over_dx2 = 3 the steps are 1.20,
+    1.60 and 1.38 times the diffusive limits, at 20 they are 1.20, 4.81 and
+    9.63 times; one message per level, and no output directory is made."""
+    cfg = _write(tmp_path, "v.ini", "[grid]\nnx = 16\nny = 16\n[initial]\n"
+                 "preset = mms:periodic-smooth\n[verify]\nlevels = 16,32,64\n"
+                 f"t_end = 0.01\ndt_over_dx2 = {dt_over_dx2}\n")
+    ran = []
+    step = dynamics.step_ssprk2
+    monkeypatch.setattr(dynamics, "step_ssprk2",
+                        lambda *args, **kw: ran.append(1) or step(*args, **kw))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "verify", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: dt_over_dx2 in [verify] gives a step of {dt}, above the "
+        f"diffusive x step limit {limit} of level {n}'s initial state; "
+        f"lower dt_over_dx2" for n, dt, limit in zip((16, 32, 64), steps, limits)]
+    assert ran == [] and not out.exists()
+
+
+_SLIVER = """
+[grid]
+nx = 16
+ny = 16
+
+[initial]
+preset = gaussian-bump
+{extra}
+[time]
+t_end = 1.0
+dt = 2.5e-3
+snapshot_stride = 10
+
+[output]
+formats = csv
+"""
+
+
+def test_fixed_step_run_ends_at_t_end_without_a_sliver_step(tmp_path):
+    """400 steps of 2.5e-3 leave t about 1e-14 short of t_end = 1, more
+    than the loop's stopping slack. The 400th step goes to t_end instead of
+    leaving a step of rounding error, whose two snapshots would turn the
+    columns that difference snapshots into noise. The compare rows are the
+    perturbed run's rows with the relative-entropy columns added."""
+    ref = _write(tmp_path, "ref.ini", _SLIVER.format(extra=""))
+    weak = _write(tmp_path, "weak.ini", _SLIVER.format(extra="delta0 = 0.05\nseed = 3"))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", ref, weak]) == EXIT_OK
+    with open(out / "compare.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 41 and float(rows[-1]["t"]) == 1.0
+    assert abs(float(rows[-1]["trace_residual"])) < 1e-6
+    gap = [abs(float(r["R_def_total"]) - float(r["R_new_total"])) for r in rows]
+    assert float(rows[-2]["t"]) == pytest.approx(0.975)
+    assert gap[-1] <= 2 * gap[-2]
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -1181,37 +1251,36 @@ def test_outputs_bitwise_equal_with_reference_kernels(tmp_path, monkeypatch):
 
 
 FAULT_PROBE = textwrap.dedent("""
-    import resource, sys
-    sys.path.insert(0, sys.argv[1])
-    from conftest import periodic_grid, smooth_state
-    from oldb2d import cli
-    from oldb2d.constitutive import ModelParams
-    from oldb2d.dynamics import SolverOptions, step_ssprk2
+    import resource
+    from oldb2d import cli, config
+    from oldb2d.dynamics import start_state, step_ssprk2
     cli.keep_freed_memory()
-    prm = ModelParams()
-    s = smooth_state(periodic_grid(256), prm)
-    opts = SolverOptions(dt=1e-5).resolved(s)
+    cfg = config.parse_config("[grid]\\nnx = 256\\nny = 256\\n[initial]\\n"
+                              "preset = shear-layer\\n[time]\\ndt = 1e-5\\n")
+    init = config.build_initial(cfg)[0]
+    opts = cli._solver_options(cfg, init)
+    s = start_state(init, opts)
     for _ in range(5):  # the heap settles within the first few steps
-        s = step_ssprk2(s, 1e-5, prm, opts)
+        s = step_ssprk2(s, opts.dt, cfg.params, opts)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        s = step_ssprk2(s, 1e-5, prm, opts)
+        s = step_ssprk2(s, opts.dt, cfg.params, opts)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """)
 
 
 def test_warm_steps_reuse_freed_memory(tmp_path):
     """After ``keep_freed_memory`` the step temporaries stay mapped: three
-    warm 256^2 steps take well under 100 minor page faults, where glibc's
-    defaults cost thousands per step."""
+    warm 256^2 steps of a shear layer, built as ``run`` builds it, take
+    well under 100 minor page faults, where glibc's defaults cost
+    thousands per step."""
     try:
         ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         pytest.skip("the C library has no mallopt")
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(here, "..", "src")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE, here], cwd=tmp_path,
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE], cwd=tmp_path,
                            env=dict(os.environ, PYTHONPATH=path),
                            capture_output=True, text=True, timeout=300)
     assert probe.returncode == 0, probe.stderr

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from oldb2d.constitutive import (DomainError, HBoundConstants, ModelParams,
                                  ParameterError, bregman_G, bregman_H,
                                  calibrate_H_constants, lower_bound_G,
-                                 lower_bound_H,
-                                 polymer_potential_G, polymer_potential_G_prime,
+                                 lower_bound_H, polymer_potential_G_prime,
                                  polymer_pressure_q, potential_H,
                                  potential_H_prime, pressure,
                                  viscosity_coeffs)
+
+from conftest import polymer_potential_G
 
 
 def test_derived_viscosities_in_2d():

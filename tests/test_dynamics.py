@@ -14,7 +14,6 @@ from oldb2d.dynamics import (BlowupAbort, SolverOptions, _apply_floors, cfl_dt,
 from oldb2d.fields import integrate_array
 from oldb2d.grid import Grid
 from oldb2d.state import NumericalError, State
-from oldb2d.verify import ode_oracle_relaxation
 
 from conftest import Keep, periodic_grid, physical_grid, smooth_state
 
@@ -53,7 +52,7 @@ def test_relaxation_matches_ode_oracle(prm):
     s = State.uniform(g, 1.0, 0.0, tau0=T0)
     t_end = 0.4
     traj = run_simulation(s, prm, t_end, SolverOptions(dt=1e-3))
-    ex = ode_oracle_relaxation(T0, prm.lam, traj.final.t)
+    ex = T0 * np.exp(-traj.final.t / (2 * prm.lam))  # dT/dt = -T / (2 lam)
     assert traj.final.t11[0, 0] == pytest.approx(ex[0, 0], rel=1e-5)
     assert traj.final.t12[0, 0] == pytest.approx(ex[0, 1], rel=1e-5)
     assert traj.final.t22[0, 0] == pytest.approx(ex[1, 1], rel=1e-5)
@@ -121,11 +120,15 @@ def test_eta_clipping_and_undershoot_error(prm):
         _apply_floors(arrays2, opts, 0.0, "RK stage 1")
 
 
-@pytest.mark.parametrize("sink, stage, t", [(100.0, 1, "0.05"), (500.0, 2, "0.04")])
-def test_mid_run_eta_undershoot_names_time_cell_and_stage(prm, sink, stage, t):
+@pytest.mark.parametrize("sink, low, stage, t, last", [
+    (100.0, "-0.4744", 1, "0.05", "0.04"), (500.0, "-1.5", 2, "0.04", "0.03")],
+    ids=["100.0-1-0.05", "500.0-2-0.04"])
+def test_mid_run_eta_undershoot_names_time_cell_and_stage(prm, sink, low, stage,
+                                                          t, last):
     # an eta sink at cell (2, 5) from t = 0.04 on, first seen by stage 2 of
     # the step from t = 0.03: the strong sink empties the cell there, the
-    # weak one halves it, and stage 1 of the next step empties it
+    # weak one halves it, and stage 1 of the next step empties it. The
+    # fixed step is compared with the limit of the state the step left from.
     g = periodic_grid(8)
 
     def source_fn(time):
@@ -136,10 +139,10 @@ def test_mid_run_eta_undershoot_names_time_cell_and_stage(prm, sink, stage, t):
     with pytest.raises(NumericalError) as ei:
         run_simulation(State.uniform(g, 1.0, 1.0, k=prm.k), prm, 0.1,
                        SolverOptions(dt=0.01), source_fn=source_fn)
-    msg = str(ei.value)
-    assert msg.startswith("eta undershoot ")
-    assert msg.endswith(f"exceeds clip tolerance 1e-12 at cell (2, 5), t={t}, "
-                        f"RK stage {stage}")
+    assert str(ei.value) == (
+        f"eta undershoot {low} exceeds clip tolerance 1e-12 at cell (2, 5), "
+        f"t={t}, RK stage {stage}; the fixed step dt=0.01 is 0.256 times the "
+        f"diffusive x step limit 0.0390625 of the state at t={last}")
 
 
 def test_nonfinite_state_raises(prm):

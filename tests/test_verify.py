@@ -19,7 +19,7 @@ from oldb2d.dynamics import SolverOptions, run_simulation
 from oldb2d.grid import Grid
 from oldb2d.mms_sources import SOLUTIONS
 from oldb2d.verify import (MMS_NAMES, LemmaCertificate, convergence_study,
-                           make_ms, ode_oracle_relaxation, oracle_lemma_scan)
+                           make_ms, oracle_lemma_scan)
 
 from conftest import periodic_grid
 from mms_symbolic import (FIELD_NAMES, STATE_NAMES, X as _X, Y as _Y, T as _T,
@@ -298,13 +298,6 @@ def test_ssprk2_is_second_order_in_time(prm):
                         for f in ("rho", "mx", "my", "eta", "t11", "t12", "t22")))
     orders = [np.log2(errs[j] / errs[j + 1]) for j in range(3)]
     assert min(orders) >= 1.9, orders
-
-
-def test_ode_oracle_trivial_points(prm):
-    T0 = np.array([[2.0, 0.5], [0.5, 1.0]])
-    assert np.array_equal(ode_oracle_relaxation(T0, prm.lam, 0.0), T0)
-    half = ode_oracle_relaxation(T0, prm.lam, 2 * prm.lam * np.log(2.0))
-    assert np.allclose(half, T0 / 2, rtol=1e-14)
 
 
 def test_lemma_scan_passes_with_corrected_constants(prm):
