@@ -20,12 +20,14 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, entropy, verify
+from . import diagnostics, dynamics, entropy, verify
 from .config import (ConfigError, build_initial, manufactured_solution,
                      parse_config, section_values)
 from .constitutive import ParameterError
-from .dynamics import (BlowupAbort, SolverOptions, cfl_dt, run_simulation,
-                       start_state, step_limits)
+from .dynamics import (BlowupAbort, SolverOptions, cfl_dt, least_step_limit,
+                       run_simulation, start_state, step_limits, stop_time,
+                       within_step_budget)
+from .grid import GridError
 from .snapshot_io import write_snapshot, write_timeseries
 from .state import NumericalError
 
@@ -100,28 +102,44 @@ def _writing(path: str):
         raise ConfigError([f"cannot write outputs to {path}: {e.strerror or e}"]) from e
 
 
+@contextlib.contextmanager
+def _output_file(out_dir: str, name: str):
+    """The path of file ``name`` in ``out_dir``, made if missing, to write
+    under :func:`_writing`'s rule."""
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        yield os.path.join(out_dir, name)
+
+
 def _solver_options(cfg, init) -> SolverOptions:
     return SolverOptions(cfg.cfl, cfg.dt, cfg.sup_rho_threshold,
                          cfg.snapshot_stride).resolved(init)
 
 
-def _require_start_limits(prm, runs, setting: str = "dt in [time] is",
+def _over_budget(setting: str, dt: float, who: str, t_end: float) -> str:
+    # the budget as within_step_budget reads it, from its module
+    return (f"{setting} {dt:g} for {who}, too small to reach t_end = {t_end:g} "
+            f"within {dynamics.MAX_STEPS} steps")
+
+
+def _require_start_limits(prm, t_end, runs, setting: str = "dt in [time] is",
                           fix: str = "lower dt, or leave it out to step by "
                                      "the CFL rule") -> list:
     """The step limit (``cfl_dt`` at cfl 1) of the state each run starts
-    from; ``runs`` are (whose start, initial state, resolved options).
-    Raise a ConfigError, before any step, if a run's fixed step
-    ``opts.dt`` exceeds its limit: the message names ``setting``, the limit
-    and which one it is, and ends with ``fix``. A limit that is not
-    positive raises ``cfl_dt``'s NumericalError."""
+    from; ``runs`` are (whose run, initial state, resolved options).
+    Raise a ConfigError, before any step, if a run's fixed step ``opts.dt``
+    takes more than ``dynamics.MAX_STEPS`` steps to reach ``t_end``, or
+    else exceeds its limit: the message names ``setting`` and whose run it
+    is. A limit that is not positive raises ``cfl_dt``'s NumericalError."""
     limits, errors = [], []
     for who, init, opts in runs:
         start = start_state(init, opts)
         limit = cfl_dt(start, prm, 1.0)
         limits.append(limit)
-        if opts.dt is not None and opts.dt > limit:
-            name = next(n for n, value, _, _ in step_limits(start, prm)
-                        if value == limit)
+        if opts.dt is not None and not within_step_budget(t_end, opts.dt):
+            errors.append(_over_budget(setting, opts.dt, who, t_end))
+        elif opts.dt is not None and opts.dt > limit:
+            name = least_step_limit(step_limits(start, prm))[0]
             errors.append(f"{setting} {opts.dt:g}, above the {name} step limit "
                           f"{limit:g} of {who}'s initial state; {fix}")
     if errors:
@@ -182,9 +200,8 @@ class _Rows:
             self.entropy.append(entropy.entropy_inequality_terms(pair, derivs, prm, f))
         self.rows.append(row)
         if "snapshots" in cfg.formats:
-            with _writing(cfg.out_dir):
-                os.makedirs(cfg.out_dir, exist_ok=True)
-                write_snapshot(os.path.join(cfg.out_dir, f"{self.stem}_{j:06d}.bin"), s)
+            with _output_file(cfg.out_dir, f"{self.stem}_{j:06d}.bin") as path:
+                write_snapshot(path, s)
 
     def write_csv(self) -> None:
         """Write the rows so far; nothing if no snapshot got a row."""
@@ -200,10 +217,8 @@ class _Rows:
         for j, row in enumerate(self.rows):
             row.update({k: v[j] for k, v in residuals.items()})
         if "csv" in cfg.formats:
-            with _writing(cfg.out_dir):
-                os.makedirs(cfg.out_dir, exist_ok=True)
-                write_timeseries(os.path.join(cfg.out_dir, f"{self.stem}.csv"),
-                                 self.rows, compare=self.ref is not None)
+            with _output_file(cfg.out_dir, f"{self.stem}.csv") as path:
+                write_timeseries(path, self.rows, compare=self.ref is not None)
 
 
 def _stream(rows: _Rows, init, prm, t_end, opts, force_fn, source_fn) -> None:
@@ -230,7 +245,7 @@ def cmd_run(args) -> int:
     _require_out_dir(cfg.out_dir)
     opts = _solver_options(cfg, init)
     if opts.dt is not None:
-        _require_start_limits(cfg.params, [("the run", init, opts)])
+        _require_start_limits(cfg.params, cfg.t_end, [("the run", init, opts)])
     _stream(_Rows(cfg), init, cfg.params, cfg.t_end, opts, force_fn, source_fn)
     return EXIT_OK
 
@@ -245,8 +260,7 @@ def cmd_compare(args) -> int:
         if keys:
             errors.append(f"compare integrates both runs with the reference's "
                           f"[{sec}]; the candidate's {', '.join(keys)} differ")
-    # run_simulation steps while t < t_end - 1e-14 * max(t_end, 1), from t = 0
-    if not cfg_ref.t_end > 1e-14:
+    if not stop_time(cfg_ref.t_end) > 0:
         errors.append(f"compare needs t_end in [time] long enough for one step, "
                       f"got {cfg_ref.t_end:g}")
     if errors:
@@ -258,13 +272,17 @@ def cmd_compare(args) -> int:
     prm = cfg_ref.params
     opts_ref = _solver_options(cfg_ref, init_ref)
     opts_weak = _solver_options(cfg_weak, init_weak)
-    limits = _require_start_limits(prm, [("the reference", init_ref, opts_ref),
-                                         ("the candidate", init_weak, opts_weak)])
+    limits = _require_start_limits(prm, cfg_ref.t_end,
+                                   [("the reference", init_ref, opts_ref),
+                                    ("the candidate", init_weak, opts_weak)])
     # fixed shared step so both trajectories sample identical times, the
     # CFL step of the floored states both runs start from
     dt = cfg_ref.dt
     if dt is None:
         dt = cfg_ref.cfl * min(limits)
+        if not within_step_budget(cfg_ref.t_end, dt):
+            raise ConfigError([_over_budget("cfl in [time] gives a shared step of",
+                                            dt, "both runs", cfg_ref.t_end)])
     # the reference stores every snapshot_stride steps and at t_end
     spacing = min(cfg_ref.snapshot_stride * dt, cfg_ref.t_end)
     if entropy.spacing_exceeds_dx(spacing, cfg_ref.grid):
@@ -303,19 +321,20 @@ def cmd_verify(args) -> int:
                                                cfg.verify_dt_over_dx2):
             init = ms.sample_state(grid, 0.0)
             yield f"level {n}", init, SolverOptions(dt=dt).resolved(init)
-    _require_start_limits(cfg.params, starts(),
-                          "dt_over_dx2 in [verify] gives a step of",
-                          "lower dt_over_dx2")
+    try:
+        _require_start_limits(cfg.params, cfg.verify_t_end, starts(),
+                              "dt_over_dx2 in [verify] gives a step of",
+                              "lower dt_over_dx2")
+    except GridError as e:
+        raise ConfigError([f"levels in [verify]: {e}"]) from e
     rep = verify.convergence_study(ms, cfg.params, levels=cfg.verify_levels,
                                    t_end=cfg.verify_t_end,
                                    dt_over_dx2=cfg.verify_dt_over_dx2)
-    with _writing(cfg.out_dir):
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "convergence.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("field,n,l2_error,linf_error,l2_order\n")
-            for f, n, e2, einf, order in rep.table_rows():
-                fh.write(f"{f},{n},{e2!r},{einf!r},{order!r}\n")
+    with (_output_file(cfg.out_dir, "convergence.csv") as path,
+          open(path, "w", newline="\n") as fh):
+        fh.write("field,n,l2_error,linf_error,l2_order\n")
+        for f, n, e2, einf, order in rep.table_rows():
+            fh.write(f"{f},{n},{e2!r},{einf!r},{order!r}\n")
     if not rep.valid:
         print(f"convergence study invalid: {rep.invalid_reason}",
               file=sys.stderr)

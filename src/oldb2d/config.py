@@ -9,13 +9,12 @@ import math
 
 import numpy as np
 
-from . import dynamics
 from .constitutive import ModelParams, ParameterError
 from .grid import Grid, GridError
 from .rng import Generator, default_rng
 from .state import State
 from .verify import (LEVELS_RULE, MMS_NAMES, SOBOL_POINTS, doubling_levels,
-                     make_ms, study_steps)
+                     make_ms)
 
 
 class ConfigError(ValueError):
@@ -150,7 +149,6 @@ def parse_config(text: str) -> RunConfig:
     v = {name: val for sec, fields in vals.items() if sec not in ("grid", "params")
          for name, val in fields.items()}
     preset, thr, levels = v["preset"], v["sup_rho_threshold"], v["verify_levels"]
-    levels_ok = doubling_levels(levels)
     errors += [msg for bad, msg in (
         (not (preset in _PRESETS
               or preset.startswith("mms:") and preset[4:] in MMS_NAMES),
@@ -178,7 +176,7 @@ def parse_config(text: str) -> RunConfig:
          f"samples in [lemma] must be in [1, {SOBOL_POINTS}]"),
         (v["seed"] < 0, "seed in [initial] must be nonnegative"),
         (v["lemma_seed"] < 0, "seed in [lemma] must be nonnegative"),
-        (not levels_ok,
+        (not doubling_levels(levels),
          f"levels in [verify] must be {LEVELS_RULE}, "
          f"got '{','.join(map(str, levels))}'"),
         (not v["verify_t_end"] > 0, "t_end in [verify] must be positive"),
@@ -186,35 +184,9 @@ def parse_config(text: str) -> RunConfig:
     ) if bad]
     errors += [f"unknown output format '{f}'" for f in v["formats"]
                if f not in ("csv", "snapshots")]
-    # only verify reads [verify], and it needs a manufactured solution
-    if (grid is not None and preset.startswith("mms:") and levels_ok
-            and v["verify_t_end"] > 0 and v["verify_dt_over_dx2"] > 0):
-        errors += _finest_level_errors(grid, levels[-1], v["verify_t_end"],
-                                       v["verify_dt_over_dx2"])
-
     if errors:
         raise ConfigError(errors)
     return RunConfig(grid=grid, params=params, **v)
-
-
-def _finest_level_errors(grid: Grid, n: int, t_end: float,
-                         dt_over_dx2: float) -> list:
-    """What would stop ``convergence_study`` on its finest level, n x n
-    cells on the extents of ``grid``: a grid that ``Grid`` refuses, or a
-    step dt_over_dx2 * dx ** 2 for which the study takes more than the
-    solver's ``dynamics.MAX_STEPS`` steps (one that underflows to 0 never
-    reaches t_end). Coarser levels have larger cells and steps."""
-    try:
-        dx = Grid(n, n, grid.lx, grid.ly).dx
-    except GridError as e:
-        return [f"levels in [verify]: the finest level, {n}, fails: {e}"]
-    dt = dt_over_dx2 * dx ** 2
-    if not (dt > 0 and math.isfinite(t_end / dt)
-            and study_steps(t_end, dt) <= dynamics.MAX_STEPS):
-        return [f"dt_over_dx2 in [verify] gives a step of {dt:g} on the finest "
-                f"level, {n}, too small to reach t_end = {t_end:g} within "
-                f"{dynamics.MAX_STEPS} steps"]
-    return []
 
 
 # --- initial conditions ----------------------------------------------------

@@ -39,6 +39,17 @@ class BlowupAbort(RuntimeError):
 MAX_STEPS = 10_000_000
 
 
+def stop_time(t_end: float) -> float:
+    """The time from which a run to ``t_end`` takes no further step."""
+    return t_end - 1e-14 * max(t_end, 1.0)
+
+
+def within_step_budget(t_end: float, dt: float) -> bool:
+    """Whether the fixed step ``dt`` reaches ``t_end`` within MAX_STEPS
+    steps, a last step shorter than 1e-6 dt folded into the one before."""
+    return t_end <= dt * (MAX_STEPS + 1e-6)
+
+
 @dataclass
 class SolverOptions:
     """Step control, the blow-up threshold and the snapshot stride of a run.
@@ -200,10 +211,16 @@ def step_limits(state: State, prm: ModelParams) -> list:
             ("diffusive y", grid.dy ** 2 / (4.0 * diff), diffusivity, diff)]
 
 
+def least_step_limit(limits: list) -> tuple:
+    """(name, limit) of the first least of :func:`step_limits`' ``limits``."""
+    return min(((name, limit) for name, limit, _, _ in limits),
+               key=lambda pair: pair[1])
+
+
 def cfl_dt(state: State, prm: ModelParams, cfl: float) -> float:
     """``cfl`` times the least of the :func:`step_limits` of ``state``."""
     limits = step_limits(state, prm)
-    dt = cfl * min(limit for _, limit, _, _ in limits)
+    dt = cfl * least_step_limit(limits)[1]
     if not dt > 0:
         causes = [f"{name} limit is {limit:g} ({what} = {value:g})"
                   for name, limit, what, value in limits if not limit > 0]
@@ -322,7 +339,7 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
     rates, grad_u = balance_rates(state, prm,
                                   force_fn(state.t) if force_fn else None)
     traj.add(state, acc, grad_u=grad_u)
-    t_stop = t_end - 1e-14 * max(t_end, 1.0)
+    t_stop = stop_time(t_end)
     nstep = 0
     while state.t < t_stop:
         if nstep >= MAX_STEPS:
@@ -341,8 +358,7 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
         except NumericalError as e:
             if opts.dt is None:
                 raise
-            name, limit = min(((n, v) for n, v, _, _ in step_limits(state, prm)),
-                              key=lambda pair: pair[1])
+            name, limit = least_step_limit(step_limits(state, prm))
             raise NumericalError(
                 f"{e}; the fixed step dt={dt:g} is {dt / limit:.3g} times the "
                 f"{name} step limit {limit:g} of the state at t={state.t:g}") from e

@@ -136,26 +136,22 @@ def doubling_levels(levels) -> bool:
             and all(b == 2 * a for a, b in zip(levels, levels[1:])))
 
 
-def study_steps(t_end: float, dt: float) -> int:
-    """The steps a study level takes to t_end with a step near ``dt`` (> 0,
-    with t_end / dt finite): t_end / dt rounded, at least 1."""
-    return max(1, round(t_end / dt))
-
-
 def study_levels(ms: ManufacturedSolution, levels, t_end: float,
                  dt_over_dx2: float):
     """Yield (n, grid, dt) of each level of a study: n x n periodic cells
     on the solution's box, and the step near dt_over_dx2 * dx^2 that
-    reaches t_end in :func:`study_steps` equal steps."""
+    reaches t_end in t_end / dt rounded (at least 1) equal steps. A step
+    of 0, or one too small for t_end / dt to be finite, is yielded as is."""
     for n in levels:
         grid = Grid(nx=n, ny=n, lx=ms.lx, ly=ms.ly, boundary_mode="periodic")
         dt = dt_over_dx2 * grid.dx ** 2
-        yield n, grid, t_end / study_steps(t_end, dt)
+        if dt > 0 and t_end / dt < np.inf:
+            dt = t_end / max(1, round(t_end / dt))
+        yield n, grid, dt
 
 
 @dataclass
 class ConvergenceReport:
-    ms_name: str
     levels: list
     l2_errors: dict      # field -> list of errors, coarse to fine
     linf_errors: dict
@@ -210,8 +206,7 @@ def convergence_study(ms: ManufacturedSolution, prm: ModelParams,
         # ZeroDivisionError
         orders[f] = [float(np.log2(np.divide(e[i], e[i + 1])))
                      for i in range(len(e) - 1)]
-    return ConvergenceReport(ms.name, list(levels), l2, linf, orders,
-                             valid, reason)
+    return ConvergenceReport(list(levels), l2, linf, orders, valid, reason)
 
 
 # -- lemma-scan oracle ------------------------------------------------------

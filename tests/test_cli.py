@@ -48,6 +48,15 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+def _count_steps(monkeypatch) -> list:
+    """A list that gains an item for each ``step_ssprk2`` call."""
+    steps = []
+    step = dynamics.step_ssprk2
+    monkeypatch.setattr(dynamics, "step_ssprk2",
+                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    return steps
+
+
 def test_run_equilibrium_exit_ok(tmp_path, capsys):
     cfg = _write(tmp_path, "run.ini", BASE)
     out = tmp_path / "out"
@@ -209,11 +218,14 @@ MMS_TINY = ("[grid]\nnx = 8\nny = 8\nlx = {l}\nly = {l}\n"
     # so does [grid]'s, and dt_over_dx2 * dx ** 2 would underflow to 0
     ("verify", MMS_TINY.format(l="1e-200"), EXIT_CONFIG,
      "got lx = 1e-200, ly = 1e-200"),
-    # [grid] has finite 1/dx^2, the finest level, 32 x 32, does not
+    # [grid] has finite 1/dx^2, the 16 x 16 level does not
     ("verify", MMS_TINY.format(l="1e-153"), EXIT_CONFIG,
-     "levels in [verify]: the finest level, 32, fails"),
+     "config error: levels in [verify]: lx / nx and ly / ny must be above "
+     "about 7.5e-155, so that 1/dx^2 and 1/dy^2 are finite; got lx = 1e-153, "
+     "ly = 1e-153 on 16x16\n"),
     ("verify", MMS_TINY.format(l="1") + "dt_over_dx2 = 5e-324\n", EXIT_CONFIG,
-     "dt_over_dx2 in [verify] gives a step of 0 on the finest level, 32"),
+     "dt_over_dx2 in [verify] gives a step of 0 for level 8, too small to "
+     "reach t_end = 0.05 within 10000000 steps"),
     # a step of 4.9e-304 would take about 1e302 steps
     ("verify", MMS_TINY.format(l="1e-150"), EXIT_CONFIG,
      "too small to reach t_end = 0.05 within 10000000 steps"),
@@ -244,17 +256,20 @@ def test_extreme_inputs_exit_with_a_code(tmp_path, capsys, command, text, code,
                                         (40.6, EXIT_CONFIG)])
 def test_verify_step_budget_counts_the_study_steps(tmp_path, capsys, monkeypatch,
                                                    steps, code):
-    """``[verify]``'s check counts the steps the study takes on its finest
-    level, t_end / dt rounded (40 for 39.7 and 40.3 steps' time, 41 for
-    40.6), against the budget ``dynamics`` holds when the check runs."""
+    """``verify``'s start pass counts the steps the study takes on each
+    level, t_end / dt rounded (40 on the finest for 39.7 and 40.3 steps'
+    time, 41 for 40.6), against the budget ``dynamics`` holds when the
+    pass runs."""
     monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
     dt = 0.5 / 32 ** 2  # dt_over_dx2 * dx ** 2 on the 32 x 32 level
     cfg = _write(tmp_path, "v.ini",
                  MMS_TINY.format(l="1") + f"t_end = {steps * dt!r}\n")
     assert main(["--out", str(tmp_path / "out"), "verify", cfg]) == code
     if code == EXIT_CONFIG:
-        assert "finest level, 32, too small to reach t_end = 0.0198242 within " \
-            "40 steps" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: dt_over_dx2 in [verify] gives a step of 0.000483518 "
+            "for level 32, too small to reach t_end = 0.0198242 within 40 "
+            "steps\n")
 
 
 #: extreme but parseable values, by the parser of a config.SCHEMA key;
@@ -421,10 +436,7 @@ def test_compare_blowup_exit_3_names_monitor(tmp_path, capsys):
 def test_compare_zero_eta_reference_exit_4(tmp_path, capsys, monkeypatch):
     ref = _write(tmp_path, "ref.ini", BASE + "[initial]\neta0 = 0\n")
     weak = _write(tmp_path, "weak.ini", BASE)
-    steps = []
-    step = dynamics.step_ssprk2
-    monkeypatch.setattr(dynamics, "step_ssprk2",
-                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    steps = _count_steps(monkeypatch)
     out = tmp_path / "out"
     assert main(["--out", str(out), "compare", ref, weak]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
@@ -917,10 +929,7 @@ def test_unwritable_output_directory_exit_2_before_any_step(
     if via == "[output]":
         text += f"[output]\ndirectory = {path}\n"
     cfg = _write(tmp_path, "c.ini", text)
-    steps = []
-    step = dynamics.step_ssprk2
-    monkeypatch.setattr(dynamics, "step_ssprk2",
-                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    steps = _count_steps(monkeypatch)
     out = ["--out", str(path)] if via == "--out" else []
     files = [cfg, cfg] if command == "compare" else [cfg]
     assert main([*out, command, *files]) == EXIT_CONFIG
@@ -953,10 +962,7 @@ def test_fixed_dt_above_the_start_limit_exit_2_before_any_step(
     cfg = _write(tmp_path, "w.ini", _WALLS_128)
     weak = _write(tmp_path, "p.ini", _WALLS_128.replace(
         "preset = gaussian-bump\n", "preset = gaussian-bump\ndelta0 = 1e-3\nseed = 4\n"))
-    steps = []
-    step = dynamics.step_ssprk2
-    monkeypatch.setattr(dynamics, "step_ssprk2",
-                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    steps = _count_steps(monkeypatch)
     out = tmp_path / "out"
     files = [cfg, weak] if command == "compare" else [cfg]
     assert main(["--out", str(out), command, *files]) == EXIT_CONFIG
@@ -968,6 +974,56 @@ def test_fixed_dt_above_the_start_limit_exit_2_before_any_step(
                                "diffusive x step limit 0.00015"), line
         assert f"of the {who}'s initial state" in line
     assert steps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("dt,code", [("2.5e-4", EXIT_OK), ("2.4e-4", EXIT_CONFIG)])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_fixed_dt_over_the_step_budget_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch, command, dt, code):
+    """A [time] dt that reaches t_end = 0.01 only after more than
+    ``dynamics.MAX_STEPS`` steps, 41.7 of 2.4e-4 against 40, is refused
+    before any step and with no output directory made, one line per run;
+    40 steps of 2.5e-4 end at t_end within the budget."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
+    cfg = _write(tmp_path, "c.ini", BASE.replace("dt = 5e-4", f"dt = {dt}"))
+    steps = _count_steps(monkeypatch)
+    out = tmp_path / "out"
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(out), command, *files]) == code
+    if code == EXIT_OK:
+        assert len(steps) == 40 * len(files)
+        return
+    whose = ["reference", "candidate"] if command == "compare" else ["run"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: dt in [time] is 0.00024 for the {who}, too small to "
+        f"reach t_end = 0.01 within 40 steps" for who in whose]
+    assert steps == [] and not out.exists()
+
+
+def test_compare_cfl_step_over_the_step_budget_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch):
+    """compare's shared CFL step is a fixed step for both runs, checked
+    against the step budget like a [time] dt."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
+    cfg = _write(tmp_path, "c.ini", BASE.replace("dt = 5e-4\n", "")
+                 .replace("t_end = 0.01", "t_end = 1"))
+    steps = _count_steps(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "compare", cfg, cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cfl in [time] gives a shared step of ")
+    assert err.endswith(" for both runs, too small to reach t_end = 1 within "
+                        "40 steps\n")
+    assert steps == [] and not out.exists()
+
+
+def test_run_of_an_mms_preset_ignores_its_verify_section(tmp_path, monkeypatch):
+    """Only ``verify`` reads [verify]: a run of an ``mms:`` preset whose
+    study step would underflow to 0 runs."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
+    cfg = _write(tmp_path, "m.ini",
+                 MMS_TINY.format(l="1") + "dt_over_dx2 = 5e-324\n")
+    assert main(["--out", str(tmp_path / "out"), "run", cfg]) == EXIT_OK
 
 
 @pytest.mark.parametrize("dt_over_dx2,steps,limits", [
@@ -984,10 +1040,7 @@ def test_verify_step_above_a_level_start_limit_exit_2_before_any_step(
     cfg = _write(tmp_path, "v.ini", "[grid]\nnx = 16\nny = 16\n[initial]\n"
                  "preset = mms:periodic-smooth\n[verify]\nlevels = 16,32,64\n"
                  f"t_end = 0.01\ndt_over_dx2 = {dt_over_dx2}\n")
-    ran = []
-    step = dynamics.step_ssprk2
-    monkeypatch.setattr(dynamics, "step_ssprk2",
-                        lambda *args, **kw: ran.append(1) or step(*args, **kw))
+    ran = _count_steps(monkeypatch)
     out = tmp_path / "out"
     assert main(["--out", str(out), "verify", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [

@@ -1,7 +1,8 @@
 """No top-level name of the package is dead: each one is used, or named,
 somewhere in the package, its tests, its scripts or its benchmark other
-than in its own definition. And the package holds no name that only its
-tests or scripts name: such a name belongs with them."""
+than in its own definition. The package holds no name that only its
+tests or scripts name: such a name belongs with them. And no module of
+the package imports a name it never uses."""
 
 import ast
 import functools
@@ -15,6 +16,10 @@ SEARCHED = ("src", "tests", "scripts", "perfbench")
 #: planned to call them: ``compare`` against a reference on a grid twice as
 #: fine restricts each reference snapshot
 AWAITING_A_CALLER = {"src/oldb2d/entropy.py:restrict_state"}
+
+#: modules whose imports are their API: ``perfbench`` reads the kernels
+#: through the package's re-exports
+REEXPORTING = {"src/oldb2d/kernels/__init__.py"}
 
 
 def _defined_names(tree):
@@ -64,3 +69,22 @@ def test_no_name_in_the_package_serves_only_tests_or_scripts():
     only = [key for key, tops in _namers().items()
             if tops and tops <= {"tests", "scripts"}]
     assert sorted(set(only) - AWAITING_A_CALLER) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name a module's top-level imports bind (``from __future__``
+    aside) is used in the module's code."""
+    unused = []
+    for path in sorted((ROOT / "src" / "oldb2d").rglob("*.py")):
+        key = str(path.relative_to(ROOT))
+        if key in REEXPORTING:
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            unused += [f"{key}:{name}" for name in bound if name not in used]
+    assert unused == []
