@@ -22,11 +22,11 @@ import numpy as np
 
 from . import diagnostics, dynamics, entropy, verify
 from .config import (ConfigError, build_initial, manufactured_solution,
-                     parse_config, section_values)
+                     parse_config, section_values, usable_directory)
 from .constitutive import ParameterError
-from .dynamics import (BlowupAbort, SolverOptions, cfl_dt, least_step_limit,
-                       run_simulation, start_state, step_limits, stop_time,
-                       within_step_budget)
+from .dynamics import (BlowupAbort, SolverOptions, cfl_dt, cfl_step_ceiling,
+                       least_step_limit, run_simulation, start_state,
+                       step_limits, stop_time, within_step_budget)
 from .grid import GridError
 from .snapshot_io import write_snapshot, write_timeseries
 from .state import NumericalError
@@ -186,12 +186,12 @@ class _Rows:
         row = {"t": s.t, **vars(eb), **vars(self.report), **vars(acc),
                "energy_residual": e_res}
         if ref is not None:
-            r, derivs = ref.state(j), ref.time_derivs(j, prm)
+            pair = entropy.remainder_inputs(s, ref.states[j])
+            derivs = ref.time_derivs(j, prm)
             f = self.force_fn(s.t) if self.force_fn else None
-            e1 = entropy.rel_entropy_E1(s, r, prm)
-            e2 = entropy.rel_entropy_E2(s, r, prm)
-            et = entropy.stress_distance_ET(s, r)
-            pair = entropy.remainder_inputs(s, r)
+            e1 = entropy.rel_entropy_E1(pair, prm)
+            e2 = entropy.rel_entropy_E2(pair, prm)
+            et = entropy.stress_distance_ET(pair)
             rdef = entropy.remainder_R_def(pair, derivs, prm, f)
             rnew = entropy.remainder_R_new(pair, prm)
             row.update(rdef)
@@ -240,12 +240,17 @@ def _stream(rows: _Rows, init, prm, t_end, opts, force_fn, source_fn) -> None:
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     init, force_fn, source_fn = build_initial(cfg)
-    if args.out:
+    if args.out is not None:
         cfg.out_dir = args.out
     _require_out_dir(cfg.out_dir)
     opts = _solver_options(cfg, init)
     if opts.dt is not None:
         _require_start_limits(cfg.params, cfg.t_end, [("the run", init, opts)])
+    else:
+        ceiling = cfl_step_ceiling(cfg.grid, cfg.params, opts.cfl)
+        if not within_step_budget(cfg.t_end, ceiling):
+            raise ConfigError([_over_budget("cfl in [time] caps every step at",
+                                            ceiling, "the run", cfg.t_end)])
     _stream(_Rows(cfg), init, cfg.params, cfg.t_end, opts, force_fn, source_fn)
     return EXIT_OK
 
@@ -267,7 +272,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(errors)
     init_ref, force_fn, src = build_initial(cfg_ref)
     init_weak = build_initial(cfg_weak)[0]
-    if args.out:
+    if args.out is not None:
         cfg_weak.out_dir = args.out
     prm = cfg_ref.params
     opts_ref = _solver_options(cfg_ref, init_ref)
@@ -311,7 +316,7 @@ def cmd_verify(args) -> int:
     ms = manufactured_solution(cfg)
     if ms is None:
         raise ConfigError(["verify requires an mms:<name> initial preset"])
-    if args.out:
+    if args.out is not None:
         cfg.out_dir = args.out
     _require_out_dir(cfg.out_dir)
 
@@ -371,6 +376,13 @@ def _thread_count(text: str) -> int:
     return n
 
 
+def _out_dir(text: str) -> str:
+    if not usable_directory(text):
+        raise argparse.ArgumentTypeError(
+            f"must be a nonempty path with no NUL byte, got {text!r}")
+    return text
+
+
 def main(argv=None) -> int:
     keep_freed_memory()
     freeze_at_exit()
@@ -381,7 +393,7 @@ def main(argv=None) -> int:
     ap.add_argument("--threads", type=_thread_count, default=1, metavar="N",
                     help="accepted for compatibility; the solver is "
                          "single-threaded and results never depend on N")
-    ap.add_argument("--out", default=None, metavar="DIR",
+    ap.add_argument("--out", type=_out_dir, default=None, metavar="DIR",
                     help="override the configured output directory")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -53,6 +53,12 @@ def _levels(raw: str) -> tuple:
     return tuple(int(v) for v in raw.split(","))
 
 
+def usable_directory(path: str) -> bool:
+    """Whether ``path`` can name an output directory: no OS call takes an
+    empty path or one with a NUL byte."""
+    return bool(path) and "\0" not in path
+
+
 #: marks a key without a default
 _REQUIRED = object()
 
@@ -182,6 +188,9 @@ def parse_config(text: str) -> RunConfig:
         (not v["verify_t_end"] > 0, "t_end in [verify] must be positive"),
         (not v["verify_dt_over_dx2"] > 0, "dt_over_dx2 in [verify] must be positive"),
     ) if bad]
+    if not usable_directory(v["out_dir"]):
+        errors.append(f"directory in [output] must be a nonempty path with no "
+                      f"NUL byte, got {v['out_dir']!r}")
     errors += [f"unknown output format '{f}'" for f in v["formats"]
                if f not in ("csv", "snapshots")]
     if errors:

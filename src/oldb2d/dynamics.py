@@ -19,7 +19,7 @@ from .constitutive import ModelParams, polymer_pressure_q, pressure
 from .fields import (advective_div_array, dissipation_density,
                      face_velocities, integrate_array, laplacian_array, pad1,
                      upper_convected_source, velocity_gradient)
-from .grid import extend
+from .grid import Grid, extend
 from .state import Accumulators, NumericalError, State, Trajectory
 
 
@@ -48,6 +48,13 @@ def within_step_budget(t_end: float, dt: float) -> bool:
     """Whether the fixed step ``dt`` reaches ``t_end`` within MAX_STEPS
     steps, a last step shorter than 1e-6 dt folded into the one before."""
     return t_end <= dt * (MAX_STEPS + 1e-6)
+
+
+def cfl_step_ceiling(grid: Grid, prm: ModelParams, cfl: float) -> float:
+    """cfl * min(dx^2, dy^2) / (4 eps), which no step the CFL rule takes
+    on ``grid`` exceeds: the diffusivity of :func:`step_limits` is at
+    least eps."""
+    return cfl * (min(grid.dx, grid.dy) ** 2 / (4.0 * prm.eps))
 
 
 @dataclass
@@ -332,7 +339,7 @@ def run_simulation(init: State, prm: ModelParams, t_end: float,
     already holds the run so far.
     """
     opts = (opts or SolverOptions()).resolved(init)
-    traj = Trajectory(init.grid, sink)
+    traj = Trajectory(sink)
     acc = Accumulators()
     state = start_state(init, opts)
     state.check_finite()

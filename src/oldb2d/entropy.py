@@ -3,10 +3,8 @@
 and the relative-entropy inequality residual. ``compare``'s rows write them
 per snapshot; the Gronwall fit of E1 + E2 + ET is taken from those rows.
 
-The relative entropies take a (state, ref) pair. Both remainder forms and
-the relative dissipation take the pair's :class:`RemainderInputs` instead,
-which :func:`remainder_inputs` checks and builds once, so every consumer
-of one snapshot shares its velocity, gradient and square-root planes.
+Every per-pair quantity takes the pair's :class:`RemainderInputs`, which
+:func:`remainder_inputs` checks and builds once per snapshot.
 
 The reference must be strictly positive in density and polymer density,
 the candidate nonnegative (as every state a run hands its sink is); the
@@ -33,7 +31,7 @@ from .state import NumericalError, State
 
 def require_shared_times(times, ref: RefTrajectory) -> None:
     """Raise unless snapshot times ``times`` are the reference's."""
-    if len(times) != len(ref) or not all(ref.shares_time(i, t)
+    if len(times) != len(ref.states) or not all(ref.shares_time(i, t)
                                          for i, t in enumerate(times)):
         raise NumericalError("trajectories must share snapshot times")
 
@@ -43,36 +41,6 @@ def _check_positive_ref(ref: State) -> None:
         raise NumericalError("reference density must be strictly positive")
     if np.min(ref.eta) <= 0:
         raise NumericalError("reference polymer density must be strictly positive")
-
-
-# --- relative entropies ----------------------------------------------------
-
-
-def rel_entropy_E1(state: State, ref: State, prm: ModelParams) -> float:
-    """Kinetic + pressure-potential relative entropy
-    int 1/2 rho |u - u~|^2 + bregman_H(rho, rho~)."""
-    require_same_grid(state, ref)
-    ux, uy = state.velocity()
-    tux, tuy = ref.velocity()
-    kin = 0.5 * state.rho * ((ux - tux) ** 2 + (uy - tuy) ** 2)
-    return integrate_array(kin + bregman_H(state.rho, ref.rho, prm), state.grid)
-
-
-def rel_entropy_E2(state: State, ref: State, prm: ModelParams) -> float:
-    require_same_grid(state, ref)
-    return integrate_array(bregman_G(state.eta, ref.eta, prm), state.grid)
-
-
-def stress_distance_ET(state: State, ref: State) -> float:
-    """int 1/2 |T - T~|^2 (Frobenius)."""
-    require_same_grid(state, ref)
-    d11, d12, d22 = state.t11 - ref.t11, state.t12 - ref.t12, state.t22 - ref.t22
-    return integrate_array(0.5 * frob_ip(d11, d12, d22, d11, d12, d22), state.grid)
-
-
-def combined_E(state: State, ref: State, prm: ModelParams) -> float:
-    return (rel_entropy_E1(state, ref, prm) + rel_entropy_E2(state, ref, prm)
-            + stress_distance_ET(state, ref))
 
 
 # --- reference trajectories and their time derivatives ---------------------
@@ -103,21 +71,15 @@ class RefTrajectory:
         _check_positive_ref(state)
         self.states.append(state)
 
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def state(self, i: int) -> State:
-        return self.states[i]
-
     def shares_time(self, i: int, t: float) -> bool:
         """Whether snapshot i exists and lies exactly at time t (runs that
         step from t = 0 by the same dt share their times bit for bit)."""
-        return i < len(self) and t == self.states[i].t
+        return i < len(self.states) and t == self.states[i].t
 
     def time_derivs(self, i: int, prm: ModelParams) -> dict:
         """d/dt of (u~, H'(rho~), G'(eta~)) at snapshot i, second order
         (a difference quotient for a two-snapshot reference)."""
-        n = len(self)
+        n = len(self.states)
         if n < 2:
             raise NumericalError("reference needs at least two snapshots")
         # the 3-snapshot window: centered at i, shifted inward at the ends
@@ -148,12 +110,15 @@ class RefTrajectory:
         return dict(zip(("dut_x", "dut_y", "dHp", "dGp"), d))
 
 
+# --- the (candidate, reference) pair --------------------------------------
+
+
 @dataclass(frozen=True)
 class RemainderInputs:
-    """The planes of a (candidate, reference) pair that both remainder
-    forms and the relative dissipation share, built once by
+    """A checked (candidate, reference) pair and the planes its relative
+    entropies, remainders and relative dissipation share, built once by
     :func:`remainder_inputs`. Its consumers only read them: a row hands
-    one bundle to several of them."""
+    one bundle to all of them."""
 
     state: State
     ref: State
@@ -185,6 +150,34 @@ def remainder_inputs(state: State, ref: State) -> RemainderInputs:
         state, ref, (ux, uy), (tux, tuy), (tux - ux, tuy - uy), g, gt,
         gtxx + gtyy, (gtxx - gxx, 0.5 * ((gtxy - gxy) + (gtyx - gyx)), gtyy - gyy),
         sq, grad_array(sq, grid, "even"), tsq, grad_array(tsq, grid, "even"))
+
+
+# --- relative entropies ----------------------------------------------------
+
+
+def rel_entropy_E1(pair: RemainderInputs, prm: ModelParams) -> float:
+    """Kinetic + pressure-potential relative entropy
+    int 1/2 rho |u - u~|^2 + bregman_H(rho, rho~)."""
+    state, (dux, duy) = pair.state, pair.du
+    kin = 0.5 * state.rho * (dux ** 2 + duy ** 2)
+    return integrate_array(kin + bregman_H(state.rho, pair.ref.rho, prm), state.grid)
+
+
+def rel_entropy_E2(pair: RemainderInputs, prm: ModelParams) -> float:
+    return integrate_array(bregman_G(pair.state.eta, pair.ref.eta, prm),
+                           pair.state.grid)
+
+
+def stress_distance_ET(pair: RemainderInputs) -> float:
+    """int 1/2 |T - T~|^2 (Frobenius)."""
+    state, ref = pair.state, pair.ref
+    d11, d12, d22 = state.t11 - ref.t11, state.t12 - ref.t12, state.t22 - ref.t22
+    return integrate_array(0.5 * frob_ip(d11, d12, d22, d11, d12, d22), state.grid)
+
+
+def combined_E(pair: RemainderInputs, prm: ModelParams) -> float:
+    return (rel_entropy_E1(pair, prm) + rel_entropy_E2(pair, prm)
+            + stress_distance_ET(pair))
 
 
 # --- remainder, definitional form (five terms) -----------------------------
@@ -332,9 +325,10 @@ def relative_dissipation(pair: RemainderInputs, prm: ModelParams) -> float:
     """Instantaneous integrand of the relative dissipation of ``pair``:
     mu |grad(u-u~)|^2 + nu |div(u-u~)|^2
     + 2 eps (2 kL |grad(sqrt eta - sqrt eta~)|^2 + z |grad(eta-eta~)|^2)."""
-    (ux, uy), (tux, tuy), grid = pair.u, pair.tu, pair.state.grid
+    # grad(u~ - u) gives the squares of grad(u - u~) bit for bit
+    grid = pair.state.grid
     visc, bracket = dissipation_density(
-        velocity_gradient(ux - tux, uy - tuy, grid), pair.sq_eta - pair.sq_teta,
+        velocity_gradient(*pair.du, grid), pair.sq_eta - pair.sq_teta,
         pair.state.eta - pair.ref.eta, grid, prm)
     return integrate_array(visc + 2.0 * prm.eps * bracket, grid)
 
@@ -346,8 +340,7 @@ def entropy_inequality_terms(pair: RemainderInputs, ref_derivs: dict,
     reference time derivatives and the body force as
     :func:`remainder_R_def` takes them; see
     :func:`entropy_inequality_series`."""
-    state, ref = pair.state, pair.ref
-    return (rel_entropy_E1(state, ref, prm) + rel_entropy_E2(state, ref, prm),
+    return (rel_entropy_E1(pair, prm) + rel_entropy_E2(pair, prm),
             relative_dissipation(pair, prm),
             remainder_R_def(pair, ref_derivs, prm, force)["total"])
 
@@ -374,7 +367,7 @@ def entropy_inequality_residual(states: list, ref: RefTrajectory,
     times = [s.t for s in states]
     require_shared_times(times, ref)
     return entropy_inequality_series(
-        [entropy_inequality_terms(remainder_inputs(s, ref.state(j)),
+        [entropy_inequality_terms(remainder_inputs(s, ref.states[j]),
                                   ref.time_derivs(j, prm), prm,
                                   force_fn(s.t) if force_fn else None)
          for j, s in enumerate(states)], times)

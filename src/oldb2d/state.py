@@ -95,7 +95,6 @@ class Trajectory:
     and for ``add`` and ``states[-1]``, which ``perfbench/tracer.py`` hooks
     to count the snapshot bytes a run holds."""
 
-    grid: Grid
     sink: Callable[[State, Accumulators, tuple | None], None] | None = None
     states: list = field(default_factory=list)  # the latest state, or none
 

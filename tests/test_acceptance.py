@@ -162,7 +162,7 @@ def test_criterion_08_remainder_coincidence(prm):
     for _ in range(10):
         s = random_smooth_state(g, prm, rng)
         ref = _steady_ref(s)
-        pair = remainder_inputs(s, ref.state(1))
+        pair = remainder_inputs(s, ref.states[1])
         rd = remainder_R_def(pair, ref.time_derivs(1, prm), prm)
         rn = remainder_R_new(pair, prm)
         scale = max(abs(rd["R1"]), 1.0)
@@ -179,7 +179,7 @@ def test_criterion_09_remainder_form_equivalence(prm):
         ref = _steady_ref(ref_ms.sample_state(g, 0.0), spacing=0.5 * g.dx)
         cand = cand_ms.sample_state(g, 0.3)
         f = ref_ms.force_fn(g)(0.3)
-        pair = remainder_inputs(cand, ref.state(1))
+        pair = remainder_inputs(cand, ref.states[1])
         rd = remainder_R_def(pair, ref.time_derivs(1, prm), prm, f)
         rn = remainder_R_new(pair, prm)
         diffs.append(abs(rd["total"] - rn["total"]))
@@ -202,7 +202,7 @@ def test_criterion_10a_weak_strong_resolution_decay(prm):
     for n in (32, 64):
         coarse = trajs[n].final
         fine = restrict_state(trajs[2 * n].final, coarse.grid)
-        e_pairs.append(combined_E(coarse, fine, prm))
+        e_pairs.append(combined_E(remainder_inputs(coarse, fine), prm))
     # E is quadratic in the O(dx^2) state error; expect roughly 2^4 decay
     assert e_pairs[0] / e_pairs[1] >= 4.0, e_pairs
 
@@ -221,7 +221,7 @@ def test_criterion_10b_perturbation_scaling_and_gronwall(prm):
         rows = csv_rows(prm, ref)
         _run_grid(pert, prm, t_end, n, sink=rows)
         rows.write_csv()
-        assert len(rows.rows) == len(ref)  # a row at each reference snapshot
+        assert len(rows.rows) == len(ref.states)  # a row at each reference snapshot
         t, e = _column(rows.rows, "t"), _column(rows.rows, "E_combined")
         assert np.all(e > 0)
         ratios.append(e[0] / d0 ** 2)
@@ -247,7 +247,7 @@ def test_criterion_10c_entropy_residual_refinement(prm):
         rows = csv_rows(prm, ref)
         _run_grid(pert, prm, t_end, n, sink=rows)
         rows.write_csv()
-        assert len(rows.rows) == len(ref)
+        assert len(rows.rows) == len(ref.states)
         res = _column(rows.rows, "entropy_residual")
         assert res[0] == 0.0
         maxres.append(np.max(np.abs(res)))

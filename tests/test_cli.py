@@ -273,7 +273,7 @@ def test_verify_step_budget_counts_the_study_steps(tmp_path, capsys, monkeypatch
 
 
 #: extreme but parseable values, by the parser of a config.SCHEMA key;
-#: [grid] sizes stay at most 16 and [output] directory is left to --out
+#: [grid] sizes stay at most 16 and [output] directory is drawn on its own
 _EXTREMES = {
     "int": ["0", "1", "3"],
     "_float": ["0", "-0.0", "0.5", "3", "1e-8", "0.99999999999", "1e-300",
@@ -292,6 +292,9 @@ _KEY_EXTREMES = {
 }
 _KEYS = [(sec, key) for sec, keys in config.SCHEMA.items() for key in keys
          if (sec, key) != ("output", "directory")]
+#: [output] directory in the example's working directory, or left out:
+#: empty, with a NUL byte, an existing file, a missing nested path
+_DIRECTORIES = [None, "", "a\0b", "file", "missing/nested/out"]
 
 
 @st.composite
@@ -325,13 +328,15 @@ _LEMMA_BASE = {**_BASE, "lemma": {"samples": "1024"}}
 @given(data=st.data(),
        command=st.sampled_from(["run", "compare", "verify", "lemma-check"]))
 def test_any_extreme_config_exits_with_a_documented_code(data, command):
-    """``main`` returns 0, 2, 3 or 4 and never raises; a non-zero exit
-    prints a message; on exit 3/4 the rows written so far match the
-    snapshot files written so far. Steps are capped, so a long run ends
-    in exit 4. Every state a run adds to its trajectory is finite, has
-    rho >= 0 and eta >= 0, and lies after the previous one it added."""
+    """``main`` returns 0, 2, 3 or 4 and never raises, with or without
+    ``--out``; a non-zero exit prints a message; on exit 3/4 the rows
+    written so far match the snapshot files written so far. Steps are
+    capped, so a long run ends in exit 4. Every state a run adds to its
+    trajectory is finite, has rho >= 0 and eta >= 0, and lies after the
+    previous one it added."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "MAX_STEPS", 30)
+        mp.chdir(tmp)
         add, last = Trajectory.add, {}  # id -> (trajectory, its last t)
 
         def checked_add(traj, state, acc, grad_u=None):
@@ -343,9 +348,13 @@ def test_any_extreme_config_exits_with_a_documented_code(data, command):
 
         mp.setattr(Trajectory, "add", checked_add)
         tmp = Path(tmp)
+        (tmp / "file").write_text("kept")
         base = {"verify": _VERIFY_BASE, "lemma-check": _LEMMA_BASE}.get(
             command) or data.draw(st.sampled_from([_BASE, _BLOWUP_BASE]))
         sections = data.draw(_sections(base))
+        directory = data.draw(st.sampled_from(_DIRECTORIES))
+        if directory is not None:
+            sections.setdefault("output", {})["directory"] = directory
         configs = [tmp / "a.ini"]
         configs[0].write_text(_ini(sections))
         if command == "compare":
@@ -353,17 +362,21 @@ def test_any_extreme_config_exits_with_a_documented_code(data, command):
                                                   if k[0] == "initial"], 2))
             configs.append(tmp / "b.ini")
             configs[1].write_text(_ini(weak))
+        out_args = data.draw(st.sampled_from([["--out", "out"], []]))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--out", str(tmp / "out"), command, *map(str, configs)])
+            code = main([*out_args, command, *map(str, configs)])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_NUMERICAL)
         assert code == EXIT_OK or err.getvalue().strip()
-        formats = sections.get("output", {}).get("formats", "csv,snapshots")
+        assert (tmp / "file").read_text() == "kept"
+        output = sections.get("output", {})
+        out_dir = tmp / (out_args[-1] if out_args else output.get("directory", "."))
+        formats = output.get("formats", "csv,snapshots")
         if code in (EXIT_BLOWUP, EXIT_NUMERICAL) and formats == "csv,snapshots":
             stem = "compare" if command == "compare" else "run"
-            csv = tmp / "out" / f"{stem}.csv"
+            csv = out_dir / f"{stem}.csv"
             rows = csv.read_text().splitlines()[1:] if csv.exists() else []
-            snaps = sorted((tmp / "out").glob(f"{stem}_*.bin"))
+            snaps = sorted(out_dir.glob(f"{stem}_*.bin"))
             times = [read_snapshot(p).t for p in snaps]
             # so the last row lies at the last snapshot's time
             assert [float(r.split(",")[0]) for r in rows] == times
@@ -939,6 +952,37 @@ def test_unwritable_output_directory_exit_2_before_any_step(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "file"]
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "verify"])
+@pytest.mark.parametrize("via,path", [("--out", ""), ("--out", "a\0b"),
+                                      ("[output]", ""), ("[output]", "a\0b")])
+def test_empty_or_nul_output_directory_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch, command, via, path):
+    """No OS call takes an empty path or one with a NUL byte: such an
+    output directory exits 2 before any step, naming its setting, and
+    writes nothing."""
+    monkeypatch.chdir(tmp_path)  # where the default directory "." lies
+    text = BASE
+    if command == "verify":
+        text += ("[initial]\npreset = mms:diffusion-eta\n"
+                 "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+    if via == "[output]":
+        text += f"[output]\ndirectory = {path}\n"
+    cfg = _write(tmp_path, "c.ini", text)
+    steps = _count_steps(monkeypatch)
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    if via == "--out":
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", path, command, *files])
+        assert exc.value.code == EXIT_CONFIG
+    else:
+        assert main([command, *files]) == EXIT_CONFIG
+    named = {"--out": "argument --out: must be a nonempty path with no NUL byte",
+             "[output]": "config error: directory in [output] must be a "
+                         "nonempty path with no NUL byte"}[via]
+    assert f"{named}, got {path!r}\n" in capsys.readouterr().err
+    assert steps == [] and [p.name for p in tmp_path.iterdir()] == ["c.ini"]
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_no_output_format_creates_no_directory(tmp_path, command):
     cfg = _write(tmp_path, "c.ini", BASE + "[output]\nformats =\n")
@@ -1015,6 +1059,30 @@ def test_compare_cfl_step_over_the_step_budget_exit_2_before_any_step(
     assert err.endswith(" for both runs, too small to reach t_end = 1 within "
                         "40 steps\n")
     assert steps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("steps,code", [(39.5, EXIT_OK), (40.5, EXIT_CONFIG)])
+def test_cfl_run_over_the_step_budget_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch, steps, code):
+    """Every CFL step is at most cfl * min(dx^2, dy^2) / (4 eps). On the
+    8^2 box at rest with eps = 1 the diffusive limit sets each step at
+    that ceiling, 0.0015625: a t_end 40.5 such steps away is refused
+    before any step against a budget of 40, and one 39.5 steps away runs
+    its 40 steps."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 40)
+    ceiling = 0.4 * (1 / 8) ** 2 / (4 * 1.0)
+    cfg = _write(tmp_path, "c.ini", "[grid]\nnx = 8\nny = 8\n[params]\neps = 1\n"
+                 f"[time]\nt_end = {steps * ceiling!r}\n")
+    taken = _count_steps(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", cfg]) == code
+    if code == EXIT_OK:
+        assert len(taken) == 40
+        return
+    assert capsys.readouterr().err == (
+        "config error: cfl in [time] caps every step at 0.0015625 for the run, "
+        "too small to reach t_end = 0.0632812 within 40 steps\n")
+    assert taken == [] and not out.exists()
 
 
 def test_run_of_an_mms_preset_ignores_its_verify_section(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from oldb2d.config import (SCHEMA, ConfigError, RunConfig, build_initial,
                            section_values, smooth_noise)
 from oldb2d.constitutive import ModelParams
 from oldb2d.grid import Grid
-from oldb2d.snapshot_io import (BASE_COLUMNS, COMPARE_COLUMNS, MAGIC,
+from oldb2d.snapshot_io import (BASE_COLUMNS, COMPARE_COLUMNS,
                                 SnapshotFormatError, read_snapshot,
                                 write_snapshot, write_timeseries)
 from oldb2d.state import State

@@ -2,7 +2,7 @@
 somewhere in the package, its tests, its scripts or its benchmark other
 than in its own definition. The package holds no name that only its
 tests or scripts name: such a name belongs with them. And no module of
-the package imports a name it never uses."""
+the package, its tests or its scripts imports a name it never uses."""
 
 import ast
 import functools
@@ -72,10 +72,12 @@ def test_no_name_in_the_package_serves_only_tests_or_scripts():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """Each name a module's top-level imports bind (``from __future__``
-    aside) is used in the module's code."""
+    """Each name that the top-level imports of a module of the package,
+    its tests or its scripts bind (``from __future__`` aside) is used in
+    that module's code."""
     unused = []
-    for path in sorted((ROOT / "src" / "oldb2d").rglob("*.py")):
+    for path in sorted(p for top in ("src", "tests", "scripts")
+                       for p in (ROOT / top).rglob("*.py")):
         key = str(path.relative_to(ROOT))
         if key in REEXPORTING:
             continue

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from oldb2d import dynamics
-from oldb2d.constitutive import ModelParams
 from oldb2d.dynamics import (BlowupAbort, SolverOptions, _apply_floors, cfl_dt,
                              compute_rhs, run_simulation, step_ssprk2)
 from oldb2d.fields import integrate_array

@@ -53,10 +53,11 @@ def test_E1_trivial_examples(prm):
     g = periodic_grid(16)
     ref = State.uniform(g, 1.0, 1.0, k=prm.k)
     s = ref.copy()
-    assert rel_entropy_E1(s, ref, prm) == 0.0
+    assert rel_entropy_E1(remainder_inputs(s, ref), prm) == 0.0
     # rho = rho~ = 1, u - u~ = (1, 0) on the unit square: E1 = 1/2
     s.mx = np.ones(g.shape)
-    assert rel_entropy_E1(s, ref, prm) == pytest.approx(0.5, rel=1e-13)
+    assert rel_entropy_E1(remainder_inputs(s, ref), prm) == pytest.approx(
+        0.5, rel=1e-13)
 
 
 def test_E2_trivial_example():
@@ -65,17 +66,18 @@ def test_E2_trivial_example():
     ref = State.uniform(g, 1.0, 1.0, k=prm.k)
     s = ref.copy()
     s.eta = s.eta + 1.0
-    assert rel_entropy_E2(s, ref, prm) == pytest.approx(1.0, rel=1e-13)
+    assert rel_entropy_E2(remainder_inputs(s, ref), prm) == pytest.approx(
+        1.0, rel=1e-13)
 
 
 def test_grids_equal_only_when_identical(prm):
     s = State.uniform(periodic_grid(16), 1.0, 1.0, k=prm.k)
-    assert rel_entropy_E1(s, State.uniform(periodic_grid(16), 1.0, 1.0, k=prm.k),
-                          prm) == 0.0
+    same = State.uniform(periodic_grid(16), 1.0, 1.0, k=prm.k)
+    assert rel_entropy_E1(remainder_inputs(s, same), prm) == 0.0
     # np.isclose would have paired these; the cell areas differ
     near = State.uniform(periodic_grid(16, lx=1.0 + 1e-9), 1.0, 1.0, k=prm.k)
     with pytest.raises(GridError, match="different grids"):
-        rel_entropy_E1(s, near, prm)
+        remainder_inputs(s, near)
 
 
 def test_combined_E_identity_stress(prm):
@@ -85,8 +87,9 @@ def test_combined_E_identity_stress(prm):
     s.t11 = s.t11 + 1.0
     s.t22 = s.t22 + 1.0
     # |I|^2 = 2, so ET = int 1/2 |I|^2 = 1 on the unit square
-    assert stress_distance_ET(s, ref) == pytest.approx(1.0, rel=1e-13)
-    assert combined_E(s, ref, prm) == pytest.approx(1.0, rel=1e-13)
+    pair = remainder_inputs(s, ref)
+    assert stress_distance_ET(pair) == pytest.approx(1.0, rel=1e-13)
+    assert combined_E(pair, prm) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_E1_matches_naive_loop(prm):
@@ -94,7 +97,7 @@ def test_E1_matches_naive_loop(prm):
     rng = np.random.default_rng(11)
     s = random_smooth_state(g, prm, rng)
     ref = random_smooth_state(g, prm, rng)
-    got = rel_entropy_E1(s, ref, prm)
+    got = rel_entropy_E1(remainder_inputs(s, ref), prm)
     naive = 0.0
     for i in range(g.nx):
         for j in range(g.ny):
@@ -112,9 +115,10 @@ def test_nonnegativity_random_pairs(prm):
     for _ in range(5):
         s = random_smooth_state(g, prm, rng)
         ref = random_smooth_state(g, prm, rng)
-        assert rel_entropy_E1(s, ref, prm) >= 0.0
-        assert rel_entropy_E2(s, ref, prm) >= 0.0
-        assert stress_distance_ET(s, ref) >= 0.0
+        pair = remainder_inputs(s, ref)
+        assert rel_entropy_E1(pair, prm) >= 0.0
+        assert rel_entropy_E2(pair, prm) >= 0.0
+        assert stress_distance_ET(pair) >= 0.0
 
 
 def test_ref_trajectory_rejects_nonpositive(prm):
@@ -128,7 +132,7 @@ def test_ref_trajectory_rejects_nonpositive(prm):
         ref = fed_ref([s])
         with pytest.raises(NumericalError, match=msg):
             ref(bad)
-        assert len(ref) == 1
+        assert len(ref.states) == 1
 
 
 def test_remainders_vanish_at_coincidence(prm):
@@ -137,7 +141,7 @@ def test_remainders_vanish_at_coincidence(prm):
     for _ in range(3):
         s = random_smooth_state(g, prm, rng)
         ref = steady_ref_traj(s)
-        pair = remainder_inputs(s, ref.state(1))
+        pair = remainder_inputs(s, ref.states[1])
         rd = remainder_R_def(pair, ref.time_derivs(1, prm), prm)
         rn = remainder_R_new(pair, prm)
         for key in ("R1", "R2", "R3", "R4", "R5", "total"):
@@ -155,7 +159,7 @@ def test_R5_zero_when_velocities_match(prm):
     ref.mx = ref.rho * ux
     ref.my = ref.rho * uy
     rt = steady_ref_traj(ref)
-    rd = remainder_R_def(remainder_inputs(s, rt.state(1)), rt.time_derivs(1, prm), prm)
+    rd = remainder_R_def(remainder_inputs(s, rt.states[1]), rt.time_derivs(1, prm), prm)
     # velocities agree up to the rho*(m/rho) roundoff of the setup
     assert abs(rd["R5"]) <= 1e-14
 
@@ -204,7 +208,7 @@ def test_one_bundle_serves_every_consumer_unchanged(prm):
     for i, r in enumerate(refs):
         r.t = 0.01 * i
     rt = fed_ref(refs)
-    r, derivs = rt.state(1), rt.time_derivs(1, prm)
+    r, derivs = rt.states[1], rt.time_derivs(1, prm)
     force = (0.1 * s.rho, -0.2 * s.eta)
     calls = (lambda p: remainder_R_def(p, derivs, prm, force),
              lambda p: remainder_R_def(p, derivs, prm, force),
@@ -235,18 +239,19 @@ def test_scaling_coherence_of_stress_terms(prm):
     rng = np.random.default_rng(16)
     s = random_smooth_state(g, prm, rng)
     ref = random_smooth_state(g, prm, rng)
-    et1 = stress_distance_ET(s, ref)
+    et1 = stress_distance_ET(remainder_inputs(s, ref))
     s2, ref2 = s.copy(), ref.copy()
     for st in (s2, ref2):
         st.t11 = st.t11 * 3.0
         st.t12 = st.t12 * 3.0
         st.t22 = st.t22 * 3.0
-    assert stress_distance_ET(s2, ref2) == pytest.approx(9.0 * et1, rel=1e-13)
+    assert stress_distance_ET(remainder_inputs(s2, ref2)) == pytest.approx(
+        9.0 * et1, rel=1e-13)
     rt = steady_ref_traj(ref)
     rt2 = steady_ref_traj(ref2)
-    r5_1 = remainder_R_def(remainder_inputs(s, rt.state(1)),
+    r5_1 = remainder_R_def(remainder_inputs(s, rt.states[1]),
                            rt.time_derivs(1, prm), prm)["R5"]
-    r5_3 = remainder_R_def(remainder_inputs(s2, rt2.state(1)),
+    r5_3 = remainder_R_def(remainder_inputs(s2, rt2.states[1]),
                            rt2.time_derivs(1, prm), prm)["R5"]
     assert r5_3 == pytest.approx(3.0 * r5_1, rel=1e-12)
 
@@ -277,6 +282,27 @@ def test_two_snapshot_time_derivs_are_the_difference_quotient(prm, monkeypatch):
         for k in got:
             assert got[k].tobytes() == want[k].tobytes(), (i, k)
     assert len(calls) == 4
+
+
+def test_time_derivs_are_numpys_second_order_gradient(prm):
+    """A walled reference of five snapshots whose last interval is half the
+    others gives, at every index, ``np.gradient(q, times, edge_order=2)``
+    of each quantity bit for bit: the same one-sided end and nonuniform
+    centered formulas."""
+    ref = ref_run(smooth_state(physical_grid(16), prm), prm, 2.1e-3,
+                  SolverOptions(dt=2e-4, snapshot_stride=3))
+    times = [s.t for s in ref.states]
+    assert np.allclose(np.diff(times), [6e-4, 6e-4, 6e-4, 3e-4], rtol=1e-12)
+    quantities = zip(*[(*s.velocity(), potential_H_prime(s.rho, prm),
+                        entropy.polymer_potential_G_prime(s.eta, prm))
+                       for s in ref.states])
+    want = {k: np.gradient(np.array(q), times, axis=0, edge_order=2)
+            for k, q in zip(("dut_x", "dut_y", "dHp", "dGp"), quantities)}
+    for i in range(len(times)):
+        got = ref.time_derivs(i, prm)
+        assert got.keys() == want.keys()
+        for k in got:
+            assert got[k].tobytes() == want[k][i].tobytes(), (i, k)
 
 
 def test_entropy_residual_zero_at_t0_and_for_coincident_runs(prm):
@@ -331,12 +357,12 @@ def test_csv_rows_match_the_snapshot_list_residuals(prm):
                    sink=tee(kept, rows))
     rows.write_csv()
     states = kept.states
-    assert len(rows.rows) == len(states) == len(ref) > 3
+    assert len(rows.rows) == len(states) == len(ref.states) > 3
     want = {"energy_residual": energy_inequality_residual(states, kept.accumulators,
                                                           prm),
             "trace_residual": trace_identity_residual(states, prm),
             "entropy_residual": entropy_inequality_residual(states, ref, prm),
-            "E_combined": [combined_E(s, ref.state(j), prm)
+            "E_combined": [combined_E(remainder_inputs(s, ref.states[j]), prm)
                            for j, s in enumerate(states)]}
     for key, series in want.items():
         got = np.array([row[key] for row in rows.rows])
