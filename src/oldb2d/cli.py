@@ -71,25 +71,31 @@ def freeze_at_exit() -> None:
 
 def _load_config(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"cannot read config {path}: {e}"]) from e
     return parse_config(text)
 
 
 def _require_out_dir(path: str) -> None:
     """Raise a ConfigError, before any step runs, if ``path`` is not a
-    writable directory and cannot be made one. Creates nothing: the outputs
-    create it when they are first written."""
-    probe = os.path.abspath(path)
+    writable directory and cannot be made one, also when a component still
+    to be made is longer than its filesystem allows. Creates nothing: the
+    outputs create it when they are first written."""
+    probe, missing = os.path.abspath(path), []
     while not os.path.lexists(probe):
-        probe = os.path.dirname(probe)
+        probe, name = os.path.split(probe)
+        missing.append(name)
     with _writing(path):
         if not os.path.isdir(probe):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         if not os.access(probe, os.W_OK | os.X_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        # -1: the filesystem sets no limit
+        name_max = os.pathconf(probe, "PC_NAME_MAX")
+        if any(0 <= name_max < len(os.fsencode(name)) for name in missing):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
 
 
 @contextlib.contextmanager
@@ -336,7 +342,7 @@ def cmd_verify(args) -> int:
                                    t_end=cfg.verify_t_end,
                                    dt_over_dx2=cfg.verify_dt_over_dx2)
     with (_output_file(cfg.out_dir, "convergence.csv") as path,
-          open(path, "w", newline="\n") as fh):
+          open(path, "w", encoding="utf-8", newline="\n") as fh):
         fh.write("field,n,l2_error,linf_error,l2_order\n")
         for f, n, e2, einf, order in rep.table_rows():
             fh.write(f"{f},{n},{e2!r},{einf!r},{order!r}\n")

@@ -70,14 +70,12 @@ def _ddt(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def trace_identity_terms(state: State, prm: ModelParams,
-                         grad_u: tuple | None = None) -> tuple[float, float]:
+                         grad_u: tuple) -> tuple[float, float]:
     """int 1/2 tr T and int [(k/2 lambda) eta + T : grad u] - (1/4 lambda)
-    int tr T at one state, given or computing the gradient of
+    int tr T at one state, given ``grad_u``, the gradient of
     ``state.velocity()``; see :func:`trace_identity_series`."""
     grid = state.grid
     tr = state.t11 + state.t22
-    if grad_u is None:
-        grad_u = velocity_gradient(*state.velocity(), grid)
     gxx, gxy, gyx, gyy = grad_u
     t_gradu = state.t11 * gxx + state.t12 * (gxy + gyx) + state.t22 * gyy
     return (integrate_array(0.5 * tr, grid),
@@ -95,8 +93,9 @@ def trace_identity_series(terms: list, times) -> np.ndarray:
 
 def trace_identity_residual(states: list, prm: ModelParams) -> np.ndarray:
     """:func:`trace_identity_series` over a run's snapshots ``states``."""
-    return trace_identity_series([trace_identity_terms(s, prm) for s in states],
-                                 [s.t for s in states])
+    return trace_identity_series(
+        [trace_identity_terms(s, prm, velocity_gradient(*s.velocity(), s.grid))
+         for s in states], [s.t for s in states])
 
 
 def _stress_balance(states: list, refs, prm: ModelParams) -> np.ndarray:
@@ -175,17 +174,17 @@ def _tau_eigs(state: State) -> tuple[np.ndarray, np.ndarray]:
     return mid - rad, mid + rad
 
 
-def linf_tau(state: State) -> float:
-    """sup over cells of the spectral norm of the symmetric 2x2 stress."""
-    lo, hi = _tau_eigs(state)
+def linf_tau(lo: np.ndarray, hi: np.ndarray) -> float:
+    """sup over cells of the spectral norm of the symmetric 2x2 stress,
+    from its :func:`_tau_eigs` planes."""
     return float(np.max(np.maximum(np.abs(hi), np.abs(lo))))
 
 
-def min_eig_tau(state: State) -> tuple[float, tuple[int, int]]:
-    """Minimum eigenvalue of T over cells and the cell attaining it."""
-    eig = _tau_eigs(state)[0]
-    idx = np.unravel_index(np.argmin(eig), eig.shape)
-    return float(eig[idx]), (int(idx[0]), int(idx[1]))
+def min_eig_tau(lo: np.ndarray) -> float:
+    """Minimum eigenvalue of T over cells, from its lower :func:`_tau_eigs`
+    plane."""
+    # the first least element, not np.min's: it fixes the sign of a zero
+    return float(lo.flat[np.argmin(lo)])
 
 
 def velocity_moment(state: State, alpha: float) -> float:
@@ -203,12 +202,13 @@ def blowup_monitor(state: State, report: BlowupReport,
     Only sup_rho may stop a run, and ``run_simulation`` alone decides that."""
     report.sup_rho = max(report.sup_rho, float(np.max(state.rho)))
     report.sup_eta = max(report.sup_eta, float(np.max(state.eta)))
-    linf_sq = float(np.float64(linf_tau(state)) ** 2)
+    lo, hi = _tau_eigs(state)
+    linf_sq = float(np.float64(linf_tau(lo, hi)) ** 2)
     if report._last_t is not None:
         dt = state.t - report._last_t
         report.l2t_linf_tau += 0.5 * dt * (report._last_linf_sq + linf_sq)
     report._last_t = state.t
     report._last_linf_sq = linf_sq
     report.moment_alpha = velocity_moment(state, alpha)
-    report.min_eig_tau = min(report.min_eig_tau, min_eig_tau(state)[0])
+    report.min_eig_tau = min(report.min_eig_tau, min_eig_tau(lo))
     return report

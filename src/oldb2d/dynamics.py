@@ -296,7 +296,7 @@ def step_ssprk2(state: State, dt: float, prm: ModelParams, opts: SolverOptions,
 
 
 def balance_rates(state: State, prm: ModelParams,
-                  force: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
+                  force: tuple[np.ndarray, np.ndarray] | None) -> tuple:
     """Instantaneous integrands of the energy-balance accumulators, in the
     order of the fields of :class:`Accumulators`, and the velocity gradient
     they were computed from, that of ``state.velocity()``."""

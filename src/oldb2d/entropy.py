@@ -25,7 +25,7 @@ from .constitutive import (ModelParams, bregman_G, bregman_H,
 from .diagnostics import _stress_balance
 from .fields import (dissipation_density, frob_ip, grad_array, integrate_array,
                      laplacian_array, velocity_gradient)
-from .grid import Grid, require_same_grid
+from .grid import Grid, GridError
 from .state import NumericalError, State
 
 
@@ -138,7 +138,8 @@ class RemainderInputs:
 def remainder_inputs(state: State, ref: State) -> RemainderInputs:
     """Check the pair (same grid, strictly positive reference) and build
     the planes it shares."""
-    require_same_grid(state, ref)
+    if state.grid != ref.grid:
+        raise GridError("operands live on different grids")
     _check_positive_ref(ref)
     grid = state.grid
     ux, uy = state.velocity()
@@ -334,7 +335,7 @@ def relative_dissipation(pair: RemainderInputs, prm: ModelParams) -> float:
 
 
 def entropy_inequality_terms(pair: RemainderInputs, ref_derivs: dict,
-                             prm: ModelParams, force=None) -> tuple:
+                             prm: ModelParams, force) -> tuple:
     """(E1 + E2, relative dissipation, R_def total) of ``pair``, a
     candidate state against the reference snapshot at its time, with the
     reference time derivatives and the body force as
@@ -361,15 +362,14 @@ def entropy_inequality_series(terms: list, times) -> np.ndarray:
 
 
 def entropy_inequality_residual(states: list, ref: RefTrajectory,
-                                prm: ModelParams, force_fn=None) -> np.ndarray:
-    """:func:`entropy_inequality_series` over a run's snapshots ``states``,
-    which must share snapshot times and grid with the reference."""
+                                prm: ModelParams) -> np.ndarray:
+    """:func:`entropy_inequality_series` over an unforced run's snapshots
+    ``states``, which must share snapshot times and grid with the reference."""
     times = [s.t for s in states]
     require_shared_times(times, ref)
     return entropy_inequality_series(
         [entropy_inequality_terms(remainder_inputs(s, ref.states[j]),
-                                  ref.time_derivs(j, prm), prm,
-                                  force_fn(s.t) if force_fn else None)
+                                  ref.time_derivs(j, prm), prm, None)
          for j, s in enumerate(states)], times)
 
 

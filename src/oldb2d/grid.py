@@ -13,9 +13,6 @@ import numpy as np
 PERIODIC = "periodic"
 PHYSICAL = "physical"
 
-#: ghost-layer width; the MUSCL reconstruction needs two cells
-NG = 2
-
 
 class GridError(ValueError):
     pass
@@ -72,12 +69,6 @@ class Grid:
         return x[:, None], y[None, :]
 
 
-def require_same_grid(a, b):
-    """Raise unless the two states live on equal grids."""
-    if a.grid != b.grid:
-        raise GridError("operands live on different grids")
-
-
 # --- ghost extension -------------------------------------------------------
 #
 # Extension modes for a single axis:
@@ -89,7 +80,7 @@ def require_same_grid(a, b):
 #              boundary cell equal to the one-sided second-order formula
 
 
-def _extend_axis(a: np.ndarray, axis: int, mode: str, width: int = NG) -> np.ndarray:
+def _extend_axis(a: np.ndarray, axis: int, mode: str, width: int) -> np.ndarray:
     if not 1 <= width <= a.shape[axis]:
         raise GridError(f"ghost width {width} outside 1..{a.shape[axis]}")
     if mode == "extrap" and width > 1:
@@ -118,7 +109,7 @@ def _extend_axis(a: np.ndarray, axis: int, mode: str, width: int = NG) -> np.nda
     return out
 
 
-def extend(a: np.ndarray, mode_x: str, mode_y: str, width: int = NG) -> np.ndarray:
+def extend(a: np.ndarray, mode_x: str, mode_y: str, width: int) -> np.ndarray:
     """Pad a (nx, ny) interior array with ghost layers along both axes."""
     return _extend_axis(_extend_axis(a, 0, mode_x, width), 1, mode_y, width)
 

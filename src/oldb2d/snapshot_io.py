@@ -95,5 +95,5 @@ def write_timeseries(path, rows: list, compare: bool = False) -> None:
         if missing:
             raise ValueError(f"row missing columns: {missing}")
         lines.append(",".join(_fmt(row[c]) for c in cols))
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

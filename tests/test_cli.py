@@ -81,6 +81,25 @@ def test_run_missing_file_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command,bad", [("run", 0), ("compare", 0), ("compare", 1),
+                                         ("verify", 0), ("lemma-check", 0)])
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys, monkeypatch, command, bad):
+    """A config file that does not decode as UTF-8, as either file of
+    ``compare``, is a config error naming the file and the byte's offset,
+    before any step."""
+    good = _write(tmp_path, "good.ini", BASE)
+    broken = tmp_path / "bad.ini"
+    broken.write_bytes(b"[grid]\n# caf\xe9\nnx = 16\nny = 16\n")
+    files = [good, good] if command == "compare" else [good]
+    files[bad] = str(broken)
+    steps = _count_steps(monkeypatch)
+    assert main(["--out", str(tmp_path / "out"), command, *files]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"config error: cannot read config {broken}: 'utf-8' codec can't "
+            f"decode byte 0xe9 in position 12" in err)
+    assert steps == [] and not (tmp_path / "out").exists()
+
+
 BLOWUP = """
 [grid]
 nx = 16
@@ -743,7 +762,8 @@ def test_compare_rows_match_reference_times_exactly(tmp_path):
     for t in (0.0, 4e-13):
         s = init.copy()
         s.t = t
-        rows(s, Accumulators(0.0, 0.0, 0.0, 0.0, 0.0), None)
+        rows(s, Accumulators(0.0, 0.0, 0.0, 0.0, 0.0),
+             fields.velocity_gradient(*s.velocity(), s.grid))
     assert [row["t"] for row in rows.rows] == [0.0]
     assert not ref.shares_time(1, 4e-13)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["compare_000000.bin"]
@@ -950,6 +970,27 @@ def test_unwritable_output_directory_exit_2_before_any_step(
     assert f"config error: cannot write outputs to {path}: Not a directory" in err
     assert steps == [] and blocker.read_text() == "kept"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "file"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "verify"])
+@pytest.mark.parametrize("parent", ["", "missing"])
+def test_overlong_output_directory_name_exit_2_before_any_step(
+        tmp_path, capsys, monkeypatch, command, parent):
+    """An output directory with a component still to be made that is longer
+    than the filesystem's name limit exits 2 before any step, and the check
+    makes none of the components."""
+    path = tmp_path / parent / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+    text = BASE + "[output]\nformats = csv\n"
+    if command == "verify":
+        text += ("[initial]\npreset = mms:diffusion-eta\n"
+                 "[verify]\nlevels = 8,16,32\nt_end = 0.002\n")
+    cfg = _write(tmp_path, "c.ini", text)
+    steps = _count_steps(monkeypatch)
+    files = [cfg, cfg] if command == "compare" else [cfg]
+    assert main(["--out", str(path), command, *files]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot write outputs to {path}: File name too long" in err
+    assert steps == [] and [p.name for p in tmp_path.iterdir()] == ["c.ini"]
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "verify"])

@@ -5,9 +5,11 @@ import pytest
 
 from oldb2d import diagnostics
 from oldb2d.constitutive import ModelParams
-from oldb2d.diagnostics import (BlowupReport, blowup_monitor, min_eig_tau,
-                                total_energy, velocity_moment)
+from oldb2d.diagnostics import (BlowupReport, _tau_eigs, blowup_monitor,
+                                linf_tau, min_eig_tau, total_energy,
+                                velocity_moment)
 from oldb2d.dynamics import SolverOptions, run_simulation
+from oldb2d.fields import velocity_gradient
 from oldb2d.state import State
 
 from conftest import Keep, periodic_grid, random_smooth_state, smooth_state
@@ -85,8 +87,8 @@ def test_streamed_trace_terms_have_the_stored_bits(prm):
 
     run_simulation(init, prm, 1e-3, opts, sink=sink)
     assert all(handed) and len(streamed) == len(stored.states) == 4
-    assert streamed == [diagnostics.trace_identity_terms(s, prm)
-                        for s in stored.states]
+    assert streamed == [diagnostics.trace_identity_terms(
+        s, prm, velocity_gradient(*s.velocity(), g)) for s in stored.states]
 
     init.rho[3, 4] = 1e-12  # below 1e-10 * mean(rho), at rest
     init.mx[3, 4] = init.my[3, 4] = 0.0
@@ -98,7 +100,8 @@ def test_streamed_trace_terms_have_the_stored_bits(prm):
     assert init.rho[3, 4] == 1e-12
     assert states[0].rho[3, 4] == 1e-10 * float(np.mean(init.rho))
     assert handed == [True, True]
-    assert streamed == [diagnostics.trace_identity_terms(s, prm) for s in states]
+    assert streamed == [diagnostics.trace_identity_terms(
+        s, prm, velocity_gradient(*s.velocity(), g)) for s in states]
 
 
 def test_stress_l2_balance_zero_stress(prm):
@@ -131,9 +134,17 @@ def test_min_eig_tau_examples(prm):
                       (np.array([[1.0, 0.0], [0.0, -1.0]]), -1.0),
                       (np.array([[2.0, 1.0], [1.0, 2.0]]), 1.0)):
         s = State.uniform(g, 1.0, 1.0, tau0=tau)
-        val, loc = min_eig_tau(s)
-        assert val == pytest.approx(want, abs=1e-14)
-        assert 0 <= loc[0] < g.nx and 0 <= loc[1] < g.ny
+        assert min_eig_tau(_tau_eigs(s)[0]) == pytest.approx(want, abs=1e-14)
+
+
+def test_linf_tau_takes_the_larger_eigenvalue_magnitude(prm):
+    """The spectral norm is |lo| where the lower eigenvalue has the larger
+    magnitude."""
+    g = periodic_grid(8)
+    for tau, want in ((np.diag([1.0, -3.0]), 3.0),
+                      (np.array([[1.0, 2.0], [2.0, -2.0]]), 3.0)):  # eigs -3, 2
+        s = State.uniform(g, 1.0, 1.0, tau0=tau)
+        assert linf_tau(*_tau_eigs(s)) == pytest.approx(want, rel=1e-14)
 
 
 def test_velocity_moment_examples(prm):
@@ -188,9 +199,23 @@ def test_blowup_monitor_tracks_sup_and_integral(prm):
     assert rep.l2t_linf_tau == np.inf
 
 
+def test_blowup_monitor_decomposes_each_stress_once(prm, monkeypatch):
+    """Both stress monitors read the one eigen decomposition of a state."""
+    calls = []
+    tau_eigs = diagnostics._tau_eigs
+    monkeypatch.setattr(diagnostics, "_tau_eigs",
+                        lambda s: calls.append(s.t) or tau_eigs(s))
+    s = random_smooth_state(periodic_grid(8), prm, np.random.default_rng(6))
+    rep = BlowupReport()
+    for t in (0.0, 0.5, 1.0):
+        s.t = t
+        rep = blowup_monitor(s, rep, alpha=3.0)
+    assert calls == [0.0, 0.5, 1.0]
+
+
 def test_monitors_are_pure(prm):
     g = periodic_grid(12)
     s = random_smooth_state(g, prm, np.random.default_rng(5))
-    assert min_eig_tau(s) == min_eig_tau(s)
+    assert min_eig_tau(_tau_eigs(s)[0]) == min_eig_tau(_tau_eigs(s)[0])
     assert velocity_moment(s, 2.5) == velocity_moment(s, 2.5)
     assert total_energy(s, prm).total == total_energy(s, prm).total
